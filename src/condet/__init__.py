@@ -28,25 +28,21 @@ from .condense import (
     CondensationStep,
     DetResult,
     PivotStrategy,
-    TwoByTwoBlock,
     ZeroRowExit,
     condense_at,
     condense_at_11,
     det_condensation,
     dodgson_identity_residual,
-    pivot_block,
     select_pivot,
     trace_document,
     trace_from_document,
 )
-from .matrix import Matrix, PivotSpec, det_trivial, remove_rows_cols, rotate_pivot_to_front
+from .matrix import Matrix, PivotSpec, remove_rows_cols
 from .oracle import (
     COFACTOR_SIZE_LIMIT,
-    OracleKind,
     det_bareiss,
     det_cofactor,
     det_gauss_rational,
-    det_oracle,
 )
 from .scalars import (
     FLOAT,
@@ -58,8 +54,6 @@ from .scalars import (
     ScalarKind,
     ScalarParseError,
     bit_length,
-    format_scalar,
-    parse_scalar,
 )
 
 __version__ = "0.1.0"
@@ -67,9 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Matrix",
     "PivotSpec",
-    "det_trivial",
     "remove_rows_cols",
-    "rotate_pivot_to_front",
     "ScalarKind",
     "ScalarParseError",
     "ExactDivisionError",
@@ -78,15 +70,11 @@ __all__ = [
     "INTEGER",
     "FLOAT",
     "KINDS",
-    "parse_scalar",
-    "format_scalar",
     "bit_length",
-    "TwoByTwoBlock",
     "CondensationStep",
     "ZeroRowExit",
     "DetResult",
     "PivotStrategy",
-    "pivot_block",
     "condense_at_11",
     "condense_at",
     "dodgson_identity_residual",
@@ -94,12 +82,10 @@ __all__ = [
     "det_condensation",
     "trace_document",
     "trace_from_document",
-    "OracleKind",
     "COFACTOR_SIZE_LIMIT",
     "det_cofactor",
     "det_bareiss",
     "det_gauss_rational",
-    "det_oracle",
     "SplitMix64",
     "random_integer_matrix",
     "random_rational_matrix",

@@ -22,9 +22,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .condense import CondensationStep, PivotStrategy, det_condensation
+from .condense import CondensationStep, DetResult, det_condensation
 from .matrix import Matrix
 from .oracle import (
     COFACTOR_SIZE_LIMIT,
@@ -32,7 +32,7 @@ from .oracle import (
     det_cofactor,
     det_gauss_rational,
 )
-from .scalars import INTEGER, RATIONAL, OpCounts, bit_length
+from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, ScalarKind, bit_length
 
 __all__ = [
     "SplitMix64",
@@ -41,6 +41,8 @@ __all__ = [
     "BenchConfig",
     "BenchRecord",
     "MethodDisagreement",
+    "Method",
+    "METHODS",
     "BENCH_METHODS",
     "DEFAULT_CONFIG",
     "run_bench",
@@ -135,7 +137,45 @@ def random_rational_matrix(
     return Matrix(data, RATIONAL, cols=n)
 
 
-BENCH_METHODS = ("condensation", "cofactor", "bareiss", "gauss-rational")
+@dataclass(frozen=True)
+class Method:
+    """One determinant method: its ``condet det --method`` spelling,
+    the wording error messages use for it, how to run it, the scalar
+    kinds it accepts and its size cap (None for no cap)."""
+
+    cli_name: str
+    title: str
+    run: Callable[[Matrix], DetResult]
+    kinds: Tuple[ScalarKind, ...] = (RATIONAL, INTEGER, FLOAT)
+    size_limit: Optional[int] = None
+
+
+def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetResult:
+    ops = OpCounts()
+    return DetResult(det(m, ops), (), ops)
+
+
+# Keyed by the bench and report name.  Each ``run`` looks its function
+# up in this module's globals at call time, so patching the module
+# attribute (for tracing or in tests) reaches every caller.
+METHODS: Dict[str, Method] = {
+    "condensation": Method("condense", "condensation", lambda m: det_condensation(m)),
+    "cofactor": Method(
+        "cofactor",
+        "cofactor expansion",
+        lambda m: _oracle_result(det_cofactor, m),
+        size_limit=COFACTOR_SIZE_LIMIT,
+    ),
+    "bareiss": Method("bareiss", "Bareiss elimination", lambda m: _oracle_result(det_bareiss, m)),
+    "gauss-rational": Method(
+        "gauss",
+        "rational Gaussian elimination",
+        lambda m: _oracle_result(det_gauss_rational, m),
+        kinds=(RATIONAL,),
+    ),
+}
+
+BENCH_METHODS = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -164,14 +204,12 @@ class BenchConfig:
         if not self.methods:
             raise ValueError("config needs at least one method")
         for name in self.methods:
-            if name not in BENCH_METHODS:
+            if name not in METHODS:
                 raise ValueError(f"unknown method {name!r}; known: {', '.join(BENCH_METHODS)}")
-        if "cofactor" in self.methods:
-            too_big = [n for n in self.sizes if n > COFACTOR_SIZE_LIMIT]
+            limit = METHODS[name].size_limit
+            too_big = [n for n in self.sizes if limit is not None and n > limit]
             if too_big:
-                raise ValueError(
-                    f"cofactor method is limited to size {COFACTOR_SIZE_LIMIT}, config asks for {too_big}"
-                )
+                raise ValueError(f"{name} method is limited to size {limit}, config asks for {too_big}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchConfig":
@@ -240,37 +278,6 @@ def _condensation_bits(trace) -> Tuple[int, ...]:
     return tuple(bits)
 
 
-def _run_condensation(m: Matrix) -> Tuple[OpCounts, Tuple[int, ...], str, str]:
-    result = det_condensation(m, PivotStrategy.FIRST_NONZERO, record_trace=True)
-    return result.op_counts, _condensation_bits(result.trace), INTEGER.format(result.value), "integer"
-
-
-def _run_cofactor(m: Matrix) -> Tuple[OpCounts, Tuple[int, ...], str, str]:
-    ops = OpCounts()
-    value = det_cofactor(m, ops)
-    return ops, (), INTEGER.format(value), "integer"
-
-
-def _run_bareiss(m: Matrix) -> Tuple[OpCounts, Tuple[int, ...], str, str]:
-    ops = OpCounts()
-    value = det_bareiss(m, ops)
-    return ops, (), INTEGER.format(value), "integer"
-
-
-def _run_gauss_rational(m: Matrix) -> Tuple[OpCounts, Tuple[int, ...], str, str]:
-    ops = OpCounts()
-    value = det_gauss_rational(Matrix(m.to_rows(), RATIONAL), ops)
-    return ops, (), RATIONAL.format(value), "rational"
-
-
-_RUNNERS = {
-    "condensation": _run_condensation,
-    "cofactor": _run_cofactor,
-    "bareiss": _run_bareiss,
-    "gauss-rational": _run_gauss_rational,
-}
-
-
 def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
     """Run every configured method over the seeded corpus.
 
@@ -286,21 +293,25 @@ def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
             m = random_integer_matrix(n, cfg.entry_bound, child)
             first: Optional[BenchRecord] = None
             for name in cfg.methods:
-                runner = _RUNNERS[name]
+                method = METHODS[name]
+                # The corpus is integer; a method without integer
+                # support runs on the same values in its first kind.
+                kind = INTEGER if INTEGER in method.kinds else method.kinds[0]
                 t0 = time.perf_counter_ns()
-                ops, bits, digest, kind_name = runner(m)
+                result = method.run(m if kind is INTEGER else Matrix(m.to_rows(), kind))
                 elapsed = time.perf_counter_ns() - t0
+                ops = result.op_counts
                 record = BenchRecord(
                     method=name,
                     n=n,
                     trial=trial,
-                    scalar_kind=kind_name,
+                    scalar_kind=kind.name,
                     wall_time_ns=elapsed,
                     multiplications=ops.multiplications,
                     subtractions=ops.subtractions,
                     divisions=ops.divisions,
-                    max_bit_length_per_level=bits,
-                    result_digest=digest,
+                    max_bit_length_per_level=_condensation_bits(result.trace),
+                    result_digest=kind.format(result.value),
                 )
                 if first is None:
                     first = record

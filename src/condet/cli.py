@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 
 from .bench import (
     DEFAULT_CONFIG,
+    METHODS,
     BenchConfig,
     MethodDisagreement,
     format_report,
@@ -39,17 +40,13 @@ from .condense import (
     dodgson_identity_residual,
     trace_document,
 )
-from .matrix import Matrix, PivotSpec, remove_rows_cols
-from .oracle import (
-    COFACTOR_SIZE_LIMIT,
-    det_bareiss,
-    det_cofactor,
-    det_gauss_rational,
-)
+from .matrix import Matrix, PivotSpec, from_row_major, remove_rows_cols
+# det_cofactor and det_gauss_rational run through METHODS; they stay
+# importable from this module alongside det_bareiss and det_condensation.
+from .oracle import det_bareiss, det_cofactor, det_gauss_rational
 from .scalars import (
     FLOAT,
     KINDS,
-    RATIONAL,
     ExactDivisionError,
     ScalarKind,
     ScalarParseError,
@@ -63,6 +60,8 @@ EXIT_USER_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 VERIFY_REL_TOL = 1e-9
+
+_CLI_METHODS = {method.cli_name: method for method in METHODS.values()}
 
 
 class MatrixFileError(ValueError):
@@ -111,19 +110,18 @@ def _parse_matrix_json(text: str, kind: ScalarKind) -> Matrix:
         rows, cols, entries = int(doc["rows"]), int(doc["cols"]), doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"JSON matrix file needs integer 'rows'/'cols' and 'entries': {exc}") from exc
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise MatrixFileError(
-            f"JSON matrix file claims {rows}x{cols} = {rows * cols} entries, "
-            f"got {len(entries) if isinstance(entries, list) else 'non-list'}"
-        )
+    if not isinstance(entries, list):
+        raise MatrixFileError("JSON matrix file 'entries' must be a list")
     parsed = []
     for idx, cell in enumerate(entries):
         try:
             parsed.append(kind.parse(cell if isinstance(cell, str) else repr(cell)))
         except ScalarParseError as exc:
             raise MatrixFileError(f"entry {idx + 1} (row-major): {exc}") from exc
-    data = [parsed[r * cols : (r + 1) * cols] for r in range(rows)]
-    return Matrix(data, kind, cols=cols)
+    try:
+        return from_row_major(parsed, rows, cols, kind)
+    except ValueError as exc:
+        raise MatrixFileError(f"JSON matrix file: {exc}") from exc
 
 
 def load_matrix(path: str, kind: ScalarKind) -> Matrix:
@@ -152,34 +150,25 @@ def cmd_det(args: argparse.Namespace) -> int:
     if args.trace is not None and args.method != "condense":
         print("error: --trace is only available with --method condense", file=sys.stderr)
         return EXIT_USER_ERROR
+    method = _CLI_METHODS[args.method]
+    if kind not in method.kinds:
+        needed = " or ".join(k.name for k in method.kinds)
+        print(f"error: --method {args.method} needs --scalar {needed}", file=sys.stderr)
+        return EXIT_USER_ERROR
+    limit = method.size_limit
+    if limit is not None and m.rows > limit:
+        print(f"error: {method.title} is limited to {limit}x{limit}, got {m.rows}x{m.cols}", file=sys.stderr)
+        return EXIT_USER_ERROR
     if args.method == "condense":
-        strategy = PivotStrategy(args.pivot)
-        result = det_condensation(m, strategy, record_trace=args.trace is not None)
+        result = det_condensation(m, PivotStrategy(args.pivot), record_trace=args.trace is not None)
         if args.trace is not None:
             doc = trace_document(m, result)
             with open(args.trace, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
-        value = result.value
-    elif args.method == "cofactor":
-        if m.rows > COFACTOR_SIZE_LIMIT:
-            print(
-                f"error: cofactor expansion is limited to {COFACTOR_SIZE_LIMIT}x{COFACTOR_SIZE_LIMIT}, "
-                f"got {m.rows}x{m.cols}",
-                file=sys.stderr,
-            )
-            return EXIT_USER_ERROR
-        value = det_cofactor(m)
-    elif args.method == "bareiss":
-        value = det_bareiss(m)
-    elif args.method == "gauss":
-        if kind is not RATIONAL:
-            print("error: --method gauss needs --scalar rational", file=sys.stderr)
-            return EXIT_USER_ERROR
-        value = det_gauss_rational(m)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.method)
-    print(kind.format(value))
+    else:
+        result = method.run(m)
+    print(kind.format(result.value))
     return EXIT_OK
 
 
@@ -280,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("file", help="matrix file (plain rows or JSON object)")
     det.add_argument(
         "--method",
-        choices=("condense", "cofactor", "bareiss", "gauss"),
+        choices=tuple(_CLI_METHODS),
         default="condense",
         help="determinant algorithm (default: condense)",
     )

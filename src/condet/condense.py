@@ -5,7 +5,8 @@ With pivot (k, l), entry (i, j) of the condensed matrix is the
 determinant of a 2x2 block built from the pivot row/column and row
 i (or i+1, once past the pivot row) and column j (or j+1, once past
 the pivot column) of the source.  That block layout absorbs all
-permutation signs, giving the identity
+permutation signs (the argument is in ``_condense``), giving the
+identity
 
     a(k,l) ** (n-2) * det(A) = det(condensed)
 
@@ -28,17 +29,15 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .matrix import Matrix, PivotSpec, remove_rows_cols
+from .matrix import Matrix, PivotSpec, from_row_major, remove_rows_cols
 from .oracle import det_bareiss
 from .scalars import FLOAT, KINDS, OpCounts, Scalar, ScalarKind
 
 __all__ = [
-    "TwoByTwoBlock",
     "CondensationStep",
     "ZeroRowExit",
     "DetResult",
     "PivotStrategy",
-    "pivot_block",
     "condense_at_11",
     "condense_at",
     "dodgson_identity_residual",
@@ -48,34 +47,6 @@ __all__ = [
     "trace_from_document",
     "TRACE_FORMAT",
 ]
-
-
-class TwoByTwoBlock(tuple):
-    """The four scalars of one pivot-anchored 2x2 minor."""
-
-    __slots__ = ()
-
-    def __new__(cls, top_left, top_right, bottom_left, bottom_right):
-        return tuple.__new__(cls, (top_left, top_right, bottom_left, bottom_right))
-
-    @property
-    def top_left(self):
-        return self[0]
-
-    @property
-    def top_right(self):
-        return self[1]
-
-    @property
-    def bottom_left(self):
-        return self[2]
-
-    @property
-    def bottom_right(self):
-        return self[3]
-
-    def det(self) -> Scalar:
-        return self[0] * self[3] - self[1] * self[2]
 
 
 @dataclass(frozen=True)
@@ -117,35 +88,49 @@ class PivotStrategy(enum.Enum):
     MAX_MAGNITUDE = "max-magnitude"
 
 
-def pivot_block(m: Matrix, k: int, l: int, i: int, j: int) -> TwoByTwoBlock:
-    """The 2x2 block behind entry (i, j) of the condensation at (k, l).
-
-    ``i`` and ``j`` run over 1..n-1.  Indices at or past the pivot row
-    (column) skip over it, and the pivot row/column supplies the
-    anchoring entries; the four quadrants differ only in which of the
-    two rows (columns) comes first:
-
-        j < l, i < k:   [[a(i,j),  a(i,l)],  [a(k,j),   a(k,l)]]
-        j >= l, i < k:  [[a(i,l),  a(i,j+1)],[a(k,l),   a(k,j+1)]]
-        j < l, i >= k:  [[a(k,j),  a(k,l)],  [a(i+1,j), a(i+1,l)]]
-        j >= l, i >= k: [[a(k,l),  a(k,j+1)],[a(i+1,l), a(i+1,j+1)]]
-    """
-    a = m.get
-    if i < k:
-        if j < l:
-            return TwoByTwoBlock(a(i, j), a(i, l), a(k, j), a(k, l))
-        return TwoByTwoBlock(a(i, l), a(i, j + 1), a(k, l), a(k, j + 1))
-    if j < l:
-        return TwoByTwoBlock(a(k, j), a(k, l), a(i + 1, j), a(i + 1, l))
-    return TwoByTwoBlock(a(k, l), a(k, j + 1), a(i + 1, l), a(i + 1, j + 1))
-
-
 def _require_condensable(m: Matrix, who: str) -> int:
     if not m.is_square():
         raise ValueError(f"{who} needs a square matrix, got {m.rows}x{m.cols}")
     if m.rows < 2:
         raise ValueError(f"{who} needs size >= 2, got {m.rows}")
     return m.rows
+
+
+def _condense(m: Matrix, k: int, l: int) -> Matrix:
+    """Condense ``m`` at the 0-based pivot (k, l): the one place the
+    pivot-anchored 2x2 determinants are computed.
+
+    Each source row r != k is paired with the pivot row in source
+    order, ``(top, bottom) = (row_r, pivot_row)`` above the pivot and
+    ``(pivot_row, row_r)`` below it; each column c != l is paired with
+    column l the same way.  The condensed entry is the determinant of
+    that 2x2 block:
+
+        c < l:  top[c]*bottom[l] - top[l]*bottom[c]
+        c > l:  top[l]*bottom[c] - top[c]*bottom[l]
+
+    Why no sign appears in the identity: rotating row k and column l
+    to the front is k + l adjacent swaps, so it multiplies det(m) by
+    (-1)**(k+l), and corner condensation of the rotated matrix puts the
+    pivot row on top and column l first in every block.  The in-place
+    layout above differs from that exactly in the k rows above the
+    pivot (block rows swapped) and the l columns left of it (block
+    columns swapped); each swap negates one whole row or column of the
+    condensed matrix, which multiplies its determinant by the same
+    (-1)**(k+l).  The two signs cancel.
+    """
+    src = m.as_tuples()
+    pivot_row = src[k]
+    data = []
+    for r, row in enumerate(src):
+        if r == k:
+            continue
+        top, bottom = (row, pivot_row) if r < k else (pivot_row, row)
+        top_l, bottom_l = top[l], bottom[l]
+        left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
+        right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
+        data.append(tuple(left + right))
+    return Matrix._trusted(data, m.kind, len(src) - 1)
 
 
 def condense_at_11(m: Matrix) -> CondensationStep:
@@ -155,17 +140,8 @@ def condense_at_11(m: Matrix) -> CondensationStep:
     The pivot value may be zero; the identity then degenerates to a
     singular condensed matrix.
     """
-    n = _require_condensable(m, "condense_at_11")
-    src = m.as_tuples()
-    top = src[0]
-    anchor = top[0]
-    data = []
-    for i in range(1, n):
-        row = src[i]
-        lead = row[0]
-        data.append(tuple(anchor * row[j] - top[j] * lead for j in range(1, n)))
-    condensed = Matrix(data, m.kind, cols=n - 1)
-    return CondensationStep(PivotSpec(1, 1), anchor, 1, condensed)
+    _require_condensable(m, "condense_at_11")
+    return CondensationStep(PivotSpec(1, 1), m.get(1, 1), 1, _condense(m, 0, 0))
 
 
 def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
@@ -179,13 +155,8 @@ def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
     k, l = pivot
     if not (1 <= k <= n and 1 <= l <= n):
         raise IndexError(f"pivot {pivot!r} out of range for size {n}")
-    data = [
-        tuple(pivot_block(m, k, l, i, j).det() for j in range(1, n))
-        for i in range(1, n)
-    ]
-    condensed = Matrix(data, m.kind, cols=n - 1)
     sign = 1 if (k + l) % 2 == 0 else -1
-    return CondensationStep(PivotSpec(k, l), m.get(k, l), sign, condensed)
+    return CondensationStep(PivotSpec(k, l), m.get(k, l), sign, _condense(m, k - 1, l - 1))
 
 
 def dodgson_identity_residual(m: Matrix, k: int, l: int) -> Scalar:
@@ -286,12 +257,6 @@ def det_condensation(
     kind = m.kind
     ops = OpCounts()
     trace: List[TraceEntry] = []
-
-    def det2(a, b, c, d) -> Scalar:
-        ops.multiplications += 2
-        ops.subtractions += 1
-        return a * d - b * c
-
     n = m.rows
     if n == 0:
         return DetResult(kind.one, (), ops)
@@ -303,8 +268,10 @@ def det_condensation(
     while True:
         size = current.rows
         if size == 2:
-            grid = current.as_tuples()
-            value = det2(grid[0][0], grid[0][1], grid[1][0], grid[1][1])
+            (a, b), (c, d) = current.as_tuples()
+            ops.multiplications += 2
+            ops.subtractions += 1
+            value = a * d - b * c
             break
         row1 = current.row(1)
         l = select_pivot(row1, strategy)
@@ -314,18 +281,9 @@ def det_condensation(
             value = kind.zero
             break
         pivot = row1[l - 1]
-        src = current.as_tuples()
-        data = []
-        for i in range(1, size):
-            row = src[i]
-            out = []
-            for j in range(1, size):
-                if j < l:
-                    out.append(det2(row1[j - 1], pivot, row[j - 1], row[l - 1]))
-                else:
-                    out.append(det2(pivot, row1[j], row[l - 1], row[j]))
-            data.append(tuple(out))
-        condensed = Matrix(data, kind, cols=size - 1)
+        condensed = _condense(current, 0, l - 1)
+        ops.multiplications += 2 * (size - 1) ** 2
+        ops.subtractions += (size - 1) ** 2
         if record_trace:
             trace.append(CondensationStep(PivotSpec(1, l), pivot, 1, condensed))
         pending.append((pivot, size))
@@ -349,13 +307,8 @@ def _matrix_to_doc(m: Matrix) -> dict:
 
 
 def _matrix_from_doc(doc: dict, kind: ScalarKind) -> Matrix:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    entries = doc["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError(f"matrix document claims {rows}x{cols} but carries {len(entries)} entries")
-    parsed = [kind.parse(t) for t in entries]
-    data = [parsed[r * cols : (r + 1) * cols] for r in range(rows)]
-    return Matrix(data, kind, cols=cols)
+    entries = [kind.parse(t) for t in doc["entries"]]
+    return from_row_major(entries, int(doc["rows"]), int(doc["cols"]), kind)
 
 
 def trace_document(m: Matrix, result: DetResult) -> dict:

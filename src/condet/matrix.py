@@ -5,11 +5,9 @@ the native convention of the condensation formulas and it keeps every
 off-by-one in a single place (this module).  A :class:`Matrix` is
 immutable: helpers return new instances.
 
-Besides the container this module holds the small structural tools the
-condensation step needs: minor extraction (`remove_rows_cols`), the
-determinant-preserving rotation that moves an arbitrary pivot to the
-(1,1) corner (`rotate_pivot_to_front`), and the closed-form
-determinants for sizes 0..2 (`det_trivial`).
+Besides the container this module holds minor extraction
+(`remove_rows_cols`) and the reshape of row-major entry lists that the
+matrix file and trace readers share (`from_row_major`).
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ __all__ = [
     "PivotSpec",
     "Matrix",
     "remove_rows_cols",
-    "rotate_pivot_to_front",
-    "det_trivial",
+    "from_row_major",
 ]
 
 
@@ -58,6 +55,20 @@ class Matrix:
         self._data = tuple(data)
         self._cols = width
         self._kind = kind
+
+    @classmethod
+    def _trusted(cls, data: list, kind: ScalarKind, cols: int) -> "Matrix":
+        """Wrap rectangular rows of values already valid for ``kind``.
+
+        Skips the per-entry ``kind.check``, which is the identity on
+        differences of products of checked entries; the condensation
+        kernel builds its results that way.
+        """
+        m = object.__new__(cls)
+        m._data = tuple(data)
+        m._cols = cols
+        m._kind = kind
+        return m
 
     @property
     def rows(self) -> int:
@@ -144,40 +155,15 @@ def remove_rows_cols(m: Matrix, removed_rows: Iterable[int], removed_cols: Itera
     return Matrix(data, m.kind, cols=len(kept_cols))
 
 
-def rotate_pivot_to_front(m: Matrix, pivot: PivotSpec) -> tuple:
-    """Cyclically rotate row ``k`` and column ``l`` into position (1,1).
+def from_row_major(entries: Sequence, rows: int, cols: int, kind: ScalarKind) -> Matrix:
+    """Matrix of ``rows`` x ``cols`` from its entries in row-major order.
 
-    Rows k, 1, 2, ..., k-1 become rows 1, 2, ..., k (likewise for
-    columns), which is a cascade of adjacent swaps, so the determinant
-    changes by exactly ``(-1)**((k-1)+(l-1))``.  Returns ``(rotated,
-    sign)``.
+    Rejects negative dimensions and an entry count other than
+    ``rows * cols`` with a ValueError naming the offending numbers.
     """
-    if not m.is_square():
-        raise ValueError("pivot rotation needs a square matrix")
-    n = m.rows
-    k, l = pivot
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise IndexError(f"pivot {pivot} out of range for size {n}")
-    row_order = [k - 1] + [i for i in range(n) if i != k - 1]
-    col_order = [l - 1] + [j for j in range(n) if j != l - 1]
-    src = m.as_tuples()
-    data = [tuple(src[i][j] for j in col_order) for i in row_order]
-    sign = 1 if (k + l) % 2 == 0 else -1
-    return Matrix(data, m.kind, cols=n), sign
-
-
-def det_trivial(m: Matrix) -> Scalar:
-    """Determinant of a matrix of size 0, 1 or 2, by the closed form.
-
-    The empty product convention gives the 0x0 case determinant one.
-    """
-    if not m.is_square():
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return m.kind.one
-    if n == 1:
-        return m.get(1, 1)
-    if n == 2:
-        return m.get(1, 1) * m.get(2, 2) - m.get(1, 2) * m.get(2, 1)
-    raise ValueError(f"det_trivial handles sizes 0..2, got {n}")
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size < 0:
+            raise ValueError(f"claims {name} = {size}, must be >= 0")
+    if len(entries) != rows * cols:
+        raise ValueError(f"claims {rows}x{cols} = {rows * cols} entries, got {len(entries)}")
+    return Matrix([entries[r * cols : (r + 1) * cols] for r in range(rows)], kind, cols=cols)

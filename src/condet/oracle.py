@@ -17,30 +17,19 @@ performs (pivot searches and swaps are comparisons, not counted).
 
 from __future__ import annotations
 
-import enum
 from typing import List, Optional
 
 from .matrix import Matrix
 from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, bit_length
 
 __all__ = [
-    "OracleKind",
     "det_cofactor",
     "det_bareiss",
     "det_gauss_rational",
-    "det_oracle",
     "COFACTOR_SIZE_LIMIT",
 ]
 
 COFACTOR_SIZE_LIMIT = 10
-
-
-class OracleKind(enum.Enum):
-    """Names for the oracle routines, as used in bench configs."""
-
-    COFACTOR = "cofactor"
-    BAREISS = "bareiss"
-    GAUSS_RATIONAL = "gauss-rational"
 
 
 def _require_square(m: Matrix, who: str) -> int:
@@ -190,19 +179,3 @@ def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
         value = value * grid[k][k]
         ops.multiplications += 1
     return value if sign == 1 else -value
-
-
-def det_oracle(
-    m: Matrix,
-    which: OracleKind,
-    ops: Optional[OpCounts] = None,
-    stage_bits: Optional[List[int]] = None,
-) -> Scalar:
-    """Dispatch to one oracle by name."""
-    if which is OracleKind.COFACTOR:
-        return det_cofactor(m, ops)
-    if which is OracleKind.BAREISS:
-        return det_bareiss(m, ops, stage_bits)
-    if which is OracleKind.GAUSS_RATIONAL:
-        return det_gauss_rational(m, ops)
-    raise ValueError(f"unknown oracle {which!r}")

@@ -32,8 +32,6 @@ __all__ = [
     "INTEGER",
     "FLOAT",
     "KINDS",
-    "parse_scalar",
-    "format_scalar",
     "bit_length",
 ]
 
@@ -192,10 +190,18 @@ class FloatKind(ScalarKind):
             num, den = int(m.group(1)), int(m.group(2))
             if den == 0:
                 raise ScalarParseError(f"zero denominator in {text!r}")
-            return num / den
-        if _DECIMAL_RE.match(t):
-            return float(t)
-        raise ScalarParseError(f"not a float scalar: {text!r}")
+            try:
+                value = num / den
+            except OverflowError:
+                value = math.inf
+        elif _DECIMAL_RE.match(t):
+            value = float(t)
+        else:
+            raise ScalarParseError(f"not a float scalar: {text!r}")
+        # float() turns out-of-range text such as "1e400" into inf.
+        if not math.isfinite(value):
+            raise ScalarParseError(f"float out of range: {text!r}")
+        return value
 
     def format(self, value: float) -> str:
         # repr of a float is the shortest text that round-trips exactly.
@@ -219,16 +225,6 @@ INTEGER = IntegerKind()
 FLOAT = FloatKind()
 
 KINDS = {kind.name: kind for kind in (RATIONAL, INTEGER, FLOAT)}
-
-
-def parse_scalar(text: str, kind: ScalarKind) -> Scalar:
-    """Parse one scalar text under ``kind``; raises ScalarParseError."""
-    return kind.parse(text)
-
-
-def format_scalar(value: Scalar, kind: ScalarKind) -> str:
-    """Canonical text for ``value``; parsing it back restores the value."""
-    return kind.format(value)
 
 
 def bit_length(value: int) -> int:

@@ -1,5 +1,7 @@
 """Seeded corpus generation, bench records, reports and growth data."""
 
+import dataclasses
+
 import pytest
 
 from condet import (
@@ -147,11 +149,12 @@ def test_run_bench_aborts_on_disagreement(monkeypatch):
     # sabotage one runner to return a wrong digest; the run must abort
     # naming the offending pair
     def bad_bareiss(m):
-        from condet.scalars import OpCounts
+        from condet import DetResult, OpCounts
 
-        return OpCounts(), (), "12345678901", "integer"
+        return DetResult(12345678901, (), OpCounts())
 
-    monkeypatch.setitem(bench_module._RUNNERS, "bareiss", bad_bareiss)
+    bareiss = dataclasses.replace(bench_module.METHODS["bareiss"], run=bad_bareiss)
+    monkeypatch.setitem(bench_module.METHODS, "bareiss", bareiss)
     cfg = BenchConfig(
         sizes=(3,), trials_per_size=1, entry_bound=9, seed=3,
         methods=("condensation", "bareiss"),

@@ -63,6 +63,15 @@ def test_parse_json_rejects_entry_count_mismatch():
         parse_matrix_text(json.dumps(doc), INTEGER)
 
 
+def test_parse_json_rejects_negative_dimensions(tmp_path, capsys):
+    doc = {"rows": -2, "cols": -2, "entries": ["1", "2", "3", "4"]}
+    with pytest.raises(MatrixFileError, match="rows = -2"):
+        parse_matrix_text(json.dumps(doc), INTEGER)
+    path = write(tmp_path, "m.json", json.dumps(doc))
+    assert main(["det", path]) == EXIT_USER_ERROR
+    assert "rows = -2" in capsys.readouterr().err
+
+
 def test_parse_empty_file():
     with pytest.raises(MatrixFileError, match="no rows"):
         parse_matrix_text("   \n", INTEGER)
@@ -165,6 +174,16 @@ def test_det_integer_scalar_rejects_fraction_entries(tmp_path, capsys):
     assert main(["det", path, "--scalar", "integer"]) == EXIT_USER_ERROR
 
 
+def test_det_float_overflow_text_is_user_error(tmp_path, capsys):
+    for bad in ("1e400", "-1e400", "sqrt(1e400)"):
+        path = write(tmp_path, "m.txt", f"1 2\n3 {bad}\n")
+        assert main(["det", path, "--scalar", "float"]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2, entry 2" in captured.err
+        assert "out of range" in captured.err
+
+
 def test_det_trace_requires_condense(tmp_path, capsys):
     path = write(tmp_path, "m.txt", SMALL)
     out = str(tmp_path / "trace.json")
@@ -208,6 +227,27 @@ def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatc
     path = write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7 8 10\n")
     assert main(["det", path]) == EXIT_INTERNAL_ERROR
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["det", "--scalar", "float", "--trace"], "golden_7x7_trace.json"),
+        (
+            ["det", "--scalar", "float", "--pivot", "max-magnitude", "--trace"],
+            "golden_7x7_trace_max_magnitude.json",
+        ),
+        (["bench", "--out"], "bench_default_report.csv"),
+    ],
+)
+def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, pinned):
+    # trace JSON and bench CSV are formats: any byte change must be a
+    # deliberate, versioned one
+    source = GOLDEN_PATH if argv[0] == "det" else FIXTURES / "bench_default.json"
+    out = tmp_path / pinned
+    assert main([argv[0], str(source), *argv[1:], str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (FIXTURES / pinned).read_bytes()
 
 
 # --- verify ----------------------------------------------------------------
@@ -347,12 +387,15 @@ def test_bench_missing_field_is_user_error(tmp_path, capsys):
 
 
 def test_bench_method_disagreement_maps_to_exit_3(tmp_path, capsys, monkeypatch):
-    import condet.bench as bench_module
-    from condet.scalars import OpCounts
+    import dataclasses
 
-    monkeypatch.setitem(
-        bench_module._RUNNERS, "bareiss", lambda m: (OpCounts(), (), "999999999", "integer")
+    import condet.bench as bench_module
+    from condet import DetResult, OpCounts
+
+    bareiss = dataclasses.replace(
+        bench_module.METHODS["bareiss"], run=lambda m: DetResult(999999999, (), OpCounts())
     )
+    monkeypatch.setitem(bench_module.METHODS, "bareiss", bareiss)
     cfg = {
         "sizes": [3],
         "trials_per_size": 1,

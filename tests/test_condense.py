@@ -22,7 +22,6 @@ from condet import (
     det_cofactor,
     det_condensation,
     dodgson_identity_residual,
-    pivot_block,
     select_pivot,
     trace_document,
     trace_from_document,
@@ -42,6 +41,52 @@ def random_rat_matrix(rng, n):
 
 def random_int_matrix(rng, n, bound=9):
     return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)], INTEGER)
+
+
+def random_matrix(rng, n, kind):
+    """Random n x n matrix of ``kind`` with about one entry in five zero."""
+    draw = {
+        RATIONAL: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        INTEGER: lambda: rng.randint(-9, 9),
+        FLOAT: lambda: rng.uniform(-9, 9),
+    }[kind]
+    return Matrix([[draw() if rng.random() > 0.2 else 0 for _ in range(n)] for _ in range(n)], kind)
+
+
+def pivot_block(m, k, l, i, j):
+    """Reference layout: the 2x2 block (top_left, top_right, bottom_left,
+    bottom_right) behind entry (i, j) of the condensation at (k, l).
+
+    ``i`` and ``j`` run over 1..n-1.  Indices at or past the pivot row
+    (column) skip over it, and the pivot row/column supplies the
+    anchoring entries; the four quadrants differ only in which of the
+    two rows (columns) comes first:
+
+        j < l, i < k:   [[a(i,j),  a(i,l)],  [a(k,j),   a(k,l)]]
+        j >= l, i < k:  [[a(i,l),  a(i,j+1)],[a(k,l),   a(k,j+1)]]
+        j < l, i >= k:  [[a(k,j),  a(k,l)],  [a(i+1,j), a(i+1,l)]]
+        j >= l, i >= k: [[a(k,l),  a(k,j+1)],[a(i+1,l), a(i+1,j+1)]]
+    """
+    a = m.get
+    if i < k:
+        if j < l:
+            return (a(i, j), a(i, l), a(k, j), a(k, l))
+        return (a(i, l), a(i, j + 1), a(k, l), a(k, j + 1))
+    if j < l:
+        return (a(k, j), a(k, l), a(i + 1, j), a(i + 1, l))
+    return (a(k, l), a(k, j + 1), a(i + 1, l), a(i + 1, j + 1))
+
+
+def reference_condense(m, k, l):
+    """Condensed entries at (k, l), one block determinant at a time."""
+    n = m.rows
+    blocks = [[pivot_block(m, k, l, i, j) for j in range(1, n)] for i in range(1, n)]
+    return [[tl * br - tr * bl for tl, tr, bl, br in row] for row in blocks]
+
+
+def same_entries(condensed, reference):
+    # repr comparison: bit-identical floats, signed zeros included
+    return repr(condensed.to_rows()) == repr(reference)
 
 
 # --- the 2x2 block layout ------------------------------------------------
@@ -64,10 +109,11 @@ def test_pivot_block_literal_case_table():
 
 
 def test_pivot_block_det_orientation():
-    b = pivot_block(Matrix([[1, 2], [3, 4]], INTEGER), 1, 1, 1, 1)
-    assert b.top_left == 1 and b.top_right == 2
-    assert b.bottom_left == 3 and b.bottom_right == 4
-    assert b.det() == 1 * 4 - 2 * 3
+    m = Matrix([[1, 2], [3, 4]], INTEGER)
+    assert pivot_block(m, 1, 1, 1, 1) == (1, 2, 3, 4)
+    # the condensed entry is top_left*bottom_right - top_right*bottom_left
+    assert condense_at(m, PivotSpec(1, 1)).condensed.to_rows() == [[1 * 4 - 2 * 3]]
+    assert reference_condense(m, 1, 1) == [[1 * 4 - 2 * 3]]
 
 
 # --- corner condensation -------------------------------------------------
@@ -139,26 +185,34 @@ def test_condensation_is_bilinear_in_scaling():
 
 def test_condense_at_corner_matches_condense_at_11():
     rng = random.Random(403)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        m = random_rat_matrix(rng, n)
-        assert condense_at(m, PivotSpec(1, 1)).condensed == condense_at_11(m).condensed
+    for kind in (RATIONAL, INTEGER, FLOAT):
+        for _ in range(25):
+            n = rng.randint(2, 6)
+            m = random_matrix(rng, n, kind)
+            corner = condense_at_11(m).condensed
+            assert condense_at(m, PivotSpec(1, 1)).condensed == corner
+            assert same_entries(corner, reference_condense(m, 1, 1))
 
 
 def test_condense_at_identity_all_pivots():
-    # a(k,l)**(n-2) * det(A) = det(condensed at (k,l)) for every pivot
+    # every pivot, every kind: entries match the reference layout bit
+    # for bit; over exact kinds also
+    # a(k,l)**(n-2) * det(A) = det(condensed at (k,l))
     rng = random.Random(404)
-    for _ in range(25):
-        n = rng.randint(3, 5)
-        m = random_rat_matrix(rng, n)
-        det = det_bareiss(m)
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                step = condense_at(m, PivotSpec(k, l))
-                assert (step.condensed.rows, step.condensed.cols) == (n - 1, n - 1)
-                assert step.pivot_value ** (n - 2) * det == det_bareiss(step.condensed), (
-                    f"pivot ({k},{l})"
-                )
+    for kind in (RATIONAL, INTEGER, FLOAT):
+        for _ in range(25):
+            n = rng.randint(3, 5)
+            m = random_matrix(rng, n, kind)
+            det = det_bareiss(m)
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    step = condense_at(m, PivotSpec(k, l))
+                    assert (step.condensed.rows, step.condensed.cols) == (n - 1, n - 1)
+                    assert same_entries(step.condensed, reference_condense(m, k, l)), f"pivot ({k},{l})"
+                    if kind is not FLOAT:
+                        assert step.pivot_value ** (n - 2) * det == det_bareiss(step.condensed), (
+                            f"pivot ({k},{l})"
+                        )
 
 
 def test_condense_at_records_rotation_sign():
@@ -362,19 +416,21 @@ def test_det_condensation_trace_off_keeps_value_and_counts():
 def test_det_condensation_op_counts_integer():
     # over an exact kind: per level of size s, 2*(s-1)**2 block
     # multiplications, plus s-3 pivot-power multiplications and one
-    # division; plus the closed-form 2x2 base (2 mults, 1 sub)
+    # division; plus the closed-form 2x2 base (2 mults, 1 sub).
+    # Max-magnitude pivots land past column 1, so both strategies run.
     rng = random.Random(414)
-    for n in range(3, 9):
-        m = random_int_matrix(rng, n)
-        result = det_condensation(m)
-        if any(isinstance(s, ZeroRowExit) for s in result.trace):
-            continue
-        expected_mults = sum(2 * (s - 1) ** 2 for s in range(3, n + 1)) + 2
-        expected_mults += sum(s - 3 for s in range(3, n + 1))
-        expected_subs = sum((s - 1) ** 2 for s in range(3, n + 1)) + 1
-        assert result.op_counts.multiplications == expected_mults
-        assert result.op_counts.subtractions == expected_subs
-        assert result.op_counts.divisions == n - 2
+    for strategy in PivotStrategy:
+        for n in range(3, 9):
+            m = random_int_matrix(rng, n)
+            result = det_condensation(m, strategy)
+            if any(isinstance(s, ZeroRowExit) for s in result.trace):
+                continue
+            expected_mults = sum(2 * (s - 1) ** 2 for s in range(3, n + 1)) + 2
+            expected_mults += sum(s - 3 for s in range(3, n + 1))
+            expected_subs = sum((s - 1) ** 2 for s in range(3, n + 1)) + 1
+            assert result.op_counts.multiplications == expected_mults
+            assert result.op_counts.subtractions == expected_subs
+            assert result.op_counts.divisions == n - 2
 
 
 def test_det_condensation_op_counts_float_divides_per_level():
@@ -441,3 +497,11 @@ def test_trace_document_zero_row_marker():
 def test_trace_document_rejects_foreign_format():
     with pytest.raises(ValueError):
         trace_from_document({"format": "something-else"})
+
+
+def test_trace_document_rejects_negative_dimensions():
+    m = Matrix([[1, 2], [3, 4]], INTEGER)
+    doc = trace_document(m, det_condensation(m))
+    doc["matrix"].update(rows=-2, cols=-2)
+    with pytest.raises(ValueError, match="rows = -2"):
+        trace_from_document(doc)

@@ -1,4 +1,5 @@
-"""Matrix container, minors, pivot rotation and trivial determinants."""
+"""Matrix container, minors, row-major reshape and the pivot rotation
+behind the condensation sign argument."""
 
 import math
 import random
@@ -11,16 +12,37 @@ from condet import (
     RATIONAL,
     Matrix,
     PivotSpec,
+    condense_at,
+    condense_at_11,
     det_cofactor,
-    det_trivial,
     remove_rows_cols,
-    rotate_pivot_to_front,
 )
+from condet.matrix import from_row_major
 from conftest import golden_matrix
 
 
 def random_int_matrix(rng, n, bound=9):
     return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)], INTEGER)
+
+
+def rotate_pivot_to_front(m, pivot):
+    """Cyclically rotate row ``k`` and column ``l`` into position (1,1).
+
+    Rows k, 1, 2, ..., k-1 become rows 1, 2, ..., k (likewise for
+    columns), which is a cascade of adjacent swaps, so the determinant
+    changes by exactly ``(-1)**((k-1)+(l-1))``.  Returns ``(rotated,
+    sign)``.
+    """
+    n = m.rows
+    k, l = pivot
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise IndexError(f"pivot {pivot} out of range for size {n}")
+    row_order = [k - 1] + [i for i in range(n) if i != k - 1]
+    col_order = [l - 1] + [j for j in range(n) if j != l - 1]
+    src = m.as_tuples()
+    data = [tuple(src[i][j] for j in col_order) for i in row_order]
+    sign = 1 if (k + l) % 2 == 0 else -1
+    return Matrix(data, m.kind, cols=n), sign
 
 
 def test_get_is_one_based():
@@ -72,7 +94,7 @@ def test_remove_rows_cols_to_empty():
     m = Matrix([[1, 2], [3, 4]], INTEGER)
     empty = remove_rows_cols(m, (1, 2), (1, 2))
     assert (empty.rows, empty.cols) == (0, 0)
-    assert det_trivial(empty) == 1
+    assert det_cofactor(empty) == 1
 
 
 def test_remove_rows_cols_keeps_order():
@@ -127,6 +149,12 @@ def test_rotate_preserves_determinant_with_sign():
                 rotated, sign = rotate_pivot_to_front(m, PivotSpec(k, l))
                 assert rotated.get(1, 1) == m.get(k, l)
                 assert sign * det_cofactor(rotated) == det, f"pivot ({k},{l})"
+                # the sign argument: in-place condensation at (k,l) and
+                # corner condensation of the rotated matrix differ in
+                # determinant by exactly the rotation sign
+                if n >= 2:
+                    in_place = det_cofactor(condense_at(m, PivotSpec(k, l)).condensed)
+                    assert in_place == sign * det_cofactor(condense_at_11(rotated).condensed)
                 # the entry multiset survives the rotation
                 flat = sorted(v for row in rotated.to_rows() for v in row)
                 assert flat == sorted(v for row in m.to_rows() for v in row)
@@ -138,14 +166,15 @@ def test_rotate_rejects_out_of_range():
         rotate_pivot_to_front(m, PivotSpec(3, 1))
 
 
-def test_det_trivial_small_sizes():
-    assert det_trivial(Matrix([], INTEGER)) == 1
-    assert det_trivial(Matrix([[5]], INTEGER)) == 5
-    assert det_trivial(Matrix([[2, 5], [0, 1]], INTEGER)) == 2
-    with pytest.raises(ValueError):
-        det_trivial(Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]], INTEGER))
-    with pytest.raises(ValueError):
-        det_trivial(Matrix([[1, 2]], INTEGER))
+def test_from_row_major_reshapes_and_rejects_bad_dimensions():
+    m = from_row_major([1, 2, 3, 4, 5, 6], 2, 3, INTEGER)
+    assert m.to_rows() == [[1, 2, 3], [4, 5, 6]]
+    with pytest.raises(ValueError, match="claims rows = -2"):
+        from_row_major([1, 2, 3, 4], -2, -2, INTEGER)
+    with pytest.raises(ValueError, match="claims cols = -1"):
+        from_row_major([], 0, -1, INTEGER)
+    with pytest.raises(ValueError, match="claims 2x2 = 4 entries, got 3"):
+        from_row_major([1, 2, 3], 2, 2, INTEGER)
 
 
 def test_equality_spans_kind_and_data():

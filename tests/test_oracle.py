@@ -11,11 +11,9 @@ from condet import (
     RATIONAL,
     Matrix,
     OpCounts,
-    OracleKind,
     det_bareiss,
     det_cofactor,
     det_gauss_rational,
-    det_oracle,
 )
 
 
@@ -180,11 +178,3 @@ def test_op_counting_is_optional_and_additive():
     assert ops.multiplications == 10
     assert ops.subtractions == 5
     assert ops.divisions == 5
-
-
-def test_oracle_dispatch():
-    m = Matrix([[2, 1, 3], [4, 5, 6], [7, 8, 10]], INTEGER)
-    assert det_oracle(m, OracleKind.COFACTOR) == -3
-    assert det_oracle(m, OracleKind.BAREISS) == -3
-    mq = Matrix(m.to_rows(), RATIONAL)
-    assert det_oracle(mq, OracleKind.GAUSS_RATIONAL) == -3

@@ -14,73 +14,75 @@ from condet import (
     ExactDivisionError,
     ScalarParseError,
     bit_length,
-    format_scalar,
-    parse_scalar,
 )
 
 
 def test_rational_parse_canonicalizes():
-    assert parse_scalar("3/6", RATIONAL) == Fraction(1, 2)
-    assert parse_scalar("-4/8", RATIONAL) == Fraction(-1, 2)
-    assert parse_scalar("7", RATIONAL) == Fraction(7)
-    assert parse_scalar(" -12 ", RATIONAL) == Fraction(-12)
-    assert parse_scalar("0.5", RATIONAL) == Fraction(1, 2)
-    assert parse_scalar("2.5e1", RATIONAL) == Fraction(25)
+    assert RATIONAL.parse("3/6") == Fraction(1, 2)
+    assert RATIONAL.parse("-4/8") == Fraction(-1, 2)
+    assert RATIONAL.parse("7") == Fraction(7)
+    assert RATIONAL.parse(" -12 ") == Fraction(-12)
+    assert RATIONAL.parse("0.5") == Fraction(1, 2)
+    assert RATIONAL.parse("2.5e1") == Fraction(25)
 
 
 def test_rational_parse_rejects_garbage():
     for bad in ("", "x", "1/2/3", "3//4", "1 2", "--3"):
         with pytest.raises(ScalarParseError):
-            parse_scalar(bad, RATIONAL)
+            RATIONAL.parse(bad)
 
 
 def test_rational_zero_denominator():
     with pytest.raises(ScalarParseError):
-        parse_scalar("3/0", RATIONAL)
+        RATIONAL.parse("3/0")
 
 
 def test_integer_parse():
-    assert parse_scalar("-7", INTEGER) == -7
-    assert parse_scalar("0", INTEGER) == 0
+    assert INTEGER.parse("-7") == -7
+    assert INTEGER.parse("0") == 0
     with pytest.raises(ScalarParseError):
-        parse_scalar("1/2", INTEGER)
+        INTEGER.parse("1/2")
     with pytest.raises(ScalarParseError):
-        parse_scalar("1.5", INTEGER)
+        INTEGER.parse("1.5")
     with pytest.raises(ScalarParseError):
-        parse_scalar("seven", INTEGER)
+        INTEGER.parse("seven")
 
 
 def test_float_parse():
-    assert parse_scalar("0.5", FLOAT) == 0.5
-    assert parse_scalar("-3", FLOAT) == -3.0
-    assert parse_scalar("1e-3", FLOAT) == 1e-3
-    assert parse_scalar("1/2", FLOAT) == 0.5
-    assert parse_scalar("sqrt(3)", FLOAT) == math.sqrt(3)
-    assert parse_scalar("-sqrt(2)", FLOAT) == -math.sqrt(2)
-    assert parse_scalar("sqrt(1/4)", FLOAT) == 0.5
+    assert FLOAT.parse("0.5") == 0.5
+    assert FLOAT.parse("-3") == -3.0
+    assert FLOAT.parse("1e-3") == 1e-3
+    assert FLOAT.parse("1/2") == 0.5
+    assert FLOAT.parse("sqrt(3)") == math.sqrt(3)
+    assert FLOAT.parse("-sqrt(2)") == -math.sqrt(2)
+    assert FLOAT.parse("sqrt(1/4)") == 0.5
     with pytest.raises(ScalarParseError):
-        parse_scalar("sqrt(-1)", FLOAT)
+        FLOAT.parse("sqrt(-1)")
     with pytest.raises(ScalarParseError):
-        parse_scalar("sqrt()", FLOAT)
+        FLOAT.parse("sqrt()")
     with pytest.raises(ScalarParseError):
-        parse_scalar("1/0", FLOAT)
+        FLOAT.parse("1/0")
+    # text that would parse to a non-finite float is rejected, not inf
+    for bad in ("1e400", "-1e400", "sqrt(1e400)", "1" + "0" * 400 + "/3"):
+        with pytest.raises(ScalarParseError, match="out of range"):
+            FLOAT.parse(bad)
 
 
 def test_round_trips():
     rng = random.Random(1001)
     for _ in range(200):
         q = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        assert parse_scalar(format_scalar(q, RATIONAL), RATIONAL) == q
+        assert RATIONAL.parse(RATIONAL.format(q)) == q
         k = rng.randint(-10**9, 10**9)
-        assert parse_scalar(format_scalar(k, INTEGER), INTEGER) == k
+        assert INTEGER.parse(INTEGER.format(k)) == k
         x = rng.uniform(-1e6, 1e6)
         # float formatting must round-trip bit-exactly
-        assert parse_scalar(format_scalar(x, FLOAT), FLOAT) == x
+        assert FLOAT.parse(FLOAT.format(x)) == x
 
 
 def test_rational_format_is_canonical():
-    assert format_scalar(Fraction(4, 2), RATIONAL) == "2"
-    assert format_scalar(Fraction(-3, 9), RATIONAL) == "-1/3"
+    assert RATIONAL.format(Fraction(4, 2)) == "2"
+    assert RATIONAL.format(Fraction(-3, 9)) == "-1/3"
 
 
 def test_exact_div_integer():
