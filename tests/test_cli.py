@@ -229,6 +229,13 @@ def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatc
     assert "internal error" in capsys.readouterr().err
 
 
+PINNED_SOURCES = {
+    "golden": GOLDEN_PATH,
+    "rational": FIXTURES / "rational_7x7.txt",
+    "bench": FIXTURES / "bench_default.json",
+}
+
+
 @pytest.mark.parametrize(
     "argv, pinned",
     [
@@ -238,16 +245,30 @@ def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatc
             "golden_7x7_trace_max_magnitude.json",
         ),
         (["bench", "--out"], "bench_default_report.csv"),
+        (["det", "--scalar", "rational", "--trace"], "rational_7x7_trace.json"),
+        (
+            ["det", "--scalar", "rational", "--pivot", "max-magnitude", "--trace"],
+            "rational_7x7_trace_max_magnitude.json",
+        ),
+        (["verify"], "rational_7x7_verify.txt"),
     ],
 )
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, pinned):
-    # trace JSON and bench CSV are formats: any byte change must be a
-    # deliberate, versioned one
-    source = GOLDEN_PATH if argv[0] == "det" else FIXTURES / "bench_default.json"
-    out = tmp_path / pinned
-    assert main([argv[0], str(source), *argv[1:], str(out)]) == EXIT_OK
-    capsys.readouterr()
-    assert out.read_bytes() == (FIXTURES / pinned).read_bytes()
+    # trace JSON, bench CSV and verify output are formats: any byte
+    # change must be a deliberate, versioned one.  The rational pins
+    # (row 1 starts with a zero, so the first-nonzero pivot moves) were
+    # written while rational condensation and Bareiss still multiplied
+    # Fractions entry by entry.
+    source = PINNED_SOURCES[pinned.split("_")[0]]
+    if argv[-1] in ("--trace", "--out"):
+        out = tmp_path / pinned
+        assert main([argv[0], str(source), *argv[1:], str(out)]) == EXIT_OK
+        capsys.readouterr()
+        produced = out.read_bytes()
+    else:
+        assert main([argv[0], str(source), *argv[1:]]) == EXIT_OK
+        produced = capsys.readouterr().out.encode("utf-8")
+    assert produced == (FIXTURES / pinned).read_bytes()
 
 
 # --- verify ----------------------------------------------------------------
