@@ -9,7 +9,9 @@ Three subcommands:
 
 Exit codes: 0 success, 1 at least one identity failed to verify,
 2 bad input (unparsable file, wrong shape, invalid flag combination),
-3 internal invariant breach (non-exact division, method disagreement).
+3 internal invariant breach (non-exact division, method disagreement)
+or a float determinant that came out nan or infinite; ``det`` then
+prints nothing on stdout, writes no trace and suggests an exact kind.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -161,13 +164,22 @@ def cmd_det(args: argparse.Namespace) -> int:
         return EXIT_USER_ERROR
     if args.method == "condense":
         result = det_condensation(m, PivotStrategy(args.pivot), record_trace=args.trace is not None)
-        if args.trace is not None:
-            doc = trace_document(m, result)
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
     else:
         result = method.run(m)
+    if kind is FLOAT and not math.isfinite(result.value):
+        # Undivided condensation entries roughly double their exponent
+        # per level and leave the double range by n = 10 (inf - inf is
+        # nan): there is no answer to print.
+        print(
+            f"internal error: the float determinant came out {result.value!r}; "
+            "use --scalar rational for an exact result, or --method bareiss",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL_ERROR
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            json.dump(trace_document(m, result), fh, indent=2)
+            fh.write("\n")
     print(kind.format(result.value))
     return EXIT_OK
 

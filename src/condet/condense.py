@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .matrix import Matrix, PivotSpec, from_row_major, remove_rows_cols
 from .oracle import det_bareiss
-from .scalars import FLOAT, KINDS, OpCounts, Scalar, ScalarKind
+from .scalars import FLOAT, KINDS, RATIONAL, OpCounts, Scalar, ScalarKind
 
 __all__ = [
     "CondensationStep",
@@ -118,8 +119,15 @@ def _condense(m: Matrix, k: int, l: int) -> Matrix:
     columns swapped); each swap negates one whole row or column of the
     condensed matrix, which multiplies its determinant by the same
     (-1)**(k+l).  The two signs cancel.
+
+    Rational matrices run on integer rows (``RationalKind.integer_row``):
+    each 2x2 determinant of row r and the pivot row comes out scaled by
+    both rows' scales and turns back into one ``Fraction``.
     """
     src = m.as_tuples()
+    scales = None
+    if m.kind is RATIONAL:
+        src, scales = zip(*map(RATIONAL.integer_row, src))
     pivot_row = src[k]
     data = []
     for r, row in enumerate(src):
@@ -129,7 +137,11 @@ def _condense(m: Matrix, k: int, l: int) -> Matrix:
         top_l, bottom_l = top[l], bottom[l]
         left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
         right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
-        data.append(tuple(left + right))
+        entries = left + right
+        if scales is not None:
+            scale = scales[r] * scales[k]
+            entries = [Fraction(v, scale) for v in entries]
+        data.append(tuple(entries))
     return Matrix._trusted(data, m.kind, len(src) - 1)
 
 

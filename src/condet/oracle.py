@@ -13,10 +13,21 @@ used as ground truth when checking it:
 Each routine accepts an optional ``OpCounts`` tally and counts the
 scalar multiplications, subtractions and divisions it actually
 performs (pivot searches and swaps are comparisons, not counted).
+
+Over rationals, ``det_bareiss`` eliminates on integer rows, as the
+condensation kernel does: each row is scaled once by the lcm of its
+denominators (``RationalKind.integer_row``) and the integer determinant
+is divided by the product of the scales at the end.  Cofactor expansion
+and Gaussian elimination stay on ``Fraction`` arithmetic on purpose, so
+that two oracles share nothing with that representation: a fault in the
+row scaling would show as a disagreement with them, not be repeated by
+them.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import List, Optional
 
 from .matrix import Matrix
@@ -115,9 +126,15 @@ def det_bareiss(
         return kind.one
     if ops is None:
         ops = OpCounts()
-    grid = [list(row) for row in m.as_tuples()]
+    # Rationals eliminate on integer rows: det(m) is the integer
+    # determinant over the product of the row scales.
+    ring, rows, scale = kind, m.as_tuples(), 1
+    if kind is RATIONAL:
+        rows, scales = zip(*map(RATIONAL.integer_row, rows))
+        ring, scale = INTEGER, math.prod(scales)
+    grid = [list(row) for row in rows]
     sign = 1
-    prev = kind.one
+    prev = ring.one
     for k in range(n - 1):
         r = _pivot_row(grid, k, k, n)
         if r is None:
@@ -134,7 +151,7 @@ def det_bareiss(
                 num = row_i[j] * piv - lead * row_k[j]
                 ops.multiplications += 2
                 ops.subtractions += 1
-                row_i[j] = kind.exact_div(num, prev)
+                row_i[j] = ring.exact_div(num, prev)
                 ops.divisions += 1
         prev = piv
         if stage_bits is not None:
@@ -142,7 +159,9 @@ def det_bareiss(
                 max(bit_length(grid[i][j]) for i in range(n) for j in range(n))
             )
     value = grid[n - 1][n - 1]
-    return value if sign == 1 else -value
+    if sign == -1:
+        value = -value
+    return Fraction(value, scale) if kind is RATIONAL else value
 
 
 def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:

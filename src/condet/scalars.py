@@ -8,6 +8,11 @@ condensation code can stay generic.  Ordinary arithmetic uses the
 values' native operators, which all three domains support; magnitude
 comparisons use built-in ``abs``.
 
+Integers of any length format and parse, including those past
+Python's int/str conversion limit (``sys.get_int_max_str_digits()``),
+which condensation entries reach at n >= 16: such values are cut into
+decimal chunks instead of raising the limit for the whole process.
+
 The kinds are stateless singletons ``RATIONAL``, ``INTEGER`` and
 ``FLOAT``, also reachable by name through the ``KINDS`` mapping.
 """
@@ -18,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 __all__ = [
     "ScalarParseError",
@@ -65,6 +70,40 @@ _FRACTION_RE = re.compile(r"([+-]?\d+)\s*/\s*([+-]?\d+)\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _SQRT_RE = re.compile(r"(-?)sqrt\((.+)\)\Z")
 
+# Decimal digits per chunk for values past the int/str conversion limit;
+# the smallest limit Python accepts is 640 digits.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_text(value: int) -> str:
+    """Decimal text of ``value``, however many digits it has."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        pass
+    sign, rest = ("-", -value) if value < 0 else ("", value)
+    chunks = []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(rest))
+    return sign + "".join(reversed(chunks))
+
+
+def _text_int(text: str) -> int:
+    """``int(text)`` for optionally signed decimal digits of any length."""
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        pass
+    sign, digits = (text[0], text[1:]) if text[0] in "+-" else ("", text)
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    value = int(digits[:head])
+    for start in range(head, len(digits), _CHUNK_DIGITS):
+        value = value * _CHUNK + int(digits[start : start + _CHUNK_DIGITS])
+    return -value if sign == "-" else value
+
 
 class ScalarKind:
     """One scalar domain: parsing, formatting and exact division."""
@@ -106,12 +145,12 @@ class RationalKind(ScalarKind):
         t = text.strip()
         m = _FRACTION_RE.match(t)
         if m:
-            num, den = int(m.group(1)), int(m.group(2))
+            num, den = _text_int(m.group(1)), _text_int(m.group(2))
             if den == 0:
                 raise ScalarParseError(f"zero denominator in {text!r}")
             return Fraction(num, den)
         if _INT_RE.match(t):
-            return Fraction(int(t))
+            return Fraction(_text_int(t))
         if _DECIMAL_RE.match(t):
             # Decimal text converts exactly (0.5 -> 1/2), never via float.
             return Fraction(t)
@@ -119,8 +158,8 @@ class RationalKind(ScalarKind):
 
     def format(self, value: Fraction) -> str:
         if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+            return _int_text(value.numerator)
+        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
     def exact_div(self, a: Fraction, b: Fraction) -> Fraction:
         if b == 0:
@@ -134,6 +173,22 @@ class RationalKind(ScalarKind):
             return Fraction(value)
         raise TypeError(f"rational entries must be Fraction or int, got {value!r}")
 
+    def integer_row(self, row: Sequence[Fraction]) -> Tuple[List[int], int]:
+        """A rational row as an integer row over one denominator:
+        ``(nums, scale)`` with ``row[j] == Fraction(nums[j], scale)``,
+        ``scale`` being the lcm of the row's denominators.
+
+        Exact work on a rational matrix runs on these plain ints.
+        Scaling row i by scale_i scales every minor that uses row i by
+        scale_i, so a 2x2 determinant of rows i and k comes out scaled
+        by scale_i * scale_k and a full determinant by the product of
+        all the scales.  One ``Fraction`` per result then replaces a
+        gcd normalisation per product, difference and division.
+        """
+        dens = [v.denominator for v in row]
+        scale = math.lcm(*dens)
+        return [v.numerator * (scale // d) for v, d in zip(row, dens)], scale
+
 
 class IntegerKind(ScalarKind):
     """Arbitrary-precision integers; division must be remainder-free."""
@@ -145,20 +200,25 @@ class IntegerKind(ScalarKind):
     def parse(self, text: str) -> int:
         t = text.strip()
         if _INT_RE.match(t):
-            return int(t)
+            return _text_int(t)
         if _FRACTION_RE.match(t) or _DECIMAL_RE.match(t):
             raise ScalarParseError(f"not an integer scalar (fractional text): {text!r}")
         raise ScalarParseError(f"not an integer scalar: {text!r}")
 
     def format(self, value: int) -> str:
-        return str(value)
+        return _int_text(value)
 
     def exact_div(self, a: int, b: int) -> int:
         if b == 0:
             raise ExactDivisionError("integer division by zero")
         q, r = divmod(a, b)
         if r != 0:
-            raise ExactDivisionError(f"non-exact integer division: {a} / {b}")
+            # Bit lengths, not digits: operands can be far past the
+            # int/str conversion limit.
+            raise ExactDivisionError(
+                f"non-exact integer division: {a.bit_length()}-bit dividend"
+                f" by {b.bit_length()}-bit divisor"
+            )
         return q
 
     def check(self, value) -> int:

@@ -3,10 +3,20 @@ codes, matrix file parsing and trace output."""
 
 import json
 import random
+import sys
 
 import pytest
 
-from condet import INTEGER, RATIONAL, ZeroRowExit, det_bareiss, trace_from_document
+from condet import (
+    INTEGER,
+    RATIONAL,
+    SplitMix64,
+    ZeroRowExit,
+    det_bareiss,
+    det_condensation,
+    random_integer_matrix,
+    trace_from_document,
+)
 from condet.cli import (
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
@@ -216,6 +226,47 @@ def test_det_trace_round_trips_and_validates(tmp_path, capsys):
         level, size = below, size - 1
 
 
+@pytest.mark.parametrize("scalar", ["integer", "rational"])
+def test_det_trace_past_int_str_limit(tmp_path, capsys, scalar):
+    # undivided condensation of a 16x16 reaches ~40k-bit entries, past
+    # Python's default 4300-digit int/str conversion limit
+    jsonschema = pytest.importorskip("jsonschema")
+    gen = SplitMix64(16)
+    lines = "\n".join(" ".join(str(gen.int_in(-9, 9)) for _ in range(16)) for _ in range(16))
+    path = write(tmp_path, "m16.txt", lines + "\n")
+    out = tmp_path / "trace.json"
+    assert main(["det", path, "--scalar", scalar, "--trace", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out.strip()
+    doc = json.loads(out.read_text())
+    longest = max(len(t) for step in doc["steps"] for t in step["condensed"]["entries"])
+    assert longest > sys.get_int_max_str_digits() > 0
+
+    jsonschema.validate(doc, json.loads((DOCS / "trace-schema.json").read_text()))
+    m, value, steps = trace_from_document(doc)
+    result = det_condensation(m)
+    assert steps == result.trace
+    assert value == result.value == det_bareiss(m)
+    assert RATIONAL.format(value) == printed
+
+
+def test_det_non_finite_float_is_internal_error(tmp_path, capsys):
+    # undivided float condensation overflows at n = 10 and prints nan;
+    # the exact determinant of this matrix is -346185508
+    gen = SplitMix64(11)
+    gen.split()
+    m = random_integer_matrix(10, 9, gen.split())
+    path = write(tmp_path, "m.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
+    trace = tmp_path / "trace.json"
+    assert main(["det", path, "--scalar", "float", "--trace", str(trace)]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan" in captured.err
+    assert "--scalar rational" in captured.err and "--method bareiss" in captured.err
+    assert not trace.exists()
+    assert main(["det", path, "--scalar", "rational"]) == EXIT_OK
+    assert capsys.readouterr().out == "-346185508\n"
+
+
 def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     import condet.cli as cli_module
     from condet.scalars import ExactDivisionError
@@ -255,10 +306,8 @@ PINNED_SOURCES = {
 )
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, pinned):
     # trace JSON, bench CSV and verify output are formats: any byte
-    # change must be a deliberate, versioned one.  The rational pins
-    # (row 1 starts with a zero, so the first-nonzero pivot moves) were
-    # written while rational condensation and Bareiss still multiplied
-    # Fractions entry by entry.
+    # change must be a deliberate, versioned one.  The rational source
+    # starts row 1 with a zero, so the first-nonzero pivot moves.
     source = PINNED_SOURCES[pinned.split("_")[0]]
     if argv[-1] in ("--trace", "--out"):
         out = tmp_path / pinned

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,37 @@ def test_exact_div_integer():
         INTEGER.exact_div(7, 2)
     with pytest.raises(ExactDivisionError):
         INTEGER.exact_div(7, 0)
+
+
+def test_exact_div_error_names_bit_lengths_of_long_operands():
+    # formatting 5000-digit operands in full would itself raise
+    # ValueError (past the int/str conversion limit)
+    a = 7 * 10**4999 + 1
+    b = 3 * 10**4999
+    with pytest.raises(ExactDivisionError, match=f"{a.bit_length()}-bit dividend by {b.bit_length()}-bit divisor"):
+        INTEGER.exact_div(a, b)
+
+
+@pytest.mark.parametrize("digits", [1, 599, 600, 601, 4300, 4301, 12_345])
+def test_exact_kinds_format_and_parse_past_int_str_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(digits)
+    value = -(10 ** (digits - 1) + rng.randrange(10 ** (digits - 1)))
+    den = 10 ** (digits - 1) + 1
+    try:
+        sys.set_int_max_str_digits(0)
+        want_int, want_den = str(value), str(den)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert INTEGER.format(value) == want_int
+    assert INTEGER.parse(want_int) == value
+    assert INTEGER.parse("+" + want_int[1:]) == -value
+    frac = Fraction(value, den)
+    text = RATIONAL.format(frac)
+    assert RATIONAL.parse(text) == frac
+    if math.gcd(value, den) == 1:
+        assert text == f"{want_int}/{want_den}"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_exact_div_rational_and_float():
