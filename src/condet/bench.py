@@ -212,17 +212,33 @@ class BenchConfig:
                 raise ValueError(f"{name} method is limited to size {limit}, config asks for {too_big}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "BenchConfig":
-        try:
-            return cls(
-                sizes=tuple(doc["sizes"]),
-                trials_per_size=int(doc["trials_per_size"]),
-                entry_bound=int(doc["entry_bound"]),
-                seed=int(doc["seed"]),
-                methods=tuple(doc["methods"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"bench config is missing field {exc.args[0]!r}") from exc
+    def from_dict(cls, doc) -> "BenchConfig":
+        """Build a config from its JSON object; a ValueError names the
+        field that is missing or of the wrong JSON type."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
+        for name in ("sizes", "trials_per_size", "entry_bound", "seed", "methods"):
+            if name not in doc:
+                raise ValueError(f"missing field {name!r}")
+        for name, item, what in (("sizes", int, "integers"), ("methods", str, "strings")):
+            value = doc[name]
+            if not (isinstance(value, list) and all(_is_json(v, item) for v in value)):
+                raise ValueError(f"field {name!r} must be a JSON list of {what}, got {value!r}")
+        for name in ("trials_per_size", "entry_bound", "seed"):
+            if not _is_json(doc[name], int):
+                raise ValueError(f"field {name!r} must be a JSON integer, got {doc[name]!r}")
+        return cls(
+            sizes=tuple(doc["sizes"]),
+            trials_per_size=doc["trials_per_size"],
+            entry_bound=doc["entry_bound"],
+            seed=doc["seed"],
+            methods=tuple(doc["methods"]),
+        )
+
+
+def _is_json(value, typ: type) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, typ) and not isinstance(value, bool)
 
 
 DEFAULT_CONFIG = BenchConfig(

@@ -8,10 +8,12 @@ Three subcommands:
 * ``condet bench [CONFIG]`` - run the seeded bench and emit the report.
 
 Exit codes: 0 success, 1 at least one identity failed to verify,
-2 bad input (unparsable file, wrong shape, invalid flag combination),
-3 internal invariant breach (non-exact division, method disagreement)
-or a float determinant that came out nan or infinite; ``det`` then
-prints nothing on stdout, writes no trace and suggests an exact kind.
+2 bad input from a file, flag or config (the message says where),
+3 anything else: one line for a non-exact division, a method
+disagreement or a float determinant that came out nan or infinite,
+a traceback for any other fault.  Commands raise; ``main`` alone
+reports and picks the code.  A failed ``det`` prints nothing on
+stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -22,6 +24,7 @@ and/or commas) or a JSON object ``{"rows": R, "cols": C, "entries":
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,19 +46,13 @@ from .condense import (
     dodgson_identity_residual,
     trace_document,
 )
-from .matrix import Matrix, PivotSpec, from_row_major, remove_rows_cols
+from .matrix import Matrix, PivotSpec, matrix_from_doc, remove_rows_cols
 # det_cofactor and det_gauss_rational run through METHODS; they stay
 # importable from this module alongside det_bareiss and det_condensation.
 from .oracle import det_bareiss, det_cofactor, det_gauss_rational
-from .scalars import (
-    FLOAT,
-    KINDS,
-    ExactDivisionError,
-    ScalarKind,
-    ScalarParseError,
-)
+from .scalars import FLOAT, KINDS, ScalarKind, ScalarParseError
 
-__all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "MatrixFileError"]
+__all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "UsageError", "MatrixFileError"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -67,7 +64,11 @@ VERIFY_REL_TOL = 1e-9
 _CLI_METHODS = {method.cli_name: method for method in METHODS.values()}
 
 
-class MatrixFileError(ValueError):
+class UsageError(ValueError):
+    """Bad input from a file, flag or config; the message says where."""
+
+
+class MatrixFileError(UsageError):
     """A matrix file that cannot be parsed; the message locates the problem."""
 
 
@@ -75,7 +76,10 @@ def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
     """Parse matrix text (plain rows or the JSON object form)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _parse_matrix_json(text, kind)
+        try:
+            return matrix_from_doc(json.loads(text), kind)
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise MatrixFileError(f"JSON matrix file: {exc}") from exc
     rows: List[List] = []
     width = None
     row_count = 0
@@ -102,38 +106,24 @@ def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
     return Matrix(rows, kind)
 
 
-def _parse_matrix_json(text: str, kind: ScalarKind) -> Matrix:
+def _read_text(path: str) -> str:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"invalid JSON matrix file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MatrixFileError("JSON matrix file must be an object")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
     try:
-        rows, cols, entries = int(doc["rows"]), int(doc["cols"]), doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFileError(f"JSON matrix file needs integer 'rows'/'cols' and 'entries': {exc}") from exc
-    if not isinstance(entries, list):
-        raise MatrixFileError("JSON matrix file 'entries' must be a list")
-    parsed = []
-    for idx, cell in enumerate(entries):
-        try:
-            parsed.append(kind.parse(cell if isinstance(cell, str) else repr(cell)))
-        except ScalarParseError as exc:
-            raise MatrixFileError(f"entry {idx + 1} (row-major): {exc}") from exc
-    try:
-        return from_row_major(parsed, rows, cols, kind)
-    except ValueError as exc:
-        raise MatrixFileError(f"JSON matrix file: {exc}") from exc
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def load_matrix(path: str, kind: ScalarKind) -> Matrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_text(text, kind)
+    return parse_matrix_text(_read_text(path), kind)
 
 
 def _residual_passes(residual, reference, kind: ScalarKind) -> bool:
@@ -148,38 +138,32 @@ def cmd_det(args: argparse.Namespace) -> int:
     kind = KINDS[args.scalar]
     m = load_matrix(args.file, kind)
     if not m.is_square():
-        print(f"error: determinant needs a square matrix, got {m.rows}x{m.cols}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    if args.trace is not None and args.method != "condense":
-        print("error: --trace is only available with --method condense", file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise UsageError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    for flag, value in (("--trace", args.trace), ("--pivot", args.pivot)):
+        if value is not None and args.method != "condense":
+            raise UsageError(f"{flag} is only available with --method condense")
     method = _CLI_METHODS[args.method]
     if kind not in method.kinds:
         needed = " or ".join(k.name for k in method.kinds)
-        print(f"error: --method {args.method} needs --scalar {needed}", file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise UsageError(f"--method {args.method} needs --scalar {needed}")
     limit = method.size_limit
     if limit is not None and m.rows > limit:
-        print(f"error: {method.title} is limited to {limit}x{limit}, got {m.rows}x{m.cols}", file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise UsageError(f"{method.title} is limited to {limit}x{limit}, got {m.rows}x{m.cols}")
     if args.method == "condense":
-        result = det_condensation(m, PivotStrategy(args.pivot), record_trace=args.trace is not None)
+        strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
+        result = det_condensation(m, strategy, record_trace=args.trace is not None)
     else:
         result = method.run(m)
     if kind is FLOAT and not math.isfinite(result.value):
         # Undivided condensation entries roughly double their exponent
         # per level and leave the double range by n = 10 (inf - inf is
         # nan): there is no answer to print.
-        print(
-            f"internal error: the float determinant came out {result.value!r}; "
-            "use --scalar rational for an exact result, or --method bareiss",
-            file=sys.stderr,
+        raise FloatingPointError(
+            f"the float determinant came out {result.value!r}; "
+            "use --scalar rational for an exact result, or --method bareiss"
         )
-        return EXIT_INTERNAL_ERROR
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace_document(m, result), fh, indent=2)
-            fh.write("\n")
+        _write_text(args.trace, json.dumps(trace_document(m, result), indent=2) + "\n")
     print(kind.format(result.value))
     return EXIT_OK
 
@@ -188,12 +172,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     kind = KINDS[args.scalar]
     m = load_matrix(args.file, kind)
     if not m.is_square():
-        print(f"error: verify needs a square matrix, got {m.rows}x{m.cols}", file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise UsageError(f"verify needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
     if n < 3:
-        print(f"error: verify needs size >= 3, got {n}", file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise UsageError(f"verify needs size >= 3, got {n}")
 
     det_full = det_bareiss(m)
     failures = 0
@@ -239,34 +221,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.config is None:
-        cfg = DEFAULT_CONFIG
-    else:
+    cfg = DEFAULT_CONFIG
+    if args.config is not None:
+        config_text = _read_text(args.config)
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-            return EXIT_USER_ERROR
+            cfg = BenchConfig.from_dict(json.loads(config_text))
         except json.JSONDecodeError as exc:
-            print(f"error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
-            return EXIT_USER_ERROR
-        cfg = BenchConfig.from_dict(doc)
+            raise UsageError(f"invalid JSON in {args.config}: {exc}") from exc
+        except ValueError as exc:
+            raise UsageError(f"bench config {args.config}: {exc}") from exc
     if args.seed is not None:
-        cfg = BenchConfig(
-            sizes=cfg.sizes,
-            trials_per_size=cfg.trials_per_size,
-            entry_bound=cfg.entry_bound,
-            seed=args.seed,
-            methods=cfg.methods,
-        )
-    records = run_bench(cfg)
-    text = format_report(records)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    text = format_report(run_bench(cfg))
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -294,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument(
         "--pivot",
         choices=tuple(s.value for s in PivotStrategy),
-        default=PivotStrategy.FIRST_NONZERO.value,
         help="pivot strategy for --method condense (default: first-nonzero)",
     )
     det.add_argument(
@@ -334,11 +303,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFileError, ScalarParseError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
-    except (ExactDivisionError, MethodDisagreement) as exc:
+    except (ArithmeticError, MethodDisagreement) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception:  # an internal fault, never passed off as bad input
+        import traceback  # imported only on this path, to keep start-up lean
+
+        traceback.print_exc()
         return EXIT_INTERNAL_ERROR
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .matrix import Matrix, PivotSpec, from_row_major, remove_rows_cols
+from .matrix import Matrix, PivotSpec, matrix_from_doc, matrix_to_doc, remove_rows_cols
 from .oracle import det_bareiss
 from .scalars import FLOAT, KINDS, RATIONAL, OpCounts, Scalar, ScalarKind
 
@@ -309,18 +309,11 @@ def det_condensation(
 TRACE_FORMAT = "condensation-trace/1"
 
 
-def _matrix_to_doc(m: Matrix) -> dict:
-    fmt = m.kind.format
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [fmt(v) for row in m.as_tuples() for v in row],
-    }
-
-
-def _matrix_from_doc(doc: dict, kind: ScalarKind) -> Matrix:
-    entries = [kind.parse(t) for t in doc["entries"]]
-    return from_row_major(entries, int(doc["rows"]), int(doc["cols"]), kind)
+def _read_matrix(doc, kind: ScalarKind, where: str) -> Matrix:
+    try:
+        return matrix_from_doc(doc, kind)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def trace_document(m: Matrix, result: DetResult) -> dict:
@@ -340,13 +333,13 @@ def trace_document(m: Matrix, result: DetResult) -> dict:
                     "pivot": [entry.pivot.k, entry.pivot.l],
                     "pivot_value": kind.format(entry.pivot_value),
                     "sign": entry.sign,
-                    "condensed": _matrix_to_doc(entry.condensed),
+                    "condensed": matrix_to_doc(entry.condensed),
                 }
             )
     return {
         "format": TRACE_FORMAT,
         "scalar_kind": kind.name,
-        "matrix": _matrix_to_doc(m),
+        "matrix": matrix_to_doc(m),
         "steps": steps,
         "value": kind.format(result.value),
     }
@@ -359,9 +352,9 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
     kind = KINDS.get(doc.get("scalar_kind"))
     if kind is None:
         raise ValueError(f"unknown scalar kind {doc.get('scalar_kind')!r}")
-    m = _matrix_from_doc(doc["matrix"], kind)
+    m = _read_matrix(doc.get("matrix"), kind, "trace matrix")
     steps: List[TraceEntry] = []
-    for step in doc["steps"]:
+    for number, step in enumerate(doc["steps"], start=1):
         if step.get("kind") == "zero-row":
             steps.append(ZeroRowExit(int(step["size"])))
         elif step.get("kind") == "condense":
@@ -371,7 +364,7 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
                     PivotSpec(k, l),
                     kind.parse(step["pivot_value"]),
                     int(step["sign"]),
-                    _matrix_from_doc(step["condensed"], kind),
+                    _read_matrix(step.get("condensed"), kind, f"trace step {number} condensed matrix"),
                 )
             )
         else:

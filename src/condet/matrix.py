@@ -6,21 +6,24 @@ off-by-one in a single place (this module).  A :class:`Matrix` is
 immutable: helpers return new instances.
 
 Besides the container this module holds minor extraction
-(`remove_rows_cols`) and the reshape of row-major entry lists that the
-matrix file and trace readers share (`from_row_major`).
+(`remove_rows_cols`) and the one JSON form of a matrix, the object
+``{"rows": R, "cols": C, "entries": [...]}`` with entry texts in
+row-major order, that matrix files and trace documents share
+(`matrix_to_doc` / `matrix_from_doc`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .scalars import Scalar, ScalarKind
+from .scalars import Scalar, ScalarKind, ScalarParseError
 
 __all__ = [
     "PivotSpec",
     "Matrix",
     "remove_rows_cols",
-    "from_row_major",
+    "matrix_to_doc",
+    "matrix_from_doc",
 ]
 
 
@@ -155,15 +158,43 @@ def remove_rows_cols(m: Matrix, removed_rows: Iterable[int], removed_cols: Itera
     return Matrix(data, m.kind, cols=len(kept_cols))
 
 
-def from_row_major(entries: Sequence, rows: int, cols: int, kind: ScalarKind) -> Matrix:
-    """Matrix of ``rows`` x ``cols`` from its entries in row-major order.
+def matrix_to_doc(m: Matrix) -> dict:
+    """``m`` as its JSON object: dimensions and canonical entry texts in
+    row-major order."""
+    fmt = m.kind.format
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": [fmt(v) for row in m.as_tuples() for v in row],
+    }
 
-    Rejects negative dimensions and an entry count other than
-    ``rows * cols`` with a ValueError naming the offending numbers.
-    """
-    for name, size in (("rows", rows), ("cols", cols)):
+
+def matrix_from_doc(doc, kind: ScalarKind) -> Matrix:
+    """Read the JSON object written by :func:`matrix_to_doc`; anything
+    else raises a ValueError naming the field, or the entry by its
+    1-based row-major position, at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
+    for name in ("rows", "cols", "entries"):
+        if name not in doc:
+            raise ValueError(f"missing '{name}'")
+    for name in ("rows", "cols"):
+        size = doc[name]
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ValueError(f"'{name}' must be an integer, got {size!r}")
         if size < 0:
             raise ValueError(f"claims {name} = {size}, must be >= 0")
-    if len(entries) != rows * cols:
-        raise ValueError(f"claims {rows}x{cols} = {rows * cols} entries, got {len(entries)}")
-    return Matrix([entries[r * cols : (r + 1) * cols] for r in range(rows)], kind, cols=cols)
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"'entries' must be a list, got {type(entries).__name__}")
+    parsed = []
+    for idx, cell in enumerate(entries, start=1):
+        if not isinstance(cell, str):
+            raise ValueError(f"entry {idx} (row-major): must be a string, got {cell!r}")
+        try:
+            parsed.append(kind.parse(cell))
+        except ScalarParseError as exc:
+            raise ValueError(f"entry {idx} (row-major): {exc}") from exc
+    if len(parsed) != rows * cols:
+        raise ValueError(f"claims {rows}x{cols} = {rows * cols} entries, got {len(parsed)}")
+    return Matrix([parsed[r * cols : (r + 1) * cols] for r in range(rows)], kind, cols=cols)

@@ -152,8 +152,16 @@ class RationalKind(ScalarKind):
         if _INT_RE.match(t):
             return Fraction(_text_int(t))
         if _DECIMAL_RE.match(t):
-            # Decimal text converts exactly (0.5 -> 1/2), never via float.
-            return Fraction(t)
+            # Decimal text converts exactly (0.5 -> 1/2), never via float,
+            # with the digits read by _text_int at any length.
+            mantissa, _, exp = t.lower().partition("e")
+            whole, _, frac = mantissa.partition(".")
+            try:
+                shift = int(exp or 0) - len(frac)
+            except ValueError:  # past the int/str limit: 10**exp could never be built
+                raise ScalarParseError(f"exponent out of range: {text!r}") from None
+            value = Fraction(_text_int(whole + frac))
+            return value * 10**shift if shift >= 0 else value / 10**-shift
         raise ScalarParseError(f"not a rational scalar: {text!r}")
 
     def format(self, value: Fraction) -> str:
@@ -247,7 +255,7 @@ class FloatKind(ScalarKind):
             return -root if m.group(1) else root
         m = _FRACTION_RE.match(t)
         if m:
-            num, den = int(m.group(1)), int(m.group(2))
+            num, den = _text_int(m.group(1)), _text_int(m.group(2))
             if den == 0:
                 raise ScalarParseError(f"zero denominator in {text!r}")
             try:

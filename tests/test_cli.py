@@ -82,6 +82,27 @@ def test_parse_json_rejects_negative_dimensions(tmp_path, capsys):
     assert "rows = -2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"cols": 1, "entries": ["1"]}', "missing 'rows'"),
+        ('{"rows": "1", "cols": 1, "entries": ["1"]}', "'rows' must be an integer, got '1'"),
+        ('{"rows": 1, "cols": true, "entries": ["1"]}', "'cols' must be an integer, got True"),
+        ('{"rows": 1, "cols": 2, "entries": "12"}', "'entries' must be a list, got str"),
+        ('{"rows": 1, "cols": 2, "entries": ["1", 2]}', r"entry 2 \(row-major\): must be a string, got 2"),
+        ('{"rows": 1, "cols": 2, "entries": ["1", "x"]}', r"entry 2 \(row-major\): not an integer scalar"),
+        ('{"rows": 1, "cols": ', "JSON matrix file: Expecting value"),
+    ],
+)
+def test_parse_json_names_the_bad_field(tmp_path, capsys, doc, message):
+    with pytest.raises(MatrixFileError, match=message):
+        parse_matrix_text(doc, INTEGER)
+    assert main(["det", write(tmp_path, "m.json", doc), "--scalar", "integer"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: JSON matrix file: ")
+
+
 def test_parse_empty_file():
     with pytest.raises(MatrixFileError, match="no rows"):
         parse_matrix_text("   \n", INTEGER)
@@ -157,6 +178,10 @@ def test_det_unparsable_file_is_user_error(tmp_path, capsys):
 def test_det_missing_file_is_user_error(tmp_path, capsys):
     assert main(["det", str(tmp_path / "absent.txt")]) == EXIT_USER_ERROR
     assert "cannot read" in capsys.readouterr().err
+    binary = tmp_path / "m.bin"
+    binary.write_bytes(b"\xff\xfe 1 2\n")
+    assert main(["det", str(binary)]) == EXIT_USER_ERROR
+    assert f"cannot read {binary}" in capsys.readouterr().err
 
 
 def test_det_ragged_file_is_user_error(tmp_path, capsys):
@@ -199,6 +224,32 @@ def test_det_trace_requires_condense(tmp_path, capsys):
     out = str(tmp_path / "trace.json")
     assert main(["det", path, "--method", "bareiss", "--trace", out]) == EXIT_USER_ERROR
     assert "--trace" in capsys.readouterr().err
+    assert main(["det", path, "--method", "bareiss", "--pivot", "max-magnitude"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pivot is only available with --method condense" in captured.err
+
+
+def test_det_unwritable_trace_is_user_error(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", SMALL)
+    trace = tmp_path / "no-such-dir" / "trace.json"
+    assert main(["det", path, "--trace", str(trace)]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {trace}" in captured.err
+
+
+def test_det_long_numeric_text_parses_or_fails_located(tmp_path, capsys):
+    # 5,000 digits: past Python's int/str conversion limit
+    path = write(tmp_path, "m.txt", f"1.{'3' * 5000} 0\n0 3\n")
+    assert main(["det", path]) == EXIT_OK
+    assert capsys.readouterr().out == f"3{'9' * 5000}/1{'0' * 5000}\n"
+    big = "1" + "0" * 5000
+    path = write(tmp_path, "f.txt", f"{big}/{big[:-1]} 0\n0 {big}/3\n")
+    assert main(["det", path, "--scalar", "float"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2, entry 2: float out of range")
 
 
 def test_det_trace_round_trips_and_validates(tmp_path, capsys):
@@ -278,6 +329,23 @@ def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatc
     path = write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7 8 10\n")
     assert main(["det", path]) == EXIT_INTERNAL_ERROR
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError("internal bug"), RuntimeError("internal bug")])
+def test_det_internal_fault_exits_3_with_traceback(tmp_path, capsys, monkeypatch, error):
+    # only bad input exits 2; a library exception of any other kind is a fault
+    import condet.cli as cli_module
+
+    def boom(m, strategy, record_trace):
+        raise error
+
+    monkeypatch.setattr(cli_module, "det_condensation", boom)
+    path = write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7 8 10\n")
+    assert main(["det", path]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert f"{type(error).__name__}: internal bug" in captured.err
 
 
 PINNED_SOURCES = {
@@ -454,6 +522,42 @@ def test_bench_missing_field_is_user_error(tmp_path, capsys):
     path = write(tmp_path, "cfg.json", json.dumps({"sizes": [3]}))
     assert main(["bench", path]) == EXIT_USER_ERROR
     assert "missing field" in capsys.readouterr().err
+
+
+def test_bench_unwritable_out_is_user_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.csv"
+    assert main(["bench", "--out", str(out)]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {out}" in captured.err
+
+
+BENCH_CFG = {"sizes": [3], "trials_per_size": 1, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (None, [3, 4]),
+        ("sizes", 5),
+        ("sizes", "34"),
+        ("sizes", [3, None]),
+        ("methods", "bareiss"),
+        ("methods", [["bareiss"]]),
+        ("trials_per_size", None),
+        ("trials_per_size", "1"),
+        ("entry_bound", 9.0),
+        ("seed", True),
+    ],
+)
+def test_bench_config_types_are_user_errors(tmp_path, capsys, field, value):
+    doc = value if field is None else {**BENCH_CFG, field: value}
+    path = write(tmp_path, "cfg.json", json.dumps(doc))
+    assert main(["bench", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bench config {path}: ")
+    assert (f"field {field!r}" if field else "must be a JSON object") in captured.err
 
 
 def test_bench_method_disagreement_maps_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -505,3 +505,26 @@ def test_trace_document_rejects_negative_dimensions():
     doc["matrix"].update(rows=-2, cols=-2)
     with pytest.raises(ValueError, match="rows = -2"):
         trace_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "where, field, value, message",
+    [
+        ("matrix", "entries", ["1", 2, "3", "4"], r"trace matrix: entry 2 \(row-major\): must be a string, got 2"),
+        ("matrix", "rows", None, "trace matrix: missing 'rows'"),
+        ("matrix", "entries", "1234", "trace matrix: 'entries' must be a list, got str"),
+        ("matrix", "cols", "2", "trace matrix: 'cols' must be an integer, got '2'"),
+        ("step", "entries", ["x"], r"trace step 1 condensed matrix: entry 1 \(row-major\): not an integer"),
+        ("step", "rows", None, "trace step 1 condensed matrix: missing 'rows'"),
+    ],
+)
+def test_trace_document_rejects_malformed_matrices(where, field, value, message):
+    m = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]], INTEGER)
+    doc = trace_document(m, det_condensation(m))
+    target = doc["matrix"] if where == "matrix" else doc["steps"][0]["condensed"]
+    if value is None:
+        del target[field]
+    else:
+        target[field] = value
+    with pytest.raises(ValueError, match=message):
+        trace_from_document(doc)

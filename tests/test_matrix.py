@@ -17,7 +17,7 @@ from condet import (
     det_cofactor,
     remove_rows_cols,
 )
-from condet.matrix import from_row_major
+from condet.matrix import matrix_from_doc, matrix_to_doc
 from conftest import golden_matrix
 
 
@@ -166,15 +166,18 @@ def test_rotate_rejects_out_of_range():
         rotate_pivot_to_front(m, PivotSpec(3, 1))
 
 
-def test_from_row_major_reshapes_and_rejects_bad_dimensions():
-    m = from_row_major([1, 2, 3, 4, 5, 6], 2, 3, INTEGER)
+def test_matrix_from_doc_reshapes_and_rejects_bad_dimensions():
+    m = matrix_from_doc({"rows": 2, "cols": 3, "entries": ["1", "2", "3", "4", "5", "6"]}, INTEGER)
     assert m.to_rows() == [[1, 2, 3], [4, 5, 6]]
+    assert matrix_from_doc(matrix_to_doc(m), INTEGER) == m
     with pytest.raises(ValueError, match="claims rows = -2"):
-        from_row_major([1, 2, 3, 4], -2, -2, INTEGER)
+        matrix_from_doc({"rows": -2, "cols": -2, "entries": ["1", "2", "3", "4"]}, INTEGER)
     with pytest.raises(ValueError, match="claims cols = -1"):
-        from_row_major([], 0, -1, INTEGER)
+        matrix_from_doc({"rows": 0, "cols": -1, "entries": []}, INTEGER)
     with pytest.raises(ValueError, match="claims 2x2 = 4 entries, got 3"):
-        from_row_major([1, 2, 3], 2, 2, INTEGER)
+        matrix_from_doc({"rows": 2, "cols": 2, "entries": ["1", "2", "3"]}, INTEGER)
+    with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        matrix_from_doc([1, 2, 3, 4], INTEGER)
 
 
 def test_equality_spans_kind_and_data():

@@ -125,6 +125,29 @@ def test_exact_kinds_format_and_parse_past_int_str_limit(digits):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_rational_decimal_text_parses_exactly_at_any_length():
+    rng = random.Random(108)
+    for _ in range(500):
+        whole = str(rng.randrange(10**6)) if rng.random() < 0.8 else ""
+        frac = str(rng.randrange(10**6)).zfill(rng.randint(1, 7))
+        exp = rng.choice(["", f"e{rng.randint(-12, 12)}", f"E+{rng.randint(0, 9)}"])
+        text = rng.choice(["", "-", "+"]) + whole + "." + frac + exp
+        assert RATIONAL.parse(text) == Fraction(text), text
+    # 5,000 fraction digits: past the int/str limit that Fraction(text) hits
+    assert RATIONAL.parse("-1." + "3" * 5000) == -(1 + Fraction(10**5000 - 1, 3 * 10**5000))
+    assert RATIONAL.parse("2." + "0" * 5000 + "e5000") == 2 * 10**5000
+    with pytest.raises(ScalarParseError, match="exponent out of range"):
+        RATIONAL.parse("1e" + "9" * 5000)
+
+
+def test_float_fraction_text_past_int_str_limit():
+    big = "1" + "0" * 5000
+    assert FLOAT.parse(f"{big}/{big[:-1]}") == 10.0
+    assert FLOAT.parse(f"-{big[:-1]}/{big}") == -0.1
+    with pytest.raises(ScalarParseError, match="float out of range"):
+        FLOAT.parse(f"{big}/3")
+
+
 def test_exact_div_rational_and_float():
     assert RATIONAL.exact_div(Fraction(1, 3), Fraction(2)) == Fraction(1, 6)
     assert FLOAT.exact_div(1.0, 4.0) == 0.25
