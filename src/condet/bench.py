@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .condense import CondensationStep, DetResult, det_condensation
-from .matrix import Matrix
+from .matrix import Matrix, _is_json
 from .oracle import (
     COFACTOR_SIZE_LIMIT,
     det_bareiss,
@@ -137,8 +136,7 @@ def random_rational_matrix(
     return Matrix(data, RATIONAL, cols=n)
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """One determinant method: its ``condet det --method`` spelling,
     the wording error messages use for it, how to run it, the scalar
     kinds it accepts and its size cap (None for no cap)."""
@@ -155,11 +153,22 @@ def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetR
     return DetResult(det(m, ops), (), ops)
 
 
+# Undivided condensation roughly doubles its entry bits per level: n=20
+# takes about 1.2 s and n=24 did not finish in 10 minutes.  The cap
+# holds for `condet det --method condense` and bench configs; the
+# library function det_condensation itself takes any size.
+CONDENSATION_SIZE_LIMIT = 20
+
 # Keyed by the bench and report name.  Each ``run`` looks its function
 # up in this module's globals at call time, so patching the module
 # attribute (for tracing or in tests) reaches every caller.
 METHODS: Dict[str, Method] = {
-    "condensation": Method("condense", "condensation", lambda m: det_condensation(m)),
+    "condensation": Method(
+        "condense",
+        "condensation",
+        lambda m: det_condensation(m),
+        size_limit=CONDENSATION_SIZE_LIMIT,
+    ),
     "cofactor": Method(
         "cofactor",
         "cofactor expansion",
@@ -178,38 +187,48 @@ METHODS: Dict[str, Method] = {
 BENCH_METHODS = tuple(METHODS)
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    """One bench run: matrix sizes, trials per size, the symmetric
-    integer entry bound, the master seed and the methods to compare."""
-
+class _BenchConfigFields(NamedTuple):
     sizes: Tuple[int, ...]
     trials_per_size: int
     entry_bound: int
     seed: int
     methods: Tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.sizes:
+
+class BenchConfig(_BenchConfigFields):
+    """One bench run: matrix sizes, trials per size, the symmetric
+    integer entry bound, the master seed and the methods to compare.
+    Every construction is validated, ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, sizes, trials_per_size, entry_bound, seed, methods):
+        sizes = tuple(int(n) for n in sizes)
+        methods = tuple(methods)
+        if not sizes:
             raise ValueError("config needs at least one size")
-        for n in self.sizes:
+        for n in sizes:
             if n < 1:
                 raise ValueError(f"matrix size must be >= 1, got {n}")
-        if self.trials_per_size < 0:
-            raise ValueError(f"trials_per_size must be >= 0, got {self.trials_per_size}")
-        if self.entry_bound < 1:
-            raise ValueError(f"entry_bound must be >= 1, got {self.entry_bound}")
-        if not self.methods:
+        if trials_per_size < 0:
+            raise ValueError(f"trials_per_size must be >= 0, got {trials_per_size}")
+        if entry_bound < 1:
+            raise ValueError(f"entry_bound must be >= 1, got {entry_bound}")
+        if not methods:
             raise ValueError("config needs at least one method")
-        for name in self.methods:
+        for name in methods:
             if name not in METHODS:
                 raise ValueError(f"unknown method {name!r}; known: {', '.join(BENCH_METHODS)}")
             limit = METHODS[name].size_limit
-            too_big = [n for n in self.sizes if limit is not None and n > limit]
+            too_big = [n for n in sizes if limit is not None and n > limit]
             if too_big:
                 raise ValueError(f"{name} method is limited to size {limit}, config asks for {too_big}")
+        return super().__new__(cls, sizes, trials_per_size, entry_bound, seed, methods)
+
+    @classmethod
+    def _make(cls, iterable) -> "BenchConfig":
+        # namedtuple's _make (and so _replace) skips __new__.
+        return cls(*iterable)
 
     @classmethod
     def from_dict(cls, doc) -> "BenchConfig":
@@ -236,11 +255,6 @@ class BenchConfig:
         )
 
 
-def _is_json(value, typ: type) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(value, typ) and not isinstance(value, bool)
-
-
 DEFAULT_CONFIG = BenchConfig(
     sizes=(3, 4, 5, 6),
     trials_per_size=3,
@@ -250,8 +264,7 @@ DEFAULT_CONFIG = BenchConfig(
 )
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One (method, matrix) measurement.
 
     ``max_bit_length_per_level`` is condensation-specific: the largest
@@ -268,7 +281,7 @@ class BenchRecord:
     multiplications: int
     subtractions: int
     divisions: int
-    max_bit_length_per_level: Tuple[int, ...] = field(default_factory=tuple)
+    max_bit_length_per_level: Tuple[int, ...] = ()
     result_digest: str = ""
 
 

@@ -24,7 +24,8 @@ and/or commas) or a JSON object ``{"rows": R, "cols": C, "entries":
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import copy
+import functools
 import json
 import math
 import sys
@@ -114,12 +115,16 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_out(path: str):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def load_matrix(path: str, kind: ScalarKind) -> Matrix:
@@ -231,22 +236,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(f"bench config {args.config}: {exc}") from exc
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    text = format_report(run_bench(cfg))
+        cfg = cfg._replace(seed=args.seed)
     if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
+        sys.stdout.write(format_report(run_bench(cfg)))
+        return EXIT_OK
+    # Opened before the run, as a shell redirection would be, so that a
+    # path that cannot be written is refused before any work is done.
+    with _open_out(args.out) as fh:
+        fh.write(format_report(run_bench(cfg)))
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condet",
         description="Exact determinants by pivot-anchored condensation, with oracles and a bench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Handlers are looked up by name when called, so that patching
+    # ``cmd_det`` and friends (for tracing or in tests) reaches a parser
+    # built before the patch.
     det = sub.add_parser("det", help="print the determinant of a matrix file")
     det.add_argument("file", help="matrix file (plain rows or JSON object)")
     det.add_argument(
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the per-level condensation trace as JSON (condense only)",
     )
-    det.set_defaults(func=cmd_det)
+    det.set_defaults(func=lambda args: cmd_det(args))
 
     verify = sub.add_parser("verify", help="check the condensation and minor identities on a matrix")
     verify.add_argument("file", help="matrix file (plain rows or JSON object)")
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="rational",
         help="scalar kind for parsing and arithmetic (default: rational)",
     )
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=lambda args: cmd_verify(args))
 
     bench = sub.add_parser("bench", help="run the seeded determinant bench")
     bench.add_argument(
@@ -293,9 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=None, help="override the config seed")
     bench.add_argument("--out", default="-", help="report path (default: stdout)")
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=lambda args: cmd_bench(args))
 
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Each call returns a shallow copy of the one parser, so that setting
+    an attribute on a result (a wrapped ``parse_args``, say) leaves the
+    next result untouched.  Parsing never changes the shared parts.
+    """
+    return copy.copy(_shared_parser())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -26,13 +26,12 @@ as a cross-check that never touches the condensation code above it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .matrix import Matrix, PivotSpec, matrix_from_doc, matrix_to_doc, remove_rows_cols
+from .matrix import Matrix, PivotSpec, _is_json, matrix_from_doc, matrix_to_doc, remove_rows_cols
 from .oracle import det_bareiss
-from .scalars import FLOAT, KINDS, RATIONAL, OpCounts, Scalar, ScalarKind
+from .scalars import FLOAT, KINDS, RATIONAL, OpCounts, Scalar, ScalarKind, ScalarParseError
 
 __all__ = [
     "CondensationStep",
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CondensationStep:
+class CondensationStep(NamedTuple):
     """One condensation level: pivot position, its value, the sign the
     rotation convention contributes (+1 for the in-place block layout),
     and the condensed matrix."""
@@ -62,8 +60,7 @@ class CondensationStep:
     condensed: Matrix
 
 
-@dataclass(frozen=True)
-class ZeroRowExit:
+class ZeroRowExit(NamedTuple):
     """Marker for a level whose first row was entirely zero, which
     forces the determinant to zero without further condensation."""
 
@@ -73,8 +70,7 @@ class ZeroRowExit:
 TraceEntry = Union[CondensationStep, ZeroRowExit]
 
 
-@dataclass(frozen=True)
-class DetResult:
+class DetResult(NamedTuple):
     """Value, per-level trace and operation counts of one run."""
 
     value: Scalar
@@ -345,8 +341,32 @@ def trace_document(m: Matrix, result: DetResult) -> dict:
     }
 
 
+def _is_pivot(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_is_json(v, int) for v in value)
+
+
+def _field(obj: dict, name: str, where: str, ok: Callable[[object], bool], what: str):
+    if name not in obj:
+        raise ValueError(f"{where}: missing '{name}'")
+    value = obj[name]
+    if not ok(value):
+        raise ValueError(f"{where}: '{name}' must be {what}, got {value!r}")
+    return value
+
+
+def _read_scalar(obj: dict, name: str, kind: ScalarKind, where: str) -> Scalar:
+    text = _field(obj, name, where, lambda v: isinstance(v, str), "a string")
+    try:
+        return kind.parse(text)
+    except ScalarParseError as exc:
+        raise ValueError(f"{where}: '{name}': {exc}") from exc
+
+
 def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ...]]:
-    """Rebuild (source matrix, value, steps) from a trace document."""
+    """Rebuild (source matrix, value, steps) from a trace document; a
+    ValueError names the field, step or matrix entry at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"trace document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} document: format={doc.get('format')!r}")
     kind = KINDS.get(doc.get("scalar_kind"))
@@ -354,20 +374,24 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
         raise ValueError(f"unknown scalar kind {doc.get('scalar_kind')!r}")
     m = _read_matrix(doc.get("matrix"), kind, "trace matrix")
     steps: List[TraceEntry] = []
-    for number, step in enumerate(doc["steps"], start=1):
+    step_docs = _field(doc, "steps", "trace document", lambda v: isinstance(v, list), "a list")
+    for number, step in enumerate(step_docs, start=1):
+        where = f"trace step {number}"
+        if not isinstance(step, dict):
+            raise ValueError(f"{where}: must be a JSON object, got {type(step).__name__}")
         if step.get("kind") == "zero-row":
-            steps.append(ZeroRowExit(int(step["size"])))
+            steps.append(ZeroRowExit(_field(step, "size", where, lambda v: _is_json(v, int), "an integer")))
         elif step.get("kind") == "condense":
-            k, l = (int(x) for x in step["pivot"])
+            k, l = _field(step, "pivot", where, _is_pivot, "a pair of integers")
             steps.append(
                 CondensationStep(
                     PivotSpec(k, l),
-                    kind.parse(step["pivot_value"]),
-                    int(step["sign"]),
-                    _read_matrix(step.get("condensed"), kind, f"trace step {number} condensed matrix"),
+                    _read_scalar(step, "pivot_value", kind, where),
+                    _field(step, "sign", where, lambda v: _is_json(v, int) and v in (1, -1), "1 or -1"),
+                    _read_matrix(step.get("condensed"), kind, f"{where} condensed matrix"),
                 )
             )
         else:
             raise ValueError(f"unknown trace step kind {step.get('kind')!r}")
-    value = kind.parse(doc["value"])
+    value = _read_scalar(doc, "value", kind, "trace document")
     return m, value, tuple(steps)

@@ -158,6 +158,11 @@ def remove_rows_cols(m: Matrix, removed_rows: Iterable[int], removed_cols: Itera
     return Matrix(data, m.kind, cols=len(kept_cols))
 
 
+def _is_json(value, typ: type) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, typ) and not isinstance(value, bool)
+
+
 def matrix_to_doc(m: Matrix) -> dict:
     """``m`` as its JSON object: dimensions and canonical entry texts in
     row-major order."""
@@ -180,7 +185,7 @@ def matrix_from_doc(doc, kind: ScalarKind) -> Matrix:
             raise ValueError(f"missing '{name}'")
     for name in ("rows", "cols"):
         size = doc[name]
-        if not isinstance(size, int) or isinstance(size, bool):
+        if not _is_json(size, int):
             raise ValueError(f"'{name}' must be an integer, got {size!r}")
         if size < 0:
             raise ValueError(f"claims {name} = {size}, must be >= 0")

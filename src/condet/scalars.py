@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -56,19 +55,43 @@ class ExactDivisionError(ArithmeticError):
     """
 
 
-@dataclass
 class OpCounts:
     """Running tally of scalar operations performed by a computation."""
 
-    multiplications: int = 0
-    subtractions: int = 0
-    divisions: int = 0
+    # A slotted class, not a dataclass (whose import pulls in inspect,
+    # ast and dis): the hot loops bump these counters, and a slot update
+    # is cheaper than an instance-dict one.
+    __slots__ = ("multiplications", "subtractions", "divisions")
+
+    def __init__(self, multiplications: int = 0, subtractions: int = 0, divisions: int = 0):
+        self.multiplications = multiplications
+        self.subtractions = subtractions
+        self.divisions = divisions
+
+    def _counts(self) -> Tuple[int, int, int]:
+        return (self.multiplications, self.subtractions, self.divisions)
+
+    def __eq__(self, other):
+        if not isinstance(other, OpCounts):
+            return NotImplemented
+        return self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        return (
+            f"OpCounts(multiplications={self.multiplications}, "
+            f"subtractions={self.subtractions}, divisions={self.divisions})"
+        )
 
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FRACTION_RE = re.compile(r"([+-]?\d+)\s*/\s*([+-]?\d+)\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _SQRT_RE = re.compile(r"(-?)sqrt\((.+)\)\Z")
+
+# Largest power of ten rational decimal text may scale by: the
+# exponent minus the fraction digits.  10**100000 is about 41 KB; an
+# unchecked "1e1000000000" would make Fraction build 10**1000000000.
+MAX_DECIMAL_SHIFT = 100_000
 
 # Decimal digits per chunk for values past the int/str conversion limit;
 # the smallest limit Python accepts is 640 digits.
@@ -159,7 +182,9 @@ class RationalKind(ScalarKind):
             try:
                 shift = int(exp or 0) - len(frac)
             except ValueError:  # past the int/str limit: 10**exp could never be built
-                raise ScalarParseError(f"exponent out of range: {text!r}") from None
+                shift = math.inf
+            if abs(shift) > MAX_DECIMAL_SHIFT:
+                raise ScalarParseError(f"exponent out of range: {text!r}")
             value = Fraction(_text_int(whole + frac))
             return value * 10**shift if shift >= 0 else value / 10**-shift
         raise ScalarParseError(f"not a rational scalar: {text!r}")

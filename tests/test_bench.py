@@ -1,7 +1,5 @@
 """Seeded corpus generation, bench records, reports and growth data."""
 
-import dataclasses
-
 import pytest
 
 from condet import (
@@ -93,6 +91,17 @@ def test_config_validation():
         BenchConfig(sizes=(11,), trials_per_size=1, entry_bound=9, seed=1, methods=("cofactor",))
     with pytest.raises(ValueError):
         BenchConfig.from_dict({"sizes": [3]})
+    with pytest.raises(ValueError, match="condensation method is limited to size 20"):
+        BenchConfig(sizes=(20, 21), trials_per_size=1, entry_bound=9, seed=1, methods=("condensation",))
+
+
+def test_config_replace_validates():
+    cfg = DEFAULT_CONFIG._replace(seed=7)
+    assert isinstance(cfg, BenchConfig)
+    assert cfg.seed == 7 and cfg.sizes == DEFAULT_CONFIG.sizes
+    assert cfg._replace(sizes=[3]).sizes == (3,)
+    with pytest.raises(ValueError, match="matrix size must be >= 1"):
+        cfg._replace(sizes=(0,))
 
 
 def test_run_bench_shape_and_agreement():
@@ -153,7 +162,7 @@ def test_run_bench_aborts_on_disagreement(monkeypatch):
 
         return DetResult(12345678901, (), OpCounts())
 
-    bareiss = dataclasses.replace(bench_module.METHODS["bareiss"], run=bad_bareiss)
+    bareiss = bench_module.METHODS["bareiss"]._replace(run=bad_bareiss)
     monkeypatch.setitem(bench_module.METHODS, "bareiss", bareiss)
     cfg = BenchConfig(
         sizes=(3,), trials_per_size=1, entry_bound=9, seed=3,

@@ -3,7 +3,9 @@ codes, matrix file parsing and trace output."""
 
 import json
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +200,19 @@ def test_det_cofactor_size_cap_is_user_error(tmp_path, capsys):
     assert "limited" in capsys.readouterr().err
 
 
+def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
+    n = 21
+    text = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
+    path = write(tmp_path, "big.txt", text + "\n")
+    assert main(["det", path, "--method", "bareiss"]) == EXIT_OK
+    assert capsys.readouterr().out == "1\n"
+    for argv in (["det", path], ["det", path, "--method", "condense", "--scalar", "integer"]):
+        assert main(argv) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "condensation is limited to 20x20, got 21x21" in captured.err
+
+
 def test_det_gauss_needs_rational_scalar(tmp_path, capsys):
     path = write(tmp_path, "m.txt", SMALL)
     assert main(["det", path, "--method", "gauss", "--scalar", "integer"]) == EXIT_USER_ERROR
@@ -237,6 +252,17 @@ def test_det_unwritable_trace_is_user_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cannot write {trace}" in captured.err
+
+
+def test_det_huge_rational_exponent_is_located(tmp_path, capsys):
+    from condet.scalars import MAX_DECIMAL_SHIFT
+
+    entry = f"1e-{MAX_DECIMAL_SHIFT + 1}"
+    path = write(tmp_path, "m.txt", f"1 0\n0 {entry}\n")
+    assert main(["det", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 2, entry 2: exponent out of range: '{entry}'" in captured.err
 
 
 def test_det_long_numeric_text_parses_or_fails_located(tmp_path, capsys):
@@ -524,12 +550,26 @@ def test_bench_missing_field_is_user_error(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
-def test_bench_unwritable_out_is_user_error(tmp_path, capsys):
-    out = tmp_path / "no-such-dir" / "report.csv"
-    assert main(["bench", "--out", str(out)]) == EXIT_USER_ERROR
+def test_bench_unwritable_out_is_user_error(tmp_path, capsys, monkeypatch):
+    import condet.cli as cli_module
+
+    runs = []
+    monkeypatch.setattr(cli_module, "run_bench", lambda cfg: runs.append(cfg) or [])
+    for out in (tmp_path / "no-such-dir" / "report.csv", tmp_path):
+        assert main(["bench", "--out", str(out)]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {out}" in captured.err
+    assert runs == [], "the bench ran before its --out path was checked"
+
+
+def test_bench_condensation_size_cap_is_user_error(tmp_path, capsys):
+    cfg = {**BENCH_CFG, "sizes": [3, 21], "methods": ["condensation"]}
+    path = write(tmp_path, "cfg.json", json.dumps(cfg))
+    assert main(["bench", path]) == EXIT_USER_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"cannot write {out}" in captured.err
+    assert "condensation method is limited to size 20, config asks for [21]" in captured.err
 
 
 BENCH_CFG = {"sizes": [3], "trials_per_size": 1, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
@@ -561,14 +601,10 @@ def test_bench_config_types_are_user_errors(tmp_path, capsys, field, value):
 
 
 def test_bench_method_disagreement_maps_to_exit_3(tmp_path, capsys, monkeypatch):
-    import dataclasses
-
     import condet.bench as bench_module
     from condet import DetResult, OpCounts
 
-    bareiss = dataclasses.replace(
-        bench_module.METHODS["bareiss"], run=lambda m: DetResult(999999999, (), OpCounts())
-    )
+    bareiss = bench_module.METHODS["bareiss"]._replace(run=lambda m: DetResult(999999999, (), OpCounts()))
     monkeypatch.setitem(bench_module.METHODS, "bareiss", bareiss)
     cfg = {
         "sizes": [3],
@@ -580,3 +616,69 @@ def test_bench_method_disagreement_maps_to_exit_3(tmp_path, capsys, monkeypatch)
     path = write(tmp_path, "cfg.json", json.dumps(cfg))
     assert main(["bench", path]) == EXIT_INTERNAL_ERROR
     assert "disagreement" in capsys.readouterr().err
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # dataclasses alone would pull in inspect, ast, dis and tokenize.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import condet.cli; "
+        "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "if m in sys.modules)))"
+    )
+    # -S: no site hooks, which may import any of these on their own.
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    import condet.cli as cli_module
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    path = write(tmp_path, "m.txt", SMALL)
+    cli_module._shared_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["det", path]) == EXIT_OK
+    assert len(built) == 4  # condet and its three subcommands
+    assert main(["det", path, "--method", "bareiss"]) == EXIT_OK
+    assert main(["verify", "--scalar", "integer", str(tmp_path / "no-such-file")]) == EXIT_USER_ERROR
+    assert len(built) == 4
+    assert capsys.readouterr().out == "2\n2\n"
+
+
+def test_patched_handlers_reach_a_parser_built_earlier(tmp_path, monkeypatch, capsys):
+    import condet.cli as cli_module
+
+    path = write(tmp_path, "m.txt", SMALL)
+    assert main(["det", path]) == EXIT_OK
+    assert capsys.readouterr().out == "2\n"
+
+    monkeypatch.setattr(cli_module, "load_matrix", lambda p, kind: parse_matrix_text("3 0\n0 7\n", kind))
+    assert main(["det", path]) == EXIT_OK
+    assert capsys.readouterr().out == "21\n"
+
+    seen = []
+    monkeypatch.setattr(cli_module, "cmd_det", lambda args: seen.append(args.file) or EXIT_VERIFY_FAILED)
+    assert main(["det", path]) == EXIT_VERIFY_FAILED
+    assert seen == [path]
+
+
+def test_build_parser_results_are_independent():
+    from condet.cli import build_parser
+
+    first = build_parser()
+    first.parse_args = lambda argv=None: "patched"
+    second = build_parser()
+    assert second is not first
+    assert "parse_args" not in vars(second)
+    args = second.parse_args(["det", "m.txt", "--scalar", "integer"])
+    assert (args.command, args.file, args.scalar, args.method) == ("det", "m.txt", "integer", "condense")
+    assert first.parse_args(["det", "m.txt"]) == "patched"

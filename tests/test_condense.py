@@ -2,6 +2,7 @@
 Dodgson minor identity, and the condensation determinant driver."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -504,6 +505,71 @@ def test_trace_document_rejects_negative_dimensions():
     doc = trace_document(m, det_condensation(m))
     doc["matrix"].update(rows=-2, cols=-2)
     with pytest.raises(ValueError, match="rows = -2"):
+        trace_from_document(doc)
+
+
+def test_trace_document_rejects_non_object():
+    with pytest.raises(ValueError, match="trace document must be a JSON object, got list"):
+        trace_from_document([])
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "step, field, value, message",
+    [
+        (None, "steps", MISSING, "trace document: missing 'steps'"),
+        (None, "steps", {"kind": "condense"}, "trace document: 'steps' must be a list, got {'kind': 'condense'}"),
+        (None, "value", MISSING, "trace document: missing 'value'"),
+        (None, "value", 7, "trace document: 'value' must be a string, got 7"),
+        (None, "value", "x", "trace document: 'value': not an integer scalar: 'x'"),
+        (0, None, 5, "trace step 1: must be a JSON object, got int"),
+        (0, "pivot", MISSING, "trace step 1: missing 'pivot'"),
+        (0, "pivot", 5, "trace step 1: 'pivot' must be a pair of integers, got 5"),
+        (0, "pivot", [1], "trace step 1: 'pivot' must be a pair of integers, got [1]"),
+        (0, "pivot", [1, "1"], "trace step 1: 'pivot' must be a pair of integers, got [1, '1']"),
+        (0, "pivot", [1, 1.0], "trace step 1: 'pivot' must be a pair of integers, got [1, 1.0]"),
+        (0, "sign", 2, "trace step 1: 'sign' must be 1 or -1, got 2"),
+        (0, "sign", True, "trace step 1: 'sign' must be 1 or -1, got True"),
+        (0, "sign", "1", "trace step 1: 'sign' must be 1 or -1, got '1'"),
+        (0, "pivot_value", 7, "trace step 1: 'pivot_value' must be a string, got 7"),
+        (0, "pivot_value", None, "trace step 1: 'pivot_value' must be a string, got None"),
+        (0, "pivot_value", "1/2", "trace step 1: 'pivot_value': not an integer scalar (fractional text): '1/2'"),
+    ],
+)
+def test_trace_document_rejects_malformed_fields(step, field, value, message):
+    m = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]], INTEGER)
+    doc = trace_document(m, det_condensation(m))
+    if field is None:
+        doc["steps"][step] = value
+    else:
+        target = doc if step is None else doc["steps"][step]
+        if value is MISSING:
+            del target[field]
+        else:
+            target[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trace_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (MISSING, "trace step 1: missing 'size'"),
+        ("3", "trace step 1: 'size' must be an integer, got '3'"),
+        (3.0, "trace step 1: 'size' must be an integer, got 3.0"),
+        (False, "trace step 1: 'size' must be an integer, got False"),
+    ],
+)
+def test_trace_document_rejects_malformed_zero_row_size(value, message):
+    m = Matrix([[0, 0, 0], [1, 2, 3], [4, 5, 6]], INTEGER)
+    doc = trace_document(m, det_condensation(m))
+    if value is MISSING:
+        del doc["steps"][0]["size"]
+    else:
+        doc["steps"][0]["size"] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         trace_from_document(doc)
 
 

@@ -13,6 +13,7 @@ from condet import (
     KINDS,
     RATIONAL,
     ExactDivisionError,
+    OpCounts,
     ScalarParseError,
     bit_length,
 )
@@ -140,6 +141,30 @@ def test_rational_decimal_text_parses_exactly_at_any_length():
         RATIONAL.parse("1e" + "9" * 5000)
 
 
+def test_rational_decimal_shift_is_capped(monkeypatch):
+    import condet.scalars as scalars_module
+
+    limit = scalars_module.MAX_DECIMAL_SHIFT
+    assert RATIONAL.parse(f"1e{limit}") == 10**limit
+    assert RATIONAL.parse(f"1e-{limit}") == Fraction(1, 10**limit)
+    assert RATIONAL.parse(f"0.5e{limit + 1}") == 5 * 10**limit
+    for text in (f"1e{limit + 1}", f"1.5e-{limit}"):
+        with pytest.raises(ScalarParseError, match="exponent out of range"):
+            RATIONAL.parse(text)
+
+    # Huge exponents are refused before the digits are even read, so no
+    # power of ten is built (an uncapped 10**1000000000 would take
+    # minutes and about 400 MB; with _text_int failing, this test fails
+    # fast instead).
+    def no_digits(text):
+        raise AssertionError(f"digits of {text!r} were read")
+
+    monkeypatch.setattr(scalars_module, "_text_int", no_digits)
+    for text in ("1e1000000000", "1e-1000000000", "-2.5E+999999999"):
+        with pytest.raises(ScalarParseError, match="exponent out of range"):
+            RATIONAL.parse(text)
+
+
 def test_float_fraction_text_past_int_str_limit():
     big = "1" + "0" * 5000
     assert FLOAT.parse(f"{big}/{big[:-1]}") == 10.0
@@ -219,3 +244,16 @@ def test_bit_length():
 def test_kind_registry():
     assert set(KINDS) == {"rational", "integer", "float"}
     assert KINDS["rational"] is RATIONAL
+
+
+def test_op_counts_compare_and_print_by_value():
+    ops = OpCounts()
+    ops.multiplications += 2
+    ops.subtractions += 1
+    assert ops == OpCounts(multiplications=2, subtractions=1, divisions=0)
+    assert ops == OpCounts(2, 1)
+    assert ops != OpCounts(2, 1, 1)
+    assert ops != (2, 1, 0)
+    assert repr(ops) == "OpCounts(multiplications=2, subtractions=1, divisions=0)"
+    with pytest.raises(AttributeError):
+        ops.additions = 1  # slotted: a misspelt counter is an error
