@@ -115,16 +115,12 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _open_out(path: str):
+def _write_text(path: str, text: str, mode: str = "w") -> None:
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    with _open_out(path) as fh:
-        fh.write(text)
 
 
 def load_matrix(path: str, kind: ScalarKind) -> Matrix:
@@ -153,7 +149,10 @@ def cmd_det(args: argparse.Namespace) -> int:
         raise UsageError(f"--method {args.method} needs --scalar {needed}")
     limit = method.size_limit
     if limit is not None and m.rows > limit:
-        raise UsageError(f"{method.title} is limited to {limit}x{limit}, got {m.rows}x{m.cols}")
+        raise UsageError(
+            f"{method.title} is limited to {limit}x{limit}, got {m.rows}x{m.cols}"
+            " (--method bareiss has no size cap)"
+        )
     if args.method == "condense":
         strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
         result = det_condensation(m, strategy, record_trace=args.trace is not None)
@@ -237,13 +236,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UsageError(f"bench config {args.config}: {exc}") from exc
     if args.seed is not None:
         cfg = cfg._replace(seed=args.seed)
+    if args.out != "-":
+        # Appending nothing checks the path without truncating an old
+        # report, so a path that cannot be written exits 2 before the run.
+        _write_text(args.out, "", mode="a")
+    text = format_report(run_bench(cfg))
     if args.out == "-":
-        sys.stdout.write(format_report(run_bench(cfg)))
-        return EXIT_OK
-    # Opened before the run, as a shell redirection would be, so that a
-    # path that cannot be written is refused before any work is done.
-    with _open_out(args.out) as fh:
-        fh.write(format_report(run_bench(cfg)))
+        sys.stdout.write(text)
+    else:
+        _write_text(args.out, text)
     return EXIT_OK
 
 

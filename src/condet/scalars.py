@@ -88,9 +88,10 @@ _FRACTION_RE = re.compile(r"([+-]?\d+)\s*/\s*([+-]?\d+)\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _SQRT_RE = re.compile(r"(-?)sqrt\((.+)\)\Z")
 
-# Largest power of ten rational decimal text may scale by: the
-# exponent minus the fraction digits.  10**100000 is about 41 KB; an
-# unchecked "1e1000000000" would make Fraction build 10**1000000000.
+# Largest written exponent rational decimal text may carry.  10**100000
+# is about 41 KB; an unchecked "1e1000000000" would make Fraction build
+# 10**1000000000.  The fraction digits need no cap: 10**len(frac) is no
+# larger than the digits already read.
 MAX_DECIMAL_SHIFT = 100_000
 
 # Decimal digits per chunk for values past the int/str conversion limit;
@@ -180,12 +181,13 @@ class RationalKind(ScalarKind):
             mantissa, _, exp = t.lower().partition("e")
             whole, _, frac = mantissa.partition(".")
             try:
-                shift = int(exp or 0) - len(frac)
+                power = int(exp or 0)
             except ValueError:  # past the int/str limit: 10**exp could never be built
-                shift = math.inf
-            if abs(shift) > MAX_DECIMAL_SHIFT:
+                power = math.inf
+            if abs(power) > MAX_DECIMAL_SHIFT:
                 raise ScalarParseError(f"exponent out of range: {text!r}")
             value = Fraction(_text_int(whole + frac))
+            shift = power - len(frac)
             return value * 10**shift if shift >= 0 else value / 10**-shift
         raise ScalarParseError(f"not a rational scalar: {text!r}")
 

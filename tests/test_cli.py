@@ -210,7 +210,7 @@ def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
         assert main(argv) == EXIT_USER_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "condensation is limited to 20x20, got 21x21" in captured.err
+        assert "condensation is limited to 20x20, got 21x21 (--method bareiss has no size cap)" in captured.err
 
 
 def test_det_gauss_needs_rational_scalar(tmp_path, capsys):
@@ -563,6 +563,15 @@ def test_bench_unwritable_out_is_user_error(tmp_path, capsys, monkeypatch):
     assert runs == [], "the bench ran before its --out path was checked"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_write_failure_after_open_is_user_error(tmp_path, capsys):
+    # /dev/full opens fine and fails on the write (ENOSPC).
+    path = write(tmp_path, "m.txt", "1 2\n3 4\n")
+    for argv in (["det", path, "--trace", "/dev/full"], ["bench", "--out", "/dev/full"]):
+        assert main(argv) == EXIT_USER_ERROR
+        assert "cannot write /dev/full" in capsys.readouterr().err
+
+
 def test_bench_condensation_size_cap_is_user_error(tmp_path, capsys):
     cfg = {**BENCH_CFG, "sizes": [3, 21], "methods": ["condensation"]}
     path = write(tmp_path, "cfg.json", json.dumps(cfg))
@@ -616,6 +625,10 @@ def test_bench_method_disagreement_maps_to_exit_3(tmp_path, capsys, monkeypatch)
     path = write(tmp_path, "cfg.json", json.dumps(cfg))
     assert main(["bench", path]) == EXIT_INTERNAL_ERROR
     assert "disagreement" in capsys.readouterr().err
+    # A failed run leaves an existing report as it was.
+    out = write(tmp_path, "report.csv", "old report\n")
+    assert main(["bench", path, "--out", out]) == EXIT_INTERNAL_ERROR
+    assert Path(out).read_text() == "old report\n"
 
 
 def test_import_loads_no_heavy_stdlib_modules():

@@ -147,10 +147,14 @@ def test_rational_decimal_shift_is_capped(monkeypatch):
     limit = scalars_module.MAX_DECIMAL_SHIFT
     assert RATIONAL.parse(f"1e{limit}") == 10**limit
     assert RATIONAL.parse(f"1e-{limit}") == Fraction(1, 10**limit)
-    assert RATIONAL.parse(f"0.5e{limit + 1}") == 5 * 10**limit
-    for text in (f"1e{limit + 1}", f"1.5e-{limit}"):
+    assert RATIONAL.parse(f"1.5e-{limit}") == Fraction(15, 10 ** (limit + 1))
+    for text in (f"1e{limit + 1}", f"0.5e{limit + 1}", f"1e-{limit + 1}"):
         with pytest.raises(ScalarParseError, match="exponent out of range"):
             RATIONAL.parse(text)
+    # Only the written exponent is capped: more fraction digits than the
+    # cap, with no exponent, still convert exactly.
+    assert RATIONAL.parse("0." + "0" * limit + "1") == Fraction(1, 10 ** (limit + 1))
+    assert RATIONAL.parse("2." + "0" * limit + "e-5") == Fraction(2, 10**5)
 
     # Huge exponents are refused before the digits are even read, so no
     # power of ten is built (an uncapped 10**1000000000 would take
