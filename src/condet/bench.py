@@ -154,9 +154,10 @@ def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetR
 
 
 # Undivided condensation roughly doubles its entry bits per level: n=20
-# takes about 1.2 s and n=24 did not finish in 10 minutes.  The cap
-# holds for `condet det --method condense` and bench configs; the
-# library function det_condensation itself takes any size.
+# takes about 1 s (0.8-1.2 s over nine runs on a 2-CPU host) and n=24
+# did not finish in 10 minutes.  The cap holds for `condet det --method
+# condense` and bench configs; the library function det_condensation
+# itself takes any size.
 CONDENSATION_SIZE_LIMIT = 20
 
 # Keyed by the bench and report name.  Each ``run`` looks its function
@@ -286,14 +287,32 @@ class BenchRecord(NamedTuple):
 
 
 class MethodDisagreement(RuntimeError):
-    """Two methods produced different determinant texts for one matrix."""
+    """Two methods produced different determinant texts for one matrix.
 
-    def __init__(self, n: int, trial: int, method_a: str, digest_a: str, method_b: str, digest_b: str):
+    ``seed``, ``child`` and ``entry_bound`` locate the matrix in the
+    corpus: it is ``random_integer_matrix(n, entry_bound, gen)`` where
+    ``gen`` is split number ``child`` (0-based) of ``SplitMix64(seed)``.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        trial: int,
+        method_a: str,
+        digest_a: str,
+        method_b: str,
+        digest_b: str,
+        seed: int,
+        child: int,
+        entry_bound: int,
+    ):
         self.n, self.trial = n, trial
         self.method_a, self.digest_a = method_a, digest_a
         self.method_b, self.digest_b = method_b, digest_b
+        self.seed, self.child, self.entry_bound = seed, child, entry_bound
         super().__init__(
-            f"method disagreement on n={n} trial={trial}: "
+            f"method disagreement on n={n} trial={trial} "
+            f"(corpus seed {seed}, child {child}, entry bound {entry_bound}): "
             f"{method_a} -> {digest_a!r} but {method_b} -> {digest_b!r}"
         )
 
@@ -316,10 +335,9 @@ def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
     """
     master = SplitMix64(cfg.seed)
     records: List[BenchRecord] = []
-    for n in cfg.sizes:
+    for size_index, n in enumerate(cfg.sizes):
         for trial in range(cfg.trials_per_size):
-            child = master.split()
-            m = random_integer_matrix(n, cfg.entry_bound, child)
+            m = random_integer_matrix(n, cfg.entry_bound, master.split())
             first: Optional[BenchRecord] = None
             for name in cfg.methods:
                 method = METHODS[name]
@@ -346,7 +364,8 @@ def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
                     first = record
                 elif record.result_digest != first.result_digest:
                     raise MethodDisagreement(
-                        n, trial, first.method, first.result_digest, name, record.result_digest
+                        n, trial, first.method, first.result_digest, name, record.result_digest,
+                        cfg.seed, size_index * cfg.trials_per_size + trial, cfg.entry_bound,
                     )
                 records.append(record)
     return records

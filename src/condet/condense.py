@@ -31,7 +31,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .matrix import Matrix, PivotSpec, _is_json, matrix_from_doc, matrix_to_doc, remove_rows_cols
 from .oracle import det_bareiss
-from .scalars import FLOAT, KINDS, RATIONAL, OpCounts, Scalar, ScalarKind, ScalarParseError
+from .scalars import FLOAT, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError
 
 __all__ = [
     "CondensationStep",
@@ -294,11 +294,14 @@ def det_condensation(
         ops.subtractions += (size - 1) ** 2
         if record_trace:
             trace.append(CondensationStep(PivotSpec(1, l), pivot, 1, condensed))
-        pending.append((pivot, size))
+        pending.append((pivot, l, size))
         current = condensed
 
-    for pivot, size in reversed(pending):
-        value = _divide_back(kind, value, pivot, size, ops)
+    for pivot, l, size in reversed(pending):
+        try:
+            value = _divide_back(kind, value, pivot, size, ops)
+        except ExactDivisionError as exc:
+            raise ExactDivisionError(f"divide-back of the size-{size} level, pivot (1, {l}): {exc}") from exc
     return DetResult(value, tuple(trace), ops)
 
 

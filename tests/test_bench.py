@@ -176,6 +176,33 @@ def test_run_bench_aborts_on_disagreement(monkeypatch):
     assert "n=3 trial=0" in str(err)
 
 
+def test_disagreement_rebuilds_the_failing_matrix(monkeypatch):
+    # sabotage bareiss on the fifth corpus matrix (sizes 3, 3, 4, 4, 5, 5
+    # in config order); the exception alone must rebuild that matrix
+    seen = []
+    good = bench_module.METHODS["bareiss"]
+
+    def bad_bareiss(m):
+        seen.append(m)
+        result = good.run(m)
+        return result._replace(value=result.value + 1) if len(seen) == 5 else result
+
+    monkeypatch.setitem(bench_module.METHODS, "bareiss", good._replace(run=bad_bareiss))
+    cfg = BenchConfig(
+        sizes=(3, 4, 5), trials_per_size=2, entry_bound=7, seed=31,
+        methods=("condensation", "bareiss"),
+    )
+    with pytest.raises(MethodDisagreement) as exc_info:
+        run_bench(cfg)
+    err = exc_info.value
+    assert (err.n, err.trial, err.seed, err.child, err.entry_bound) == (5, 0, 31, 4, 7)
+    assert "n=5 trial=0 (corpus seed 31, child 4, entry bound 7)" in str(err)
+    master = SplitMix64(err.seed)
+    for _ in range(err.child):
+        master.split()
+    assert random_integer_matrix(err.n, err.entry_bound, master.split()) == seen[-1]
+
+
 def test_condensation_mult_closed_form_n7():
     # per level of size s: 2*(s-1)**2 block multiplications; the 2x2
     # base adds 2; exact kinds add s-3 pivot-power multiplications per

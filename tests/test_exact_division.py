@@ -1,0 +1,220 @@
+"""Exact integer division past the recursion cutoff, and the divide-back
+that uses it: ``IntegerKind.exact_div`` sends divisors longer than
+``scalars._RECURSIVE_DIV_BITS`` through Burnikel-Ziegler recursive
+division, which must agree with the builtin ``divmod`` everywhere."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import condet.condense as condense_module
+import condet.scalars as scalars_module
+from condet import (
+    INTEGER,
+    ExactDivisionError,
+    Matrix,
+    PivotStrategy,
+    SplitMix64,
+    det_bareiss,
+    det_condensation,
+    random_integer_matrix,
+)
+from condet.cli import EXIT_INTERNAL_ERROR, main
+
+CUT = scalars_module._RECURSIVE_DIV_BITS
+divmod_recursive = scalars_module._divmod_recursive
+
+DIVISOR_BITS = st.sampled_from([CUT - 1, CUT, CUT + 1, 2 * CUT + 1, 10 * CUT])
+# Divisor shapes: random, many trailing zero bits, all ones, and a top
+# bit over a run of zeros above an all-ones low half (the quotient
+# estimate from the top halves is then as far off as it gets).
+DIVISOR_SHAPES = st.sampled_from(["random", "trailing-zeros", "all-ones", "sparse-top"])
+SIGNS = st.sampled_from([1, -1])
+
+
+@st.composite
+def divisors(draw):
+    bits = draw(DIVISOR_BITS)
+    shape = draw(DIVISOR_SHAPES)
+    rng = draw(st.randoms(use_true_random=False))
+    if shape == "all-ones":
+        b = (1 << bits) - 1
+    elif shape == "sparse-top":
+        b = (1 << (bits - 1)) | ((1 << (bits // 2)) - 1)
+    else:
+        b = rng.getrandbits(bits) | (1 << (bits - 1))
+        if shape == "trailing-zeros":
+            zeros = draw(st.integers(1, bits - 1))
+            b = (b >> zeros | 1) << zeros
+    return b * draw(SIGNS)
+
+
+@st.composite
+def quotients(draw, divisor_bits):
+    # shorter than, as long as and longer than the divisor
+    bits = draw(st.sampled_from([1, 64, divisor_bits // 2, divisor_bits, divisor_bits + 1, 3 * divisor_bits]))
+    rng = draw(st.randoms(use_true_random=False))
+    return (rng.getrandbits(bits) | (1 << (bits - 1))) * draw(SIGNS)
+
+
+@st.composite
+def division_cases(draw):
+    b = draw(divisors())
+    q = draw(quotients(abs(b).bit_length()))
+    # remainder 0, 1, |b| - 1 or random, with the sign of b (floor division)
+    rng = draw(st.randoms(use_true_random=False))
+    size = abs(b)
+    r = draw(st.sampled_from([0, 1, size - 1, rng.randrange(size)]))
+    return q * b + (r if b > 0 else -r), b
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(division_cases())
+def test_recursive_divmod_matches_builtin(case):
+    a, b = case
+    assert divmod_recursive(a, b) == divmod(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(divisors(), st.data())
+def test_exact_div_returns_quotient_or_names_bit_lengths(b, data):
+    q = data.draw(quotients(abs(b).bit_length()))
+    assert INTEGER.exact_div(q * b, b) == q
+    rng = data.draw(st.randoms(use_true_random=False))
+    a = q * b + rng.randrange(1, abs(b))
+    text = f"non-exact integer division: {a.bit_length()}-bit dividend by {b.bit_length()}-bit divisor"
+    with pytest.raises(ExactDivisionError) as exc_info:
+        INTEGER.exact_div(a, b)
+    assert str(exc_info.value) == text
+
+
+def test_recursive_divmod_edge_cases():
+    b = (1 << (CUT + 1)) - 1
+    for a in (0, 1, b - 1, b, b + 1, b * b, b * b - 1, b << (5 * CUT), (b << (5 * CUT)) - 1):
+        for sa in (1, -1):
+            for sb in (1, -1):
+                assert divmod_recursive(sa * a, sb * b) == divmod(sa * a, sb * b)
+    # A sparse-top divisor with a random quotient needs the quotient
+    # digit corrected twice.
+    for bits in (CUT + 2, 10 * CUT):
+        b = (1 << (bits - 1)) | ((1 << (bits // 2)) - 1)
+        q = random.Random(1).getrandbits(bits) | 1 << (bits - 1)
+        for r in (0, b - 1):
+            assert divmod_recursive(q * b + r, b) == (q, r)
+
+
+def test_only_divisors_past_the_cutoff_take_the_recursive_path(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(b.bit_length())
+        return divmod(a, b)
+
+    monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
+    for bits in (1, CUT - 1, CUT):
+        b = -((1 << bits) - 1)
+        assert INTEGER.exact_div(3 * b, b) == 3
+    assert calls == []
+    for bits in (CUT + 1, 10 * CUT):
+        b = -((1 << bits) - 1)
+        assert INTEGER.exact_div(3 * b, b) == 3
+    assert calls == [CUT + 1, 10 * CUT]
+
+
+def test_recursion_splits_long_divisions(monkeypatch):
+    # a 10x-cutoff division recurses down to quotients within the cutoff
+    calls = []
+    inner = scalars_module._div2n1n
+
+    def spy(a, b, n):
+        calls.append(n)
+        return inner(a, b, n)
+
+    monkeypatch.setattr(scalars_module, "_div2n1n", spy)
+    b = random.Random(10).getrandbits(10 * CUT) | 1 << (10 * CUT - 1)
+    assert divmod_recursive(b * b + 5, b) == (b, 5)
+    assert len(calls) > 8 and min(calls) <= CUT < max(calls)
+
+
+@pytest.mark.parametrize("strategy", list(PivotStrategy))
+def test_condensation_past_the_cutoff_matches_bareiss_and_closed_form_counts(strategy, monkeypatch):
+    # The acceptance corpus stops at n = 10, far below the cutoff; from
+    # n = 16 the divide-back divisors are past it.
+    recursive_calls = []
+    inner = scalars_module._divmod_recursive
+
+    def spy(a, b):
+        recursive_calls.append(b.bit_length())
+        return inner(a, b)
+
+    monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
+    master = SplitMix64(1518)
+    for n in range(15, 19):
+        m = random_integer_matrix(n, 9, master.split())
+        result = det_condensation(m, strategy, record_trace=False)
+        assert result.value == det_bareiss(m)
+        block_mults = sum(2 * (s - 1) ** 2 for s in range(3, n + 1)) + 2
+        power_mults = sum(s - 3 for s in range(3, n + 1))
+        assert result.op_counts.multiplications == block_mults + power_mults
+        assert result.op_counts.subtractions == sum((s - 1) ** 2 for s in range(3, n + 1)) + 1
+        assert result.op_counts.divisions == n - 2
+    assert recursive_calls and max(recursive_calls) > 10 * CUT
+
+
+# --- divide-back errors carry their level ------------------------------------
+
+def _off_by_one_at(monkeypatch, size):
+    """Make the condensation of the size-``size`` level come out with
+    entry (1, 1) off by one; returns the list the faulty matrix lands in."""
+    inner = condense_module._condense
+    faulty = []
+
+    def condense(m, k, l):
+        out = inner(m, k, l)
+        if m.rows == size and not faulty:
+            rows = out.to_rows()
+            rows[0][0] += 1
+            out = Matrix(rows, m.kind)
+            faulty.append(out)
+        return out
+
+    monkeypatch.setattr(condense_module, "_condense", condense)
+    return faulty
+
+
+# Seed 3 reaches a pivot at column 2 on its first level.
+FAULT_MATRIX = random_integer_matrix(6, 9, SplitMix64(3))
+
+
+@pytest.mark.parametrize("size", [6, 4, 3])
+def test_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatch, size):
+    clean = det_condensation(FAULT_MATRIX)
+    step = next(s for s in clean.trace if s.condensed.rows == size - 1)
+    faulty = _off_by_one_at(monkeypatch, size)
+    with pytest.raises(ExactDivisionError) as exc_info:
+        det_condensation(FAULT_MATRIX)
+    # Deeper levels condense the faulty matrix consistently, so this
+    # level's division is the first that cannot be exact.
+    dividend = det_bareiss(faulty[0])
+    divisor = step.pivot_value ** (size - 2)
+    assert dividend % divisor != 0
+    assert str(exc_info.value) == (
+        f"divide-back of the size-{size} level, pivot (1, {step.pivot.l}): "
+        f"non-exact integer division: {dividend.bit_length()}-bit dividend"
+        f" by {divisor.bit_length()}-bit divisor"
+    )
+
+
+def test_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(" ".join(map(str, row)) for row in FAULT_MATRIX.to_rows()) + "\n")
+    _off_by_one_at(monkeypatch, 6)
+    assert main(["det", str(path), "--scalar", "integer"]) == EXIT_INTERNAL_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: divide-back of the size-6 level, pivot (1, 2): non-exact")
