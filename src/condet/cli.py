@@ -10,10 +10,10 @@ Three subcommands:
 Exit codes: 0 success, 1 at least one identity failed to verify,
 2 bad input from a file, flag or config (the message says where),
 3 anything else: one line for a non-exact division, a method
-disagreement or a float determinant that came out nan or infinite,
-a traceback for any other fault.  Commands raise; ``main`` alone
-reports and picks the code.  A failed ``det`` prints nothing on
-stdout and writes no trace.
+disagreement, a float determinant that came out nan or infinite or a
+float verify check out of the double range, a traceback for any other
+fault.  Commands raise; ``main`` alone reports and picks the code.  A
+failed ``det`` prints nothing on stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -161,10 +161,12 @@ def cmd_det(args: argparse.Namespace) -> int:
     if kind is FLOAT and not math.isfinite(result.value):
         # Undivided condensation entries roughly double their exponent
         # per level and leave the double range by n = 10 (inf - inf is
-        # nan): there is no answer to print.
+        # nan): there is no answer to print.  Bareiss keeps entries near
+        # the size of minors, so it is worth suggesting after the others.
+        alternative = "" if args.method == "bareiss" else ", or --method bareiss"
         raise FloatingPointError(
             f"the float determinant came out {result.value!r}; "
-            "use --scalar rational for an exact result, or --method bareiss"
+            f"use --scalar rational for an exact result{alternative}"
         )
     if args.trace is not None:
         _write_text(args.trace, json.dumps(trace_document(m, result), indent=2) + "\n")
@@ -181,43 +183,54 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if n < 3:
         raise UsageError(f"verify needs size >= 3, got {n}")
 
-    det_full = det_bareiss(m)
+    # Every determinant below other than the condensed ones is a minor
+    # of m: det(m), the n*n one-removed and the C(n,2) two-removed
+    # minors.  The memo lives for this run only and computes each once.
+    minor = functools.cache(lambda rows, cols: det_bareiss(remove_rows_cols(m, rows, cols)))
+    det_full = minor((), ())
     failures = 0
     checked = 0
 
     def report(label: str, residual, reference) -> None:
         nonlocal failures, checked
+        # A residual is its reference minus a term, so an infinite
+        # reference shows here too, as an infinite or nan residual.
+        if kind is FLOAT and not math.isfinite(residual):
+            raise FloatingPointError(
+                f"{label}: the float check left the double range "
+                f"(residual {residual!r}); use --scalar rational for an exact check"
+            )
         checked += 1
         ok = _residual_passes(residual, reference, kind)
         if not ok:
             failures += 1
         print(f"{'PASS' if ok else 'FAIL'} {label} residual={kind.format(residual)}")
 
-    # Corner-pivot condensation identity:
-    # a(1,1)**(n-2) * det(A) = det(condensed at (1,1)).
-    step = condense_at_11(m)
-    lhs = step.pivot_value ** (n - 2) * det_full
-    residual = lhs - det_bareiss(step.condensed)
-    report("condense-identity pivot=(1,1)", residual, lhs)
+    def report_condensation(step) -> None:
+        # a(k,l)**(n-2) * det(A) = det(condensed at (k,l)).
+        k, l = step.pivot
+        label = f"condense-identity pivot=({k},{l})"
+        try:
+            lhs = step.pivot_value ** (n - 2) * det_full
+        except OverflowError:  # float ** int raises where float * float gives inf
+            raise FloatingPointError(
+                f"{label}: the float check left the double range "
+                f"(a({k},{l})**{n - 2} overflows); use --scalar rational for an exact check"
+            ) from None
+        report(label, lhs - det_bareiss(step.condensed), lhs)
 
-    # General-pivot identity at every position with a nonzero pivot:
-    # a(k,l)**(n-2) * det(A) = det(condensed at (k,l)).
+    # The corner pivot, then every position with a nonzero pivot.
+    report_condensation(condense_at_11(m))
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            pivot_value = m.get(k, l)
-            if kind.is_zero(pivot_value):
-                continue
-            step = condense_at(m, PivotSpec(k, l))
-            lhs = pivot_value ** (n - 2) * det_full
-            residual = lhs - det_bareiss(step.condensed)
-            report(f"condense-identity pivot=({k},{l})", residual, lhs)
+            if not kind.is_zero(m.get(k, l)):
+                report_condensation(condense_at(m, PivotSpec(k, l)))
 
     # Dodgson minor identity for every row/column pair k < l.
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            residual = dodgson_identity_residual(m, k, l)
-            lhs = det_full * det_bareiss(remove_rows_cols(m, (k, l), (k, l)))
-            report(f"dodgson-identity rows/cols=({k},{l})", residual, lhs)
+            residual = dodgson_identity_residual(m, k, l, minor)
+            report(f"dodgson-identity rows/cols=({k},{l})", residual, det_full * minor((k, l), (k, l)))
 
     status = "ok" if failures == 0 else "FAILED"
     print(f"verify {status}: {checked - failures}/{checked} identities hold")

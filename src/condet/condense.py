@@ -167,7 +167,10 @@ def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
     return CondensationStep(PivotSpec(k, l), m.get(k, l), sign, _condense(m, k - 1, l - 1))
 
 
-def dodgson_identity_residual(m: Matrix, k: int, l: int) -> Scalar:
+MinorDet = Callable[[Tuple[int, ...], Tuple[int, ...]], Scalar]
+
+
+def dodgson_identity_residual(m: Matrix, k: int, l: int, minor_det: Optional[MinorDet] = None) -> Scalar:
     """Residual of the Dodgson (Desnanot-Jacobi) identity at rows/cols k < l.
 
     Writing M(R, C) for the minor of ``m`` with rows R and columns C
@@ -177,8 +180,15 @@ def dodgson_identity_residual(m: Matrix, k: int, l: int) -> Scalar:
             det(M({l},{l})) * det(M({k},{k})) - det(M({l},{k})) * det(M({k},{l}))
 
     and the residual is left side minus right side: exactly zero over
-    exact kinds, tiny over floats.  All determinants go through the
-    Bareiss oracle, independent of the condensation path.
+    exact kinds, tiny over floats.
+
+    ``minor_det(rows, cols)`` gives det(M(rows, cols)) for tuples of
+    1-based indices, ``((), ())`` being det(m) itself.  It defaults to
+    the Bareiss oracle on ``remove_rows_cols(m, rows, cols)``, which is
+    independent of the condensation path.  A caller that checks many
+    pairs of one matrix passes a memo of that default, so that each
+    distinct minor is computed once: the six determinants of one pair
+    share det(m) and their one-removed minors with the other pairs.
     """
     n = m.rows
     if not m.is_square():
@@ -187,11 +197,13 @@ def dodgson_identity_residual(m: Matrix, k: int, l: int) -> Scalar:
         raise ValueError(f"dodgson_identity_residual needs size >= 2, got {n}")
     if not (1 <= k < l <= n):
         raise ValueError(f"need 1 <= k < l <= {n}, got k={k}, l={l}")
-    lhs = det_bareiss(m) * det_bareiss(remove_rows_cols(m, (k, l), (k, l)))
-    ll = det_bareiss(remove_rows_cols(m, (l,), (l,)))
-    kk = det_bareiss(remove_rows_cols(m, (k,), (k,)))
-    lk = det_bareiss(remove_rows_cols(m, (l,), (k,)))
-    kl = det_bareiss(remove_rows_cols(m, (k,), (l,)))
+    if minor_det is None:
+        minor_det = lambda rows, cols: det_bareiss(remove_rows_cols(m, rows, cols))
+    lhs = minor_det((), ()) * minor_det((k, l), (k, l))
+    ll = minor_det((l,), (l,))
+    kk = minor_det((k,), (k,))
+    lk = minor_det((l,), (k,))
+    kl = minor_det((k,), (l,))
     return lhs - (ll * kk - lk * kl)
 
 

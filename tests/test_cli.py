@@ -344,6 +344,23 @@ def test_det_non_finite_float_is_internal_error(tmp_path, capsys):
     assert capsys.readouterr().out == "-346185508\n"
 
 
+@pytest.mark.parametrize(
+    "method, hint",
+    [
+        ("condense", "use --scalar rational for an exact result, or --method bareiss\n"),
+        ("cofactor", "use --scalar rational for an exact result, or --method bareiss\n"),
+        ("bareiss", "use --scalar rational for an exact result\n"),
+    ],
+)
+def test_det_non_finite_float_hint_names_another_method(tmp_path, capsys, method, hint):
+    # every method's products overflow to inf - inf = nan here
+    path = write(tmp_path, "m.txt", "1e200 2e200 3\n4e200 5e200 6\n7 8 10\n")
+    assert main(["det", path, "--scalar", "float", "--method", method]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: the float determinant came out nan; {hint}"
+
+
 def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     import condet.cli as cli_module
     from condet.scalars import ExactDivisionError
@@ -378,6 +395,8 @@ PINNED_SOURCES = {
     "golden": GOLDEN_PATH,
     "rational": FIXTURES / "rational_7x7.txt",
     "bench": FIXTURES / "bench_default.json",
+    # random_integer_matrix(6, 9, SplitMix64(4)), as text
+    "integer": FIXTURES / "integer_6x6.txt",
 }
 
 
@@ -396,6 +415,9 @@ PINNED_SOURCES = {
             "rational_7x7_trace_max_magnitude.json",
         ),
         (["verify"], "rational_7x7_verify.txt"),
+        # float residual digits depend on the order of evaluation
+        (["verify", "--scalar", "float"], "golden_7x7_verify_float.txt"),
+        (["verify", "--scalar", "integer"], "integer_6x6_verify.txt"),
     ],
 )
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, pinned):
@@ -449,6 +471,36 @@ def test_verify_counts_all_identities(tmp_path, capsys):
     assert out[-1] == "verify ok: 13/13 identities hold"
 
 
+def test_verify_float_overflow_names_the_identity(tmp_path, capsys):
+    # a(1,1)**8 with a(1,1) near 4e40 is past the double range
+    gen = SplitMix64(10)
+    rows = [" ".join(f"{gen.int_in(30, 50) / 10}e40" for _ in range(10)) for _ in range(10)]
+    path = write(tmp_path, "m.txt", "\n".join(rows) + "\n")
+    assert main(["verify", path, "--scalar", "float"]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: condense-identity pivot=(1,1): the float check left the double range "
+        "(a(1,1)**8 overflows); use --scalar rational for an exact check\n"
+    )
+    assert main(["verify", path]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("verify ok: 146/146 identities hold\n")
+
+
+def test_verify_non_finite_float_residual_is_no_verdict(tmp_path, capsys):
+    # a(1,4) * det(A) is finite, but det(condensed at (1,4)) is inf - inf
+    path = write(tmp_path, "m.txt", "2 1 3 1\n1 4 1 2\n3 1 5 1\n1 2 1 1e160\n")
+    assert main(["verify", path, "--scalar", "float"]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"PASS condense-identity pivot={pivot} residual=0.0" for pivot in ("(1,1)", "(1,1)", "(1,2)", "(1,3)")
+    ]
+    assert captured.err == (
+        "internal error: condense-identity pivot=(1,4): the float check left the double range "
+        "(residual nan); use --scalar rational for an exact check\n"
+    )
+
+
 def test_verify_needs_size_three(tmp_path, capsys):
     path = write(tmp_path, "m.txt", SMALL)
     assert main(["verify", path]) == EXIT_USER_ERROR
@@ -459,7 +511,7 @@ def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     import condet.cli as cli_module
 
     # sabotage the residual computation to force a failed identity
-    monkeypatch.setattr(cli_module, "dodgson_identity_residual", lambda m, k, l: m.kind.one)
+    monkeypatch.setattr(cli_module, "dodgson_identity_residual", lambda m, k, l, minor_det=None: m.kind.one)
     path = write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7 8 10\n")
     assert main(["verify", path]) == EXIT_VERIFY_FAILED
     out = capsys.readouterr().out

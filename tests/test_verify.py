@@ -1,0 +1,225 @@
+"""``condet verify`` computes each distinct minor determinant once per
+run and prints exactly what the uncached identities give."""
+
+import contextlib
+import io
+import os
+import tempfile
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import condet.cli as cli
+import condet.condense as condense
+from condet import (
+    FLOAT,
+    INTEGER,
+    RATIONAL,
+    Matrix,
+    PivotSpec,
+    SplitMix64,
+    condense_at,
+    condense_at_11,
+    det_bareiss,
+    dodgson_identity_residual,
+    random_integer_matrix,
+    random_rational_matrix,
+    remove_rows_cols,
+)
+from conftest import GOLDEN_PATH
+from condet.cli import EXIT_OK, EXIT_VERIFY_FAILED, VERIFY_REL_TOL, main, parse_matrix_text
+
+
+def matrix_text(m: Matrix) -> str:
+    return "".join(" ".join(m.kind.format(v) for v in row) + "\n" for row in m.as_tuples())
+
+
+def run_verify(text: str, kind) -> tuple:
+    """(exit code, stdout) of ``condet verify`` on ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", path, "--scalar", kind.name])
+    return code, out.getvalue()
+
+
+def uncached_verify_lines(m: Matrix) -> tuple:
+    """(exit code, stdout) that verify must print for ``m``, built from
+    one Bareiss call per determinant, with no determinant shared
+    between identities, and the public three-argument
+    ``dodgson_identity_residual``."""
+    kind, n = m.kind, m.rows
+    det_full = det_bareiss(m)
+    lines = []
+
+    def line(label, residual, reference):
+        if kind is FLOAT:
+            ok = abs(residual) <= VERIFY_REL_TOL * max(1.0, abs(reference))
+        else:
+            ok = residual == kind.zero
+        lines.append(f"{'PASS' if ok else 'FAIL'} {label} residual={kind.format(residual)}")
+
+    steps = [condense_at_11(m)]
+    steps += [condense_at(m, PivotSpec(k, l)) for k in range(1, n + 1) for l in range(1, n + 1) if m.get(k, l) != 0]
+    for step in steps:
+        lhs = step.pivot_value ** (n - 2) * det_full
+        line(f"condense-identity pivot=({step.pivot.k},{step.pivot.l})", lhs - det_bareiss(step.condensed), lhs)
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            reference = det_full * det_bareiss(remove_rows_cols(m, (k, l), (k, l)))
+            line(f"dodgson-identity rows/cols=({k},{l})", dodgson_identity_residual(m, k, l), reference)
+    failures = sum(text.startswith("FAIL") for text in lines)
+    status = "ok" if failures == 0 else "FAILED"
+    lines.append(f"verify {status}: {len(lines) - failures}/{len(lines)} identities hold")
+    return (EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED), "".join(text + "\n" for text in lines)
+
+
+def main_on(m: Matrix) -> int:
+    code, _ = run_verify(matrix_text(m), m.kind)
+    return code
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Count every Bareiss call that verify makes, through either module."""
+    calls = []
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.rows)
+        return det_bareiss(m, *args, **kwargs)
+
+    for module in (cli, condense):
+        monkeypatch.setattr(module, "det_bareiss", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_verify_makes_one_bareiss_call_per_distinct_determinant(n, bareiss_calls):
+    # det(A), the corner, the n*n pivots, the n*n one-removed and the
+    # C(n,2) two-removed minors.  Without sharing it was 2 + n*n + 7*C(n,2).
+    m = random_rational_matrix(n, SplitMix64(n))
+    assert main_on(m) == EXIT_OK
+    assert len(bareiss_calls) == 2 + 2 * n * n + comb(n, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_verify_call_count_skips_zero_pivots(n, bareiss_calls):
+    # a zero corner, and zeros spread over every row and column
+    rows = random_rational_matrix(n, SplitMix64(n)).to_rows()
+    rows = [[0 if (i + 2 * j) % 3 == 0 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    m = Matrix(rows, RATIONAL)
+    nonzero = sum(v != 0 for row in rows for v in row)
+    assert main_on(m) == EXIT_OK
+    assert len(bareiss_calls) == 2 + nonzero + n * n + comb(n, 2)
+
+
+# Small signed entries; the zero-heavy draw below makes most of them zero.
+ENTRIES = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@st.composite
+def verify_inputs(draw):
+    kind = draw(st.sampled_from([RATIONAL, INTEGER, FLOAT]))
+    n = draw(st.integers(3, 6))
+    entries = draw(st.sampled_from([ENTRIES, st.one_of(st.just(0), st.just(0), st.just(0), ENTRIES)]))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    if kind is INTEGER:
+        text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    else:
+        # p/q parses as a Fraction, or as one float division
+        dens = [[draw(st.integers(1, 9)) for _ in row] for row in rows]
+        text = "".join(" ".join(f"{v}/{d}" for v, d in zip(row, ds)) + "\n" for row, ds in zip(rows, dens))
+    return kind, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(verify_inputs())
+def test_verify_output_matches_uncached_identities(case):
+    kind, text = case
+    m = parse_matrix_text(text, kind)
+    assert run_verify(text, kind) == uncached_verify_lines(m)
+
+
+def corrupt_minor(monkeypatch, target):
+    """Make the determinant of the minor ``target`` = (rows, cols) come
+    out doubled in ``verify``; return the list of minors built."""
+    built = []
+
+    def remove(m, rows, cols):
+        minor = remove_rows_cols(m, rows, cols)
+        built.append((tuple(rows), tuple(cols)))
+        if built[-1] != target:
+            return minor
+        first, *rest = minor.as_tuples()
+        return Matrix([[2 * v for v in first], *rest], minor.kind)
+
+    monkeypatch.setattr(cli, "remove_rows_cols", remove)
+    return built
+
+
+FAULT_N = 5
+
+
+@pytest.fixture
+def fault_matrix(tmp_path):
+    m = random_rational_matrix(FAULT_N, SplitMix64(7))
+    indices = range(1, FAULT_N + 1)
+    one_removed = [det_bareiss(remove_rows_cols(m, (i,), (j,))) for i in indices for j in indices]
+    assert 0 not in one_removed, "each planted fault must change a residual"
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(m))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "target, failing",
+    [
+        (((2,), (2,)), {(1, 2), (2, 3), (2, 4), (2, 5)}),
+        (((2,), (3,)), {(2, 3)}),
+    ],
+    ids=["M(2,2)", "M(2,3)"],
+)
+def test_a_wrong_minor_fails_only_the_pairs_that_use_it(capsys, monkeypatch, fault_matrix, target, failing):
+    built = corrupt_minor(monkeypatch, target)
+    assert main(["verify", fault_matrix]) == EXIT_VERIFY_FAILED
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert built.count(target) == 1, "the minor is computed once and shared"
+    fields = [line.split() for line in lines]
+    assert sum(identity == "dodgson-identity" for _, identity, _, _ in fields) == comb(FAULT_N, 2)
+    assert {where for verdict, _, where, _ in fields if verdict == "FAIL"} == {
+        f"rows/cols=({k},{l})" for k, l in failing
+    }
+    assert summary == f"verify FAILED: {len(lines) - len(failing)}/{len(lines)} identities hold"
+
+
+@pytest.mark.parametrize("factor, verdict", [(0.5, "PASS"), (2.0, "FAIL")])
+def test_float_dodgson_tolerance_is_relative_to_its_reference(capsys, monkeypatch, factor, verdict):
+    # the reference of pair (k, l) is det(A) * det(M({k,l}, {k,l}))
+    def residual(m, k, l, minor_det=None):
+        return factor * VERIFY_REL_TOL * abs(det_bareiss(m) * det_bareiss(remove_rows_cols(m, (k, l), (k, l))))
+
+    monkeypatch.setattr(cli, "dodgson_identity_residual", residual)
+    main(["verify", str(GOLDEN_PATH), "--scalar", "float"])
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = {line.split()[0] for line in lines if line.split()[1] == "dodgson-identity"}
+    assert verdicts == {verdict}
+
+
+def test_public_residual_takes_a_minor_callable():
+    m = random_integer_matrix(4, 9, SplitMix64(3))
+    seen = []
+
+    def minor_det(rows, cols):
+        seen.append((rows, cols))
+        return det_bareiss(remove_rows_cols(m, rows, cols))
+
+    assert dodgson_identity_residual(m, 2, 4, minor_det) == dodgson_identity_residual(m, 2, 4) == 0
+    assert seen == [((), ()), ((2, 4), (2, 4)), ((4,), (4,)), ((2,), (2,)), ((4,), (2,)), ((2,), (4,))]
