@@ -5,7 +5,7 @@ With pivot (k, l), entry (i, j) of the condensed matrix is the
 determinant of a 2x2 block built from the pivot row/column and row
 i (or i+1, once past the pivot row) and column j (or j+1, once past
 the pivot column) of the source.  That block layout absorbs all
-permutation signs (the argument is in ``_condense``), giving the
+permutation signs (the argument is in ``_condense_rows``), giving the
 identity
 
     a(k,l) ** (n-2) * det(A) = det(condensed)
@@ -26,12 +26,13 @@ as a cross-check that never touches the condensation code above it.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .matrix import Matrix, PivotSpec, _is_json, matrix_from_doc, matrix_to_doc, remove_rows_cols
 from .oracle import det_bareiss
-from .scalars import FLOAT, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError
+from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError
 
 __all__ = [
     "CondensationStep",
@@ -93,9 +94,9 @@ def _require_condensable(m: Matrix, who: str) -> int:
     return m.rows
 
 
-def _condense(m: Matrix, k: int, l: int) -> Matrix:
-    """Condense ``m`` at the 0-based pivot (k, l): the one place the
-    pivot-anchored 2x2 determinants are computed.
+def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
+    """Condense the rows ``src`` at the 0-based pivot (k, l): the one
+    place the pivot-anchored 2x2 determinants are computed.
 
     Each source row r != k is paired with the pivot row in source
     order, ``(top, bottom) = (row_r, pivot_row)`` above the pivot and
@@ -115,15 +116,7 @@ def _condense(m: Matrix, k: int, l: int) -> Matrix:
     columns swapped); each swap negates one whole row or column of the
     condensed matrix, which multiplies its determinant by the same
     (-1)**(k+l).  The two signs cancel.
-
-    Rational matrices run on integer rows (``RationalKind.integer_row``):
-    each 2x2 determinant of row r and the pivot row comes out scaled by
-    both rows' scales and turns back into one ``Fraction``.
     """
-    src = m.as_tuples()
-    scales = None
-    if m.kind is RATIONAL:
-        src, scales = zip(*map(RATIONAL.integer_row, src))
     pivot_row = src[k]
     data = []
     for r, row in enumerate(src):
@@ -133,12 +126,28 @@ def _condense(m: Matrix, k: int, l: int) -> Matrix:
         top_l, bottom_l = top[l], bottom[l]
         left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
         right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
-        entries = left + right
-        if scales is not None:
-            scale = scales[r] * scales[k]
-            entries = [Fraction(v, scale) for v in entries]
-        data.append(tuple(entries))
-    return Matrix._trusted(data, m.kind, len(src) - 1)
+        data.append(tuple(left + right))
+    return data
+
+
+def _fraction_matrix(rows: Sequence[Sequence[int]], scales: Sequence[int]) -> Matrix:
+    """The square rational matrix whose row i is ``rows[i] / scales[i]``."""
+    data = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(rows, scales)]
+    return Matrix._trusted(data, RATIONAL, len(data))
+
+
+def _condense(m: Matrix, k: int, l: int) -> Matrix:
+    """``_condense_rows`` on a Matrix, for the single-step entry points.
+
+    A rational matrix runs on integer rows (``RationalKind.integer_row``):
+    each 2x2 determinant of row r and the pivot row comes out scaled by
+    both rows' scales and turns back into one ``Fraction``.
+    """
+    if m.kind is not RATIONAL:
+        return Matrix._trusted(_condense_rows(m.as_tuples(), k, l), m.kind, m.rows - 1)
+    src, scales = zip(*map(RATIONAL.integer_row, m.as_tuples()))
+    condensed_scales = [scale * scales[k] for r, scale in enumerate(scales) if r != k]
+    return _fraction_matrix(_condense_rows(src, k, l), condensed_scales)
 
 
 def condense_at_11(m: Matrix) -> CondensationStep:
@@ -253,6 +262,28 @@ def _divide_back(kind: ScalarKind, value: Scalar, pivot: Scalar, size: int, ops:
     return kind.exact_div(value, power)
 
 
+def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple], List[int], int]:
+    """Integer rows condensed at a pivot in row 1, with the row scales
+    of the level they came from: condensed row r carries the scale
+    ``scales[r + 1] * scales[0]``.  Each row and its scale are divided
+    by their gcd, which leaves exactly ``RationalKind.integer_row`` of
+    the reduced ``Fraction`` row.  Returns the rows, their scales and
+    the product of the gcds, the factor by which the determinant of the
+    rows shrank."""
+    head = scales[0]
+    out_rows, out_scales, product = [], [], 1
+    for row, scale in zip(rows, scales[1:]):
+        scale *= head
+        g = math.gcd(scale, *row)
+        if g != 1:
+            row = tuple(v // g for v in row)
+            scale //= g
+            product *= g
+        out_rows.append(row)
+        out_scales.append(scale)
+    return out_rows, out_scales, product
+
+
 def det_condensation(
     m: Matrix,
     strategy: PivotStrategy = PivotStrategy.FIRST_NONZERO,
@@ -268,9 +299,22 @@ def det_condensation(
     level order, so all condensation happens on undivided entries.
     Sizes 0..2 use the closed forms directly and leave an empty trace.
 
+    A rational matrix is turned into integer rows once
+    (``RationalKind.integer_row``: row i is ``I[i] / scale_i``), and
+    every level runs on ints.  Condensed row r carries the scale
+    ``scale_r * scale_pivot``; dividing it and its scale by their gcd
+    keeps the rows exactly the integer rows of the level's reduced
+    ``Fraction`` matrix.  With G the product of a level's row gcds and
+    p its integer pivot, det(I) = det(I_next) * G / p**(s-2) is an
+    exact integer division, and det(A) = Fraction(det(I_0), product of
+    the input scales).  ``Fraction`` values are built only for trace
+    steps and the result.  Row scales are positive, so both pivot
+    strategies pick the same column on the integer row.
+
     Operation counts tally the scalar multiplications, subtractions and
     divisions actually performed, including the closed-form 2x2 base
-    case and the pivot-power build-up.
+    case and the pivot-power build-up; the scale and gcd bookkeeping of
+    rational rows is representation, not counted.
     """
     if not m.is_square():
         raise ValueError(f"det_condensation needs a square matrix, got {m.rows}x{m.cols}")
@@ -283,37 +327,52 @@ def det_condensation(
     if n == 1:
         return DetResult(m.get(1, 1), (), ops)
 
-    current = m
-    pending: List[Tuple[Scalar, int]] = []
+    rows = m.as_tuples()
+    ring, scales = kind, None
+    if kind is RATIONAL:
+        rows, scales = zip(*map(RATIONAL.integer_row, rows))
+        ring, denominator = INTEGER, math.prod(scales)
+    pending: List[Tuple[Scalar, int, int, int]] = []
     while True:
-        size = current.rows
+        size = len(rows)
         if size == 2:
-            (a, b), (c, d) = current.as_tuples()
+            (a, b), (c, d) = rows
             ops.multiplications += 2
             ops.subtractions += 1
             value = a * d - b * c
             break
-        row1 = current.row(1)
+        row1 = rows[0]
         l = select_pivot(row1, strategy)
         if l is None:
             if record_trace:
                 trace.append(ZeroRowExit(size))
-            value = kind.zero
+            value = ring.zero
             break
         pivot = row1[l - 1]
-        condensed = _condense(current, 0, l - 1)
+        condensed = _condense_rows(rows, 0, l - 1)
         ops.multiplications += 2 * (size - 1) ** 2
         ops.subtractions += (size - 1) ** 2
-        if record_trace:
-            trace.append(CondensationStep(PivotSpec(1, l), pivot, 1, condensed))
-        pending.append((pivot, l, size))
-        current = condensed
+        gcds = 1
+        if scales is None:
+            if record_trace:
+                step = Matrix._trusted(condensed, kind, size - 1)
+                trace.append(CondensationStep(PivotSpec(1, l), pivot, 1, step))
+        else:
+            pivot_scale = scales[0]
+            condensed, scales, gcds = _reduce_rows(condensed, scales)
+            if record_trace:
+                step = _fraction_matrix(condensed, scales)
+                trace.append(CondensationStep(PivotSpec(1, l), Fraction(pivot, pivot_scale), 1, step))
+        pending.append((pivot, l, size, gcds))
+        rows = condensed
 
-    for pivot, l, size in reversed(pending):
+    for pivot, l, size, gcds in reversed(pending):
         try:
-            value = _divide_back(kind, value, pivot, size, ops)
+            value = _divide_back(ring, value * gcds, pivot, size, ops)
         except ExactDivisionError as exc:
             raise ExactDivisionError(f"divide-back of the size-{size} level, pivot (1, {l}): {exc}") from exc
+    if scales is not None:
+        value = Fraction(value, denominator)
     return DetResult(value, tuple(trace), ops)
 
 

@@ -14,8 +14,8 @@ Each routine accepts an optional ``OpCounts`` tally and counts the
 scalar multiplications, subtractions and divisions it actually
 performs (pivot searches and swaps are comparisons, not counted).
 
-Over rationals, ``det_bareiss`` eliminates on integer rows, as the
-condensation kernel does: each row is scaled once by the lcm of its
+Over rationals, ``det_bareiss`` eliminates on integer rows, as
+condensation does: each row is scaled once by the lcm of its
 denominators (``RationalKind.integer_row``) and the integer determinant
 is divided by the product of the scales at the end.  Cofactor expansion
 and Gaussian elimination stay on ``Fraction`` arithmetic on purpose, so
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .matrix import Matrix
-from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, bit_length
+from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, bit_length
 
 __all__ = [
     "det_cofactor",
@@ -112,7 +112,10 @@ def det_bareiss(
     the previous pivot is exact, which ``ScalarKind.exact_div``
     enforces.  Row pivoting picks the largest magnitude in the column,
     flipping the sign per swap, so the routine is also usable on
-    floats.
+    floats.  Where a float product ``a*piv - lead*b`` leaves the double
+    range, that entry is recomputed as ``a*(piv/prev) - (lead/prev)*b``
+    (two more multiplications, one more subtraction, and two divisions
+    in place of one); every other entry is the plain fraction-free one.
 
     When ``stage_bits`` is given (integer matrices only) the maximum
     entry bit length of the working grid is appended after each
@@ -133,6 +136,7 @@ def det_bareiss(
         rows, scales = zip(*map(RATIONAL.integer_row, rows))
         ring, scale = INTEGER, math.prod(scales)
     grid = [list(row) for row in rows]
+    floats = kind is FLOAT
     sign = 1
     prev = ring.one
     for k in range(n - 1):
@@ -151,8 +155,16 @@ def det_bareiss(
                 num = row_i[j] * piv - lead * row_k[j]
                 ops.multiplications += 2
                 ops.subtractions += 1
-                row_i[j] = ring.exact_div(num, prev)
                 ops.divisions += 1
+                if floats and not math.isfinite(num):
+                    # The fraction-free product left the double range,
+                    # though the entry need not: divide first.
+                    row_i[j] = row_i[j] * (piv / prev) - (lead / prev) * row_k[j]
+                    ops.multiplications += 2
+                    ops.subtractions += 1
+                    ops.divisions += 1
+                else:
+                    row_i[j] = ring.exact_div(num, prev)
         prev = piv
         if stage_bits is not None:
             stage_bits.append(

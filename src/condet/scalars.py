@@ -276,6 +276,13 @@ class RationalKind(ScalarKind):
         by scale_i * scale_k and a full determinant by the product of
         all the scales.  One ``Fraction`` per result then replaces a
         gcd normalisation per product, difference and division.
+
+        ``det_condensation`` calls this once per input row and never
+        again: it keeps the (row, scale) pairs across levels, dividing
+        each condensed row of scale s by g = gcd(s, entries...).  That
+        gives the same pair this method would build from the reduced
+        ``Fraction`` row, whose lcm of denominators s / gcd(c_j, s) is
+        s / g.
         """
         dens = [v.denominator for v in row]
         scale = math.lcm(*dens)

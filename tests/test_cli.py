@@ -361,6 +361,14 @@ def test_det_non_finite_float_hint_names_another_method(tmp_path, capsys, method
     assert captured.err == f"internal error: the float determinant came out nan; {hint}"
 
 
+def test_det_float_bareiss_survives_an_overflowing_product(tmp_path, capsys):
+    # the fraction-free product overflows; the determinant is -3e155
+    path = write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7e155 8e155 1e156\n")
+    assert main(["det", path, "--scalar", "float", "--method", "bareiss"]) == EXIT_OK
+    value = float(capsys.readouterr().out)
+    assert abs(value - -3e155) <= 1e-12 * 3e155
+
+
 def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     import condet.cli as cli_module
     from condet.scalars import ExactDivisionError
@@ -488,8 +496,10 @@ def test_verify_float_overflow_names_the_identity(tmp_path, capsys):
 
 
 def test_verify_non_finite_float_residual_is_no_verdict(tmp_path, capsys):
-    # a(1,4) * det(A) is finite, but det(condensed at (1,4)) is inf - inf
-    path = write(tmp_path, "m.txt", "2 1 3 1\n1 4 1 2\n3 1 5 1\n1 2 1 1e160\n")
+    # a(1,4)**2 = 1e160 is finite, but a(1,4)**2 * det(A) is about
+    # 3e320 (det(A) is about 3e160): the reference and det(condensed at
+    # (1,4)) leave the double range, and their difference is nan
+    path = write(tmp_path, "m.txt", "2 1 3 1e80\n1 4 1 2\n3 1 5 1\n1 2 1 1e160\n")
     assert main(["verify", path, "--scalar", "float"]) == EXIT_INTERNAL_ERROR
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [

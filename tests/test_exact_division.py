@@ -13,6 +13,7 @@ import condet.condense as condense_module
 import condet.scalars as scalars_module
 from condet import (
     INTEGER,
+    RATIONAL,
     ExactDivisionError,
     Matrix,
     PivotStrategy,
@@ -170,20 +171,22 @@ def test_condensation_past_the_cutoff_matches_bareiss_and_closed_form_counts(str
 
 def _off_by_one_at(monkeypatch, size):
     """Make the condensation of the size-``size`` level come out with
-    entry (1, 1) off by one; returns the list the faulty matrix lands in."""
-    inner = condense_module._condense
+    entry (1, 1) off by one; returns the list the faulty rows land in,
+    as an integer matrix (the driver condenses integer rows for the
+    integer and the rational kind alike)."""
+    inner = condense_module._condense_rows
     faulty = []
 
-    def condense(m, k, l):
-        out = inner(m, k, l)
-        if m.rows == size and not faulty:
-            rows = out.to_rows()
+    def condense_rows(src, k, l):
+        out = inner(src, k, l)
+        if len(src) == size and not faulty:
+            rows = [list(row) for row in out]
             rows[0][0] += 1
-            out = Matrix(rows, m.kind)
-            faulty.append(out)
+            out = [tuple(row) for row in rows]
+            faulty.append(Matrix(rows, INTEGER))
         return out
 
-    monkeypatch.setattr(condense_module, "_condense", condense)
+    monkeypatch.setattr(condense_module, "_condense_rows", condense_rows)
     return faulty
 
 
@@ -191,17 +194,21 @@ def _off_by_one_at(monkeypatch, size):
 FAULT_MATRIX = random_integer_matrix(6, 9, SplitMix64(3))
 
 
-@pytest.mark.parametrize("size", [6, 4, 3])
-def test_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatch, size):
-    clean = det_condensation(FAULT_MATRIX)
+def _check_divide_back_error(monkeypatch, size, kind):
+    m = Matrix(FAULT_MATRIX.to_rows(), kind)
+    clean = det_condensation(m)
     step = next(s for s in clean.trace if s.condensed.rows == size - 1)
+    # The divisor is the pivot of the level's integer rows: for a
+    # rational matrix, integer_row of the level's first row.
+    level = m if size == m.rows else next(s.condensed for s in clean.trace if s.condensed.rows == size)
+    first_row = RATIONAL.integer_row(level.row(1))[0] if kind is RATIONAL else level.row(1)
+    divisor = first_row[step.pivot.l - 1] ** (size - 2)
     faulty = _off_by_one_at(monkeypatch, size)
     with pytest.raises(ExactDivisionError) as exc_info:
-        det_condensation(FAULT_MATRIX)
-    # Deeper levels condense the faulty matrix consistently, so this
+        det_condensation(m)
+    # Deeper levels condense the faulty rows consistently, so this
     # level's division is the first that cannot be exact.
     dividend = det_bareiss(faulty[0])
-    divisor = step.pivot_value ** (size - 2)
     assert dividend % divisor != 0
     assert str(exc_info.value) == (
         f"divide-back of the size-{size} level, pivot (1, {step.pivot.l}): "
@@ -210,11 +217,30 @@ def test_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatch, size):
     )
 
 
-def test_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("size", [6, 4, 3])
+def test_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatch, size):
+    _check_divide_back_error(monkeypatch, size, INTEGER)
+
+
+@pytest.mark.parametrize("size", [6, 4, 3])
+def test_rational_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatch, size):
+    # Rationals divide back in integers too, with the same located message.
+    _check_divide_back_error(monkeypatch, size, RATIONAL)
+
+
+def _check_divide_back_exit(tmp_path, capsys, monkeypatch, scalar):
     path = tmp_path / "m.txt"
     path.write_text("\n".join(" ".join(map(str, row)) for row in FAULT_MATRIX.to_rows()) + "\n")
     _off_by_one_at(monkeypatch, 6)
-    assert main(["det", str(path), "--scalar", "integer"]) == EXIT_INTERNAL_ERROR
+    assert main(["det", str(path), "--scalar", scalar]) == EXIT_INTERNAL_ERROR
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: divide-back of the size-6 level, pivot (1, 2): non-exact")
+
+
+def test_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
+    _check_divide_back_exit(tmp_path, capsys, monkeypatch, "integer")
+
+
+def test_rational_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
+    _check_divide_back_exit(tmp_path, capsys, monkeypatch, "rational")

@@ -170,6 +170,19 @@ def test_float_bareiss_matches_exact_result():
         assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+def test_float_bareiss_divides_first_where_the_product_overflows():
+    # The second stage multiplies two entries near 1e156 (about 1e311,
+    # past the double range), although the determinant is -3e155.
+    from condet import FLOAT
+
+    m = Matrix([[1, 2, 3], [4, 5, 6], [7e155, 8e155, 1e156]], FLOAT)
+    ops = OpCounts()
+    value = det_bareiss(m, ops)
+    assert abs(value - -3e155) <= 1e-12 * 3e155
+    # five entry updates, one of them recomputed as a*(piv/prev) - (lead/prev)*b
+    assert ops == OpCounts(multiplications=12, subtractions=6, divisions=6)
+
+
 def test_op_counting_is_optional_and_additive():
     m = Matrix([[2, 1, 3], [4, 5, 6], [7, 8, 10]], INTEGER)
     ops = OpCounts()

@@ -1,14 +1,29 @@
 """Rational condensation and Bareiss run on integer rows (each row
 scaled by the lcm of its denominators); these properties check both
-against plain ``Fraction`` references kept here."""
+against plain ``Fraction`` references kept here.  ``det_condensation``
+converts a rational matrix once and carries its integer rows across
+levels, so its whole trace is checked level by level as well."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condet import RATIONAL, Matrix, OpCounts, PivotSpec, condense_at, det_bareiss, det_condensation
+from condet import (
+    RATIONAL,
+    Matrix,
+    OpCounts,
+    PivotSpec,
+    PivotStrategy,
+    SplitMix64,
+    ZeroRowExit,
+    condense_at,
+    det_bareiss,
+    det_condensation,
+    random_rational_matrix,
+)
 
 # Zero-heavy, signed numerators; small and large (up to 10**6) denominators.
 NUMERATORS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
@@ -121,3 +136,128 @@ def test_det_bareiss_matches_fraction_reference(rows):
     # op counts tally scalar-level updates, not the row scaling
     assert ops == want_ops
     assert det_condensation(m).value == want
+
+
+def reference_pivot(row, strategy):
+    """1-based pivot column of ``row`` under ``strategy``, or None."""
+    nonzero = [j for j, v in enumerate(row) if v != 0]
+    if not nonzero:
+        return None
+    if strategy is PivotStrategy.FIRST_NONZERO:
+        return nonzero[0] + 1
+    return max(nonzero, key=lambda j: (abs(row[j]), -j)) + 1
+
+
+def reference_det_condensation(rows, strategy):
+    """First-row condensation on Fractions throughout: (value, steps,
+    ops), a step being ``(pivot column, pivot value, condensed rows)``
+    or ``ZeroRowExit(size)``."""
+    ops = OpCounts()
+    if not rows:
+        return Fraction(1), [], ops
+    if len(rows) == 1:
+        return rows[0][0], [], ops
+    steps, pending = [], []
+    while len(rows) > 2:
+        size = len(rows)
+        l = reference_pivot(rows[0], strategy)
+        if l is None:
+            steps.append(ZeroRowExit(size))
+            value = Fraction(0)
+            break
+        condensed = reference_condense(rows, 1, l)
+        ops.multiplications += 2 * (size - 1) ** 2
+        ops.subtractions += (size - 1) ** 2
+        steps.append((l, rows[0][l - 1], condensed))
+        pending.append((rows[0][l - 1], size))
+        rows = condensed
+    else:
+        (a, b), (c, d) = rows
+        ops.multiplications += 2
+        ops.subtractions += 1
+        value = a * d - b * c
+    for pivot, size in reversed(pending):
+        value /= pivot ** (size - 2)
+        ops.multiplications += size - 3
+        ops.divisions += 1
+    return value, steps, ops
+
+
+def check_against_reference(rows, strategy):
+    want_value, want_steps, want_ops = reference_det_condensation(rows, strategy)
+    m = Matrix(rows, RATIONAL, cols=len(rows))
+    got = det_condensation(m, strategy)
+    assert len(got.trace) == len(want_steps)
+    for entry, want in zip(got.trace, want_steps):
+        if isinstance(want, ZeroRowExit):
+            assert entry == want
+            continue
+        l, pivot_value, condensed = want
+        assert entry.pivot == PivotSpec(1, l)
+        assert repr(entry.pivot_value) == repr(pivot_value)
+        assert entry.sign == 1
+        # repr: every entry a Fraction, equal and canonical
+        assert repr(entry.condensed.to_rows()) == repr(condensed)
+    assert repr(got.value) == repr(Fraction(want_value))
+    assert got.op_counts == want_ops
+    untraced = det_condensation(m, strategy, record_trace=False)
+    assert untraced.trace == ()
+    assert repr(untraced.value) == repr(got.value)
+    assert untraced.op_counts == want_ops
+    return got
+
+
+# Row 2 is twice row 1, so the size-3 level has a zero first row; row 1
+# starts with a zero, so the first pivot is at l = 2 (first-nonzero) or
+# l = 3 (max-magnitude).
+ZERO_ROW_AT_DEPTH = [
+    [Fraction(0), Fraction(1, 2), Fraction(3), Fraction(1)],
+    [Fraction(0), Fraction(1), Fraction(6), Fraction(2)],
+    [Fraction(1), Fraction(2), Fraction(0), Fraction(1, 3)],
+    [Fraction(5, 7), Fraction(0), Fraction(1), Fraction(1)],
+]
+# Rows 1 and 2 agree in their first two columns up to a factor, so the
+# size-4 level's first row starts with a zero and its pivot is at l > 1.
+LATE_PIVOT_AT_DEPTH = [
+    [Fraction(1), Fraction(2), Fraction(1), Fraction(0), Fraction(1, 2)],
+    [Fraction(3), Fraction(6), Fraction(0), Fraction(1), Fraction(1)],
+    [Fraction(1, 3), Fraction(0), Fraction(1), Fraction(2), Fraction(-1)],
+    [Fraction(2), Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 5)],
+    [Fraction(0), Fraction(0), Fraction(1, 4), Fraction(1), Fraction(1)],
+]
+
+
+@pytest.mark.parametrize("strategy", list(PivotStrategy))
+def test_hand_built_matrices_reach_zero_rows_and_late_pivots_at_depth(strategy):
+    got = check_against_reference(ZERO_ROW_AT_DEPTH, strategy)
+    assert got.trace[0].pivot.l > 1 and got.trace[1] == ZeroRowExit(3)
+    got = check_against_reference(LATE_PIVOT_AT_DEPTH, strategy)
+    assert got.trace[1].pivot.l > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows(max_size=8))
+def test_det_condensation_trace_matches_fraction_reference_level_by_level(rows):
+    for strategy in PivotStrategy:
+        check_against_reference(rows, strategy)
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("strategy", list(PivotStrategy))
+def test_det_condensation_converts_rational_rows_once(monkeypatch, strategy, record_trace):
+    # The levels run on the integer rows of the input: n conversions in
+    # all, none per level or per trace step.
+    calls = []
+    inner = RATIONAL.integer_row
+
+    def counting(row):
+        calls.append(len(row))
+        return inner(row)
+
+    monkeypatch.setattr(RATIONAL, "integer_row", counting)
+    gen = SplitMix64(8)
+    for n in range(2, 10):
+        m = random_rational_matrix(n, gen.split())
+        calls.clear()
+        det_condensation(m, strategy, record_trace)
+        assert calls == [n] * n
