@@ -160,6 +160,13 @@ def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetR
 # itself takes any size.
 CONDENSATION_SIZE_LIMIT = 20
 
+# A bench config may ask for at most this much work, counted as
+# trials_per_size * sum(n**3 for n in sizes): elimination takes about
+# n**3 / 3 steps per matrix, and integer Bareiss at n = 60 took 54 ms
+# on a 2-CPU host, so the bound is some 25 s per method at that size.
+# It admits sizes 4..64 at 20 trials each (8.7e7).
+_BENCH_WORK_LIMIT = 10**8
+
 # Keyed by the bench and report name.  Each ``run`` looks its function
 # up in this module's globals at call time, so patching the module
 # attribute (for tracing or in tests) reaches every caller.
@@ -213,6 +220,12 @@ class BenchConfig(_BenchConfigFields):
                 raise ValueError(f"matrix size must be >= 1, got {n}")
         if trials_per_size < 0:
             raise ValueError(f"trials_per_size must be >= 0, got {trials_per_size}")
+        work = trials_per_size * sum(n**3 for n in sizes)
+        if work > _BENCH_WORK_LIMIT:
+            raise ValueError(
+                f"config asks for trials_per_size * sum(n**3 for n in sizes) = {work}, "
+                f"over the bench work limit of {_BENCH_WORK_LIMIT}"
+            )
         if entry_bound < 1:
             raise ValueError(f"entry_bound must be >= 1, got {entry_bound}")
         if not methods:

@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .bench import (
@@ -51,7 +52,7 @@ from .matrix import Matrix, PivotSpec, matrix_from_doc, remove_rows_cols
 # det_cofactor and det_gauss_rational run through METHODS; they stay
 # importable from this module alongside det_bareiss and det_condensation.
 from .oracle import det_bareiss, det_cofactor, det_gauss_rational
-from .scalars import FLOAT, KINDS, ScalarKind, ScalarParseError
+from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ScalarKind, ScalarParseError
 
 __all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "UsageError", "MatrixFileError"]
 
@@ -183,6 +184,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if n < 3:
         raise UsageError(f"verify needs size >= 3, got {n}")
 
+    # A rational matrix is checked on its integer rows, converted once:
+    # row i of m is I[i] / scales[i] (``RationalKind.integer_row``), and
+    # every determinant below runs on I.  Both identities are homogeneous
+    # in each row, so each residual of m is the residual of I divided by
+    # an exact positive integer.  With S the product of the scales, a
+    # minor of m is the same minor of I over the scales of its rows; a
+    # condensed row of rows r and k carries s_r * s_k, so det(condensed
+    # at (k,l)) picks up S * s_k**(n-2), as does a(k,l)**(n-2) * det(m):
+    # the condensation identity at (k,l) divides by s_k**(n-2) * S.
+    # Both Dodgson products leave rows k and l out once each, so the
+    # pair (k,l) divides by S*S / (s_k*s_l).  Residuals turn back into
+    # ``Fraction``s only in ``report``; the references are used by the
+    # float test alone.  An integer or float matrix is checked as it
+    # is, every scale being 1.
+    scales = (1,) * n
+    if kind is RATIONAL:
+        rows, scales = zip(*map(RATIONAL.integer_row, m.as_tuples()))
+        m = Matrix._trusted([tuple(row) for row in rows], INTEGER, n)
+    scale = math.prod(scales)
+
     # Every determinant below other than the condensed ones is a minor
     # of m: det(m), the n*n one-removed and the C(n,2) two-removed
     # minors.  The memo lives for this run only and computes each once.
@@ -191,8 +212,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     checked = 0
 
-    def report(label: str, residual, reference) -> None:
+    def report(label: str, residual, reference, factor: int) -> None:
         nonlocal failures, checked
+        if kind is RATIONAL:
+            residual = Fraction(residual, factor)
         # A residual is its reference minus a term, so an infinite
         # reference shows here too, as an infinite or nan residual.
         if kind is FLOAT and not math.isfinite(residual):
@@ -217,20 +240,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"{label}: the float check left the double range "
                 f"(a({k},{l})**{n - 2} overflows); use --scalar rational for an exact check"
             ) from None
-        report(label, lhs - det_bareiss(step.condensed), lhs)
+        report(label, lhs - det_bareiss(step.condensed), lhs, scales[k - 1] ** (n - 2) * scale)
 
     # The corner pivot, then every position with a nonzero pivot.
     report_condensation(condense_at_11(m))
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            if not kind.is_zero(m.get(k, l)):
+            if not m.kind.is_zero(m.get(k, l)):
                 report_condensation(condense_at(m, PivotSpec(k, l)))
 
     # Dodgson minor identity for every row/column pair k < l.
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             residual = dodgson_identity_residual(m, k, l, minor)
-            report(f"dodgson-identity rows/cols=({k},{l})", residual, det_full * minor((k, l), (k, l)))
+            reference = det_full * minor((k, l), (k, l))
+            factor = scale * scale // (scales[k - 1] * scales[l - 1])
+            report(f"dodgson-identity rows/cols=({k},{l})", residual, reference, factor)
 
     status = "ok" if failures == 0 else "FAILED"
     print(f"verify {status}: {checked - failures}/{checked} identities hold")

@@ -145,17 +145,20 @@ def remove_rows_cols(m: Matrix, removed_rows: Iterable[int], removed_cols: Itera
     """Minor of ``m``: drop the listed 1-based rows and columns.
 
     Surviving rows and columns keep their relative order.  Removing
-    everything is legal and yields a 0x0 matrix.
+    everything is legal and yields a 0x0 matrix.  The entries were
+    checked when ``m`` was built, so the minor skips the re-check.
     """
     rr = set(_check_removed(list(removed_rows), m.rows, "row"))
     rc = set(_check_removed(list(removed_cols), m.cols, "column"))
     kept_cols = [j for j in range(m.cols) if j + 1 not in rc]
+    if not kept_cols and len(rr) < m.rows:
+        raise ValueError("matrix rows must not be empty")
     data = [
         tuple(row[j] for j in kept_cols)
         for i, row in enumerate(m.as_tuples())
         if i + 1 not in rr
     ]
-    return Matrix(data, m.kind, cols=len(kept_cols))
+    return Matrix._trusted(data, m.kind, len(kept_cols))
 
 
 def _is_json(value, typ: type) -> bool:

@@ -1,5 +1,7 @@
 """Seeded corpus generation, bench records, reports and growth data."""
 
+import re
+
 import pytest
 
 from condet import (
@@ -102,6 +104,21 @@ def test_config_replace_validates():
     assert cfg._replace(sizes=[3]).sizes == (3,)
     with pytest.raises(ValueError, match="matrix size must be >= 1"):
         cfg._replace(sizes=(0,))
+    with pytest.raises(ValueError, match=r"sum\(n\*\*3 for n in sizes\) = 432000000000, over"):
+        cfg._replace(trials_per_size=10**9)
+
+
+def test_config_work_is_bounded():
+    # trials_per_size * sum(n**3 for n in sizes) may reach 10**8, no further
+    big = {"sizes": [100000], "trials_per_size": 10**12, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
+    message = f"config asks for trials_per_size * sum(n**3 for n in sizes) = {10**27}, over the bench work limit of {10**8}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BenchConfig.from_dict(big)
+    with pytest.raises(ValueError, match=r"= 100000100, over"):
+        BenchConfig(sizes=(1, 100), trials_per_size=100, entry_bound=9, seed=1, methods=("bareiss",))
+    assert BenchConfig(sizes=(100,), trials_per_size=100, entry_bound=9, seed=1, methods=("bareiss",))
+    # a roadmap perf config: every size 4..64, a few trials
+    assert BenchConfig(sizes=range(4, 65), trials_per_size=20, entry_bound=9, seed=1, methods=("bareiss",))
 
 
 def test_run_bench_shape_and_agreement():

@@ -646,6 +646,24 @@ def test_bench_condensation_size_cap_is_user_error(tmp_path, capsys):
 BENCH_CFG = {"sizes": [3], "trials_per_size": 1, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
 
 
+def test_bench_config_over_the_work_limit_is_user_error(tmp_path, capsys, monkeypatch):
+    import condet.cli as cli_module
+
+    def run_bench(cfg):  # a config this big would fill the memory
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli_module, "run_bench", run_bench)
+    cfg = {**BENCH_CFG, "sizes": [100000], "trials_per_size": 10**12}
+    path = write(tmp_path, "cfg.json", json.dumps(cfg))
+    assert main(["bench", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bench config {path}: config asks for trials_per_size * sum(n**3 for n in sizes)"
+        f" = {10**27}, over the bench work limit of {10**8}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

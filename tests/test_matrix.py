@@ -1,6 +1,7 @@
 """Matrix container, minors, row-major reshape and the pivot rotation
 behind the condensation sign argument."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from condet import (
+    FLOAT,
     INTEGER,
     RATIONAL,
     Matrix,
@@ -115,10 +117,36 @@ def test_remove_rows_cols_keeps_order():
 
 def test_remove_rows_cols_rejects_bad_indices():
     m = Matrix([[1, 2], [3, 4]], INTEGER)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^row index 3 out of range 1\.\.2$"):
         remove_rows_cols(m, (3,), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError, match=r"^column index 0 out of range 1\.\.2$"):
+        remove_rows_cols(m, (), (0,))
+    with pytest.raises(ValueError, match=r"^duplicate row indices in \[1, 1\]$"):
         remove_rows_cols(m, (1, 1), ())
+    with pytest.raises(ValueError, match=r"^duplicate column indices in \[2, 2\]$"):
+        remove_rows_cols(m, (), (2, 2))
+    # rows left with no entries are no matrix, as for a checked build
+    with pytest.raises(ValueError, match=r"^matrix rows must not be empty$"):
+        remove_rows_cols(m, (1,), (1, 2))
+
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL, FLOAT], ids=lambda k: k.name)
+def test_remove_rows_cols_equals_the_checked_build(kind):
+    # Every minor of a 3x4 matrix whose rows keep an entry, 0x0 and
+    # all-rows-removed (0 x c) minors included, equals the same rows
+    # built through the per-entry check.
+    text = "{}" if kind is INTEGER else "{}/{}"
+    m = Matrix([[kind.parse(text.format(3 * i + j - 5, j)) for j in range(1, 5)] for i in range(3)], kind)
+    subsets = lambda size: [c for r in range(size + 1) for c in itertools.combinations(range(1, size + 1), r)]
+    for rows in subsets(m.rows):
+        for cols in subsets(m.cols):
+            if len(cols) == m.cols and len(rows) < m.rows:
+                continue
+            minor = remove_rows_cols(m, rows, cols)
+            kept = [[m.get(i, j) for j in range(1, m.cols + 1) if j not in cols] for i in range(1, m.rows + 1) if i not in rows]
+            checked = Matrix(kept, kind, cols=m.cols - len(cols))
+            assert minor == checked and (minor.rows, minor.cols) == (checked.rows, checked.cols)
+            assert all(type(row) is tuple for row in minor.as_tuples())
 
 
 def test_rotate_identity_pivot():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import os
 import tempfile
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -48,13 +49,16 @@ def run_verify(text: str, kind) -> tuple:
     return code, out.getvalue()
 
 
-def uncached_verify_lines(m: Matrix) -> tuple:
+def uncached_verify_lines(m: Matrix, condense=condense_at, remove=remove_rows_cols) -> tuple:
     """(exit code, stdout) that verify must print for ``m``, built from
     one Bareiss call per determinant, with no determinant shared
-    between identities, and the public three-argument
-    ``dodgson_identity_residual``."""
+    between identities, and the public ``dodgson_identity_residual``.
+    A rational ``m`` is worked on as ``Fraction``s throughout.
+    ``condense`` and ``remove`` stand in for ``condense_at`` and
+    ``remove_rows_cols``, so that a planted fault reaches the reference
+    as it reaches verify."""
     kind, n = m.kind, m.rows
-    det_full = det_bareiss(m)
+    det_full = det_bareiss(remove(m, (), ()))
     lines = []
 
     def line(label, residual, reference):
@@ -65,14 +69,15 @@ def uncached_verify_lines(m: Matrix) -> tuple:
         lines.append(f"{'PASS' if ok else 'FAIL'} {label} residual={kind.format(residual)}")
 
     steps = [condense_at_11(m)]
-    steps += [condense_at(m, PivotSpec(k, l)) for k in range(1, n + 1) for l in range(1, n + 1) if m.get(k, l) != 0]
+    steps += [condense(m, PivotSpec(k, l)) for k in range(1, n + 1) for l in range(1, n + 1) if m.get(k, l) != 0]
     for step in steps:
         lhs = step.pivot_value ** (n - 2) * det_full
         line(f"condense-identity pivot=({step.pivot.k},{step.pivot.l})", lhs - det_bareiss(step.condensed), lhs)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            reference = det_full * det_bareiss(remove_rows_cols(m, (k, l), (k, l)))
-            line(f"dodgson-identity rows/cols=({k},{l})", dodgson_identity_residual(m, k, l), reference)
+            reference = det_full * det_bareiss(remove(m, (k, l), (k, l)))
+            residual = dodgson_identity_residual(m, k, l, lambda rows, cols: det_bareiss(remove(m, rows, cols)))
+            line(f"dodgson-identity rows/cols=({k},{l})", residual, reference)
     failures = sum(text.startswith("FAIL") for text in lines)
     status = "ok" if failures == 0 else "FAILED"
     lines.append(f"verify {status}: {len(lines) - failures}/{len(lines)} identities hold")
@@ -90,7 +95,7 @@ def bareiss_calls(monkeypatch):
     calls = []
 
     def counting(m, *args, **kwargs):
-        calls.append(m.rows)
+        calls.append(m)
         return det_bareiss(m, *args, **kwargs)
 
     for module in (cli, condense):
@@ -148,20 +153,40 @@ def test_verify_output_matches_uncached_identities(case):
     assert run_verify(text, kind) == uncached_verify_lines(m)
 
 
-def corrupt_minor(monkeypatch, target):
-    """Make the determinant of the minor ``target`` = (rows, cols) come
-    out doubled in ``verify``; return the list of minors built."""
-    built = []
+def first_row_doubled(m: Matrix) -> Matrix:
+    first, *rest = m.as_tuples()
+    return Matrix([[2 * v for v in first], *rest], m.kind)
+
+
+def minor_doubled_at(target, built: list):
+    """``remove_rows_cols`` whose minor ``target`` = (rows, cols) comes
+    out with its first row doubled; every minor built is listed in
+    ``built``."""
 
     def remove(m, rows, cols):
         minor = remove_rows_cols(m, rows, cols)
         built.append((tuple(rows), tuple(cols)))
-        if built[-1] != target:
-            return minor
-        first, *rest = minor.as_tuples()
-        return Matrix([[2 * v for v in first], *rest], minor.kind)
+        return first_row_doubled(minor) if built[-1] == target else minor
 
-    monkeypatch.setattr(cli, "remove_rows_cols", remove)
+    return remove
+
+
+def condensed_doubled_at(target):
+    """``condense_at`` whose condensed matrix at the pivot ``target``
+    comes out with its first row doubled."""
+
+    def condense(m, pivot):
+        step = condense_at(m, pivot)
+        return step._replace(condensed=first_row_doubled(step.condensed)) if pivot == target else step
+
+    return condense
+
+
+def corrupt_minor(monkeypatch, target):
+    """Make the determinant of the minor ``target`` come out doubled in
+    ``verify``; return the list of minors built."""
+    built = []
+    monkeypatch.setattr(cli, "remove_rows_cols", minor_doubled_at(target, built))
     return built
 
 
@@ -223,3 +248,94 @@ def test_public_residual_takes_a_minor_callable():
 
     assert dodgson_identity_residual(m, 2, 4, minor_det) == dodgson_identity_residual(m, 2, 4) == 0
     assert seen == [((), ()), ((2, 4), (2, 4)), ((4,), (4,)), ((2,), (2,)), ((4,), (2,)), ((2,), (4,))]
+
+
+# Row denominators far apart, so that rows get different scales (the
+# lcm of a row's denominators) and the exponent of s_k, the choice of
+# s_k or s_l and S or S*S all change a nonzero residual.
+ROW_DENOMINATORS = st.sampled_from([1, 2, 3, 5, 7, 8, 9, 12])
+
+
+@st.composite
+def scaled_rational_faults(draw):
+    """A rational matrix with per-row scales, and a planted fault: a
+    condensed matrix at one nonzero pivot, a minor, both or neither."""
+    n = draw(st.integers(3, 6))
+    entries = draw(st.sampled_from([ENTRIES, st.one_of(st.just(0), st.just(0), ENTRIES)]))
+    rows = []
+    for _ in range(n):
+        den = draw(ROW_DENOMINATORS)
+        rows.append([Fraction(draw(entries), den * draw(st.integers(1, 3))) for _ in range(n)])
+    m = Matrix(rows, RATIONAL)
+    pivots = [PivotSpec(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if rows[k - 1][l - 1] != 0]
+    minors = [((), ())] + [((k,), (l,)) for k in range(1, n + 1) for l in range(1, n + 1)]
+    minors += [((k, l), (k, l)) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    return m, draw(st.sampled_from([None, *pivots])), draw(st.sampled_from([None, *minors]))
+
+
+def check_against_fraction_reference(m: Matrix, pivot, minor) -> None:
+    """verify's full stdout on ``m``, with the faults planted, equals
+    the uncached identities worked on the ``Fraction`` matrix with the
+    same faults (a fault at None is no fault)."""
+    expected = uncached_verify_lines(m, condensed_doubled_at(pivot), minor_doubled_at(minor, []))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "condense_at", condensed_doubled_at(pivot))
+        mp.setattr(cli, "remove_rows_cols", minor_doubled_at(minor, []))
+        assert run_verify(matrix_text(m), RATIONAL) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_rational_faults())
+def test_rational_residuals_rescale_to_the_fraction_reference(case):
+    check_against_fraction_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "pivot, minor",
+    [(PivotSpec(2, 3), None), (PivotSpec(5, 1), None), (None, ((2,), (3,))), (None, ((1, 4), (1, 4))), (PivotSpec(4, 4), ((), ()))],
+    ids=["condensed(2,3)", "condensed(5,1)", "M(2,3)", "M(14,14)", "condensed(4,4)+det"],
+)
+def test_rescaled_fail_lines_match_the_fraction_reference(pivot, minor):
+    # Row scales 1, 6, 35, 4 and 9, so every factor is distinct, and
+    # no minor is zero, so that each fault changes its residuals.
+    dens = [1, 6, 35, 4, 9]
+    a = random_integer_matrix(5, 9, SplitMix64(3))
+    m = Matrix([[Fraction(v, d) for v in row] for row, d in zip(a.as_tuples(), dens)], RATIONAL)
+    assert [RATIONAL.integer_row(row)[1] for row in m.as_tuples()] == dens
+    assert pivot is None or m.get(*pivot) != 0
+    check_against_fraction_reference(m, pivot, minor)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_verify_converts_a_rational_matrix_once(n, monkeypatch, bareiss_calls):
+    # Every determinant runs on the integer rows of m, built by n
+    # integer_row calls; the one Bareiss call on the whole matrix gets
+    # exactly the rows that rational Bareiss builds for det(m).
+    rows = random_rational_matrix(n, SplitMix64(n)).to_rows()
+    rows = [[0 if (i + 2 * j) % 3 == 0 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    m = Matrix(rows, RATIONAL)
+    integer_rows = [RATIONAL.integer_row(row)[0] for row in m.as_tuples()]
+    conversions = []
+    condensed = []
+
+    def integer_row(row):
+        conversions.append(row)
+        return type(RATIONAL).integer_row(RATIONAL, row)
+
+    def spy(function):
+        def call(a, *args):
+            condensed.append(a)
+            return function(a, *args)
+
+        return call
+
+    monkeypatch.setattr(RATIONAL, "integer_row", integer_row)
+    monkeypatch.setattr(cli, "condense_at", spy(condense_at))
+    monkeypatch.setattr(cli, "condense_at_11", spy(condense_at_11))
+    assert main_on(m) == EXIT_OK
+    nonzero = sum(v != 0 for row in rows for v in row)
+    assert len(conversions) == n
+    assert len(condensed) == 1 + nonzero
+    assert len(bareiss_calls) == 2 + nonzero + n * n + comb(n, 2)
+    assert {a.kind for a in condensed + bareiss_calls} == {INTEGER}
+    assert Matrix(integer_rows, INTEGER) in bareiss_calls
