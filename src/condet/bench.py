@@ -91,8 +91,14 @@ class SplitMix64:
     def int_in(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] by modulo reduction.
 
-        The tiny modulo bias (span never exceeds a few hundred here) is
-        accepted and part of the pinned corpus definition.
+        One 64-bit draw is reduced modulo the span ``s = hi - lo + 1``,
+        so each value comes up ``floor(2**64 / s)`` or one more times in
+        2**64 draws: the most likely value is at most ``1 + s / 2**64``
+        times as likely as the least.  Bench corpora keep ``s`` at or
+        below ``2**32 + 1`` (``entry_bound <= 2**31``), which bounds that
+        ratio by about ``1 + 2**-32``; the bias is accepted and part of
+        the pinned corpus definition.  A span past 2**64 would leave
+        every draw within 2**64 of ``lo``.
         """
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
@@ -167,6 +173,12 @@ CONDENSATION_SIZE_LIMIT = 20
 # It admits sizes 4..64 at 20 trials each (8.7e7).
 _BENCH_WORK_LIMIT = 10**8
 
+# The largest entry_bound a bench config may ask for: the span 2**32 + 1
+# keeps the modulo bias of SplitMix64.int_in near 2**-32 (and far from
+# the 2**64 span past which entries cover only one end of the range),
+# and entries stay within 32 bits.
+_ENTRY_BOUND_LIMIT = 2**31
+
 # Keyed by the bench and report name.  Each ``run`` looks its function
 # up in this module's globals at call time, so patching the module
 # attribute (for tracing or in tests) reaches every caller.
@@ -228,6 +240,8 @@ class BenchConfig(_BenchConfigFields):
             )
         if entry_bound < 1:
             raise ValueError(f"entry_bound must be >= 1, got {entry_bound}")
+        if entry_bound > _ENTRY_BOUND_LIMIT:
+            raise ValueError(f"entry_bound must be <= {_ENTRY_BOUND_LIMIT}, got {entry_bound}")
         if not methods:
             raise ValueError("config needs at least one method")
         for name in methods:

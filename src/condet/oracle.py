@@ -14,6 +14,17 @@ Each routine accepts an optional ``OpCounts`` tally and counts the
 scalar multiplications, subtractions and divisions it actually
 performs (pivot searches and swaps are comparisons, not counted).
 
+The inner loops pay for arithmetic, not for bookkeeping.  Exact
+Bareiss divides every entry of a stage by the same previous pivot, so
+it picks the division once per stage (builtin ``divmod``, or recursive
+division past ``scalars._RECURSIVE_DIV_BITS``, the size test
+``IntegerKind.exact_div`` makes per call), tests each remainder inline
+and adds the stage's counts in one step.  Cofactor expansion recurses
+over a row index and a tuple of kept column indices into the input
+rows instead of copying each minor, and works its 3x3 minors' three
+2x2 minors inline.  Values and counts are those of the plain per-entry
+loops, floats bit for bit.
+
 Over rationals, ``det_bareiss`` eliminates on integer rows, as
 condensation does: each row is scaled once by the lcm of its
 denominators (``RationalKind.integer_row``) and the integer determinant
@@ -30,6 +41,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional
 
+from . import scalars
 from .matrix import Matrix
 from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, bit_length
 
@@ -61,30 +73,54 @@ def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     kind = m.kind
     if ops is None:
         ops = OpCounts()
+    rows = m.as_tuples()
+    zero = kind.zero
+    if n == 0:
+        return kind.one
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        ops.multiplications += 2
+        ops.subtractions += 1
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
-    def expand(grid) -> Scalar:
-        size = len(grid)
-        if size == 0:
-            return kind.one
-        if size == 1:
-            return grid[0][0]
-        if size == 2:
-            ops.multiplications += 2
-            ops.subtractions += 1
-            return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-        total = kind.zero
-        rest = grid[1:]
-        for j, head in enumerate(grid[0]):
-            if head == kind.zero:
+    def expand(r: int, cols) -> Scalar:
+        # The minor of rows r.. and the columns in cols (at least 3),
+        # indexed into the original rows rather than copied.
+        top = rows[r]
+        total = zero
+        terms = 0
+        if len(cols) == 3:
+            # The three 2x2 minors inline, each as a*d - b*c, signs +, -, +.
+            a, b = rows[r + 1], rows[r + 2]
+            c0, c1, c2 = cols
+            head = top[c0]
+            if head != zero:
+                total = total + head * (a[c1] * b[c2] - a[c2] * b[c1])
+                terms += 1
+            head = top[c1]
+            if head != zero:
+                total = total - head * (a[c0] * b[c2] - a[c2] * b[c0])
+                terms += 1
+            head = top[c2]
+            if head != zero:
+                total = total + head * (a[c0] * b[c1] - a[c1] * b[c0])
+                terms += 1
+            ops.multiplications += 3 * terms
+            ops.subtractions += 2 * terms
+            return total
+        for j, c in enumerate(cols):
+            head = top[c]
+            if head == zero:
                 continue  # a zero coefficient contributes nothing
-            minor = tuple(row[:j] + row[j + 1 :] for row in rest)
-            term = head * expand(minor)
-            ops.multiplications += 1
-            ops.subtractions += 1
+            term = head * expand(r + 1, cols[:j] + cols[j + 1 :])
+            terms += 1
             total = total + term if j % 2 == 0 else total - term
+        ops.multiplications += terms
+        ops.subtractions += terms
         return total
 
-    return expand(m.as_tuples())
+    return expand(0, tuple(range(n)))
 
 
 def _pivot_row(grid, col: int, start: int, n: int) -> Optional[int]:
@@ -109,9 +145,11 @@ def det_bareiss(
     """Determinant by fraction-free (Bareiss) elimination.
 
     Intermediate entries stay in the ground domain: each division by
-    the previous pivot is exact, which ``ScalarKind.exact_div``
-    enforces.  Row pivoting picks the largest magnitude in the column,
-    flipping the sign per swap, so the routine is also usable on
+    the previous pivot is exact, and a nonzero remainder raises
+    ``ExactDivisionError`` through ``ScalarKind.exact_div`` (on exact
+    kinds a stage that raises adds none of its counts).  Row pivoting
+    picks the largest magnitude in the column, flipping the sign per
+    swap, so the routine is also usable on
     floats.  Where a float product ``a*piv - lead*b`` leaves the double
     range, that entry is recomputed as ``a*(piv/prev) - (lead/prev)*b``
     (two more multiplications, one more subtraction, and two divisions
@@ -136,7 +174,6 @@ def det_bareiss(
         rows, scales = zip(*map(RATIONAL.integer_row, rows))
         ring, scale = INTEGER, math.prod(scales)
     grid = [list(row) for row in rows]
-    floats = kind is FLOAT
     sign = 1
     prev = ring.one
     for k in range(n - 1):
@@ -146,25 +183,43 @@ def det_bareiss(
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
             sign = -sign
-        piv = grid[k][k]
-        for i in range(k + 1, n):
-            row_i = grid[i]
-            row_k = grid[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = row_i[j] * piv - lead * row_k[j]
-                ops.multiplications += 2
-                ops.subtractions += 1
-                ops.divisions += 1
-                if floats and not math.isfinite(num):
-                    # The fraction-free product left the double range,
-                    # though the entry need not: divide first.
-                    row_i[j] = row_i[j] * (piv / prev) - (lead / prev) * row_k[j]
+        row_k = grid[k]
+        piv = row_k[k]
+        if kind is FLOAT:
+            for i in range(k + 1, n):
+                row_i = grid[i]
+                lead = row_i[k]
+                for j in range(k + 1, n):
+                    num = row_i[j] * piv - lead * row_k[j]
                     ops.multiplications += 2
                     ops.subtractions += 1
                     ops.divisions += 1
-                else:
-                    row_i[j] = ring.exact_div(num, prev)
+                    if not math.isfinite(num):
+                        # The fraction-free product left the double range,
+                        # though the entry need not: divide first.
+                        row_i[j] = row_i[j] * (piv / prev) - (lead / prev) * row_k[j]
+                        ops.multiplications += 2
+                        ops.subtractions += 1
+                        ops.divisions += 1
+                    else:
+                        row_i[j] = ring.exact_div(num, prev)
+        else:
+            # prev is fixed for the stage, so the division is chosen
+            # once, by the size test IntegerKind.exact_div makes.
+            div = scalars._divmod_recursive if prev.bit_length() > scalars._RECURSIVE_DIV_BITS else divmod
+            for i in range(k + 1, n):
+                row_i = grid[i]
+                lead = row_i[k]
+                for j in range(k + 1, n):
+                    num = row_i[j] * piv - lead * row_k[j]
+                    q, rem = div(num, prev)
+                    if rem:
+                        ring.exact_div(num, prev)  # raises, naming the operands
+                    row_i[j] = q
+            size = n - k - 1
+            ops.multiplications += 2 * size * size
+            ops.subtractions += size * size
+            ops.divisions += size * size
         prev = piv
         if stage_bits is not None:
             stage_bits.append(

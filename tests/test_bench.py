@@ -23,6 +23,8 @@ from condet import (
     run_bench,
 )
 import condet.bench as bench_module
+from condet.cli import EXIT_OK, main
+from conftest import FIXTURES
 
 
 def test_splitmix64_is_deterministic():
@@ -106,6 +108,22 @@ def test_config_replace_validates():
         cfg._replace(sizes=(0,))
     with pytest.raises(ValueError, match=r"sum\(n\*\*3 for n in sizes\) = 432000000000, over"):
         cfg._replace(trials_per_size=10**9)
+
+
+def test_config_entry_bound_is_capped():
+    # Past 2**64 the modulo draw puts every entry near -entry_bound.
+    over = {"sizes": [3], "trials_per_size": 1, "entry_bound": 2**31 + 1, "seed": 1, "methods": ["bareiss"]}
+    message = f"entry_bound must be <= {2**31}, got {2**31 + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BenchConfig.from_dict(over)
+    with pytest.raises(ValueError, match=f"^entry_bound must be <= {2**31}, got {10**30}$"):
+        DEFAULT_CONFIG._replace(entry_bound=10**30)
+    cfg = BenchConfig.from_dict({**over, "sizes": [6], "entry_bound": 2**31})
+    m = random_integer_matrix(6, 2**31, SplitMix64(1).split())
+    assert run_bench(cfg)[0].result_digest == str(det_cofactor(m))
+    entries = [v for row in m.as_tuples() for v in row]
+    assert all(-(2**31) <= v <= 2**31 for v in entries)
+    assert min(entries) < -(2**29) and max(entries) > 2**29  # both signs, both ends
 
 
 def test_config_work_is_bounded():
@@ -331,3 +349,13 @@ def test_default_config_is_valid_and_runs():
     assert DEFAULT_CONFIG.methods == ("condensation", "cofactor", "bareiss", "gauss-rational")
     records = run_bench(DEFAULT_CONFIG)
     assert len(records) == len(DEFAULT_CONFIG.sizes) * DEFAULT_CONFIG.trials_per_size * 4
+
+
+@pytest.mark.parametrize("config", ["bench_sizes_5_7", "bench_sizes_13_15"])
+def test_bench_reports_at_larger_sizes_match_pinned_bytes(tmp_path, capsys, config):
+    # The default report stops at n = 6; these pin cofactor counts at
+    # n = 7 and Bareiss counts, with row swaps, up to n = 15.
+    out = tmp_path / "report.csv"
+    assert main(["bench", str(FIXTURES / f"{config}.json"), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (FIXTURES / f"{config}_report.csv").read_bytes()

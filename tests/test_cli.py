@@ -664,6 +664,14 @@ def test_bench_config_over_the_work_limit_is_user_error(tmp_path, capsys, monkey
     )
 
 
+def test_bench_entry_bound_over_the_cap_is_user_error(tmp_path, capsys):
+    path = write(tmp_path, "cfg.json", json.dumps({**BENCH_CFG, "entry_bound": 10**30}))
+    assert main(["bench", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bench config {path}: entry_bound must be <= {2**31}, got {10**30}\n"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -1,20 +1,33 @@
 """The three independent determinant oracles against each other and
 against structural ground truths."""
 
+import math
 import random
 from fractions import Fraction
+from typing import List, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import condet.oracle as oracle_module
+import condet.scalars as scalars_module
 from condet import (
+    FLOAT,
     INTEGER,
     RATIONAL,
+    ExactDivisionError,
     Matrix,
     OpCounts,
+    SplitMix64,
+    bit_length,
     det_bareiss,
     det_cofactor,
     det_gauss_rational,
+    random_integer_matrix,
 )
+from condet.oracle import COFACTOR_SIZE_LIMIT, _pivot_row, _require_square
+from condet.scalars import Scalar
 
 
 def random_int_matrix(rng, n, bound=9):
@@ -191,3 +204,226 @@ def test_op_counting_is_optional_and_additive():
     assert ops.multiplications == 10
     assert ops.subtractions == 5
     assert ops.divisions == 5
+
+
+# --- the per-entry loops as reference -----------------------------------------
+#
+# det_cofactor and det_bareiss as they stood at b7b4a6d, bodies verbatim:
+# cofactor copies every minor, and Bareiss counts and divides entry by
+# entry through ring.exact_div.  The oracles must match them exactly:
+# value (floats by repr), OpCounts and stage bits.
+
+def reference_det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
+    n = _require_square(m, "det_cofactor")
+    if n > COFACTOR_SIZE_LIMIT:
+        raise ValueError(f"cofactor expansion is limited to {COFACTOR_SIZE_LIMIT}x{COFACTOR_SIZE_LIMIT}, got {n}")
+    kind = m.kind
+    if ops is None:
+        ops = OpCounts()
+
+    def expand(grid) -> Scalar:
+        size = len(grid)
+        if size == 0:
+            return kind.one
+        if size == 1:
+            return grid[0][0]
+        if size == 2:
+            ops.multiplications += 2
+            ops.subtractions += 1
+            return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
+        total = kind.zero
+        rest = grid[1:]
+        for j, head in enumerate(grid[0]):
+            if head == kind.zero:
+                continue  # a zero coefficient contributes nothing
+            minor = tuple(row[:j] + row[j + 1 :] for row in rest)
+            term = head * expand(minor)
+            ops.multiplications += 1
+            ops.subtractions += 1
+            total = total + term if j % 2 == 0 else total - term
+        return total
+
+    return expand(m.as_tuples())
+
+
+def reference_det_bareiss(
+    m: Matrix,
+    ops: Optional[OpCounts] = None,
+    stage_bits: Optional[List[int]] = None,
+) -> Scalar:
+    n = _require_square(m, "det_bareiss")
+    kind = m.kind
+    if stage_bits is not None and kind is not INTEGER:
+        raise ValueError("stage_bits tracking needs integer entries")
+    if n == 0:
+        return kind.one
+    if ops is None:
+        ops = OpCounts()
+    # Rationals eliminate on integer rows: det(m) is the integer
+    # determinant over the product of the row scales.
+    ring, rows, scale = kind, m.as_tuples(), 1
+    if kind is RATIONAL:
+        rows, scales = zip(*map(RATIONAL.integer_row, rows))
+        ring, scale = INTEGER, math.prod(scales)
+    grid = [list(row) for row in rows]
+    floats = kind is FLOAT
+    sign = 1
+    prev = ring.one
+    for k in range(n - 1):
+        r = _pivot_row(grid, k, k, n)
+        if r is None:
+            return kind.zero
+        if r != k:
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
+        piv = grid[k][k]
+        for i in range(k + 1, n):
+            row_i = grid[i]
+            row_k = grid[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                num = row_i[j] * piv - lead * row_k[j]
+                ops.multiplications += 2
+                ops.subtractions += 1
+                ops.divisions += 1
+                if floats and not math.isfinite(num):
+                    # The fraction-free product left the double range,
+                    # though the entry need not: divide first.
+                    row_i[j] = row_i[j] * (piv / prev) - (lead / prev) * row_k[j]
+                    ops.multiplications += 2
+                    ops.subtractions += 1
+                    ops.divisions += 1
+                else:
+                    row_i[j] = ring.exact_div(num, prev)
+        prev = piv
+        if stage_bits is not None:
+            stage_bits.append(
+                max(bit_length(grid[i][j]) for i in range(n) for j in range(n))
+            )
+    value = grid[n - 1][n - 1]
+    if sign == -1:
+        value = -value
+    return Fraction(value, scale) if kind is RATIONAL else value
+
+
+ENTRIES = {
+    INTEGER: st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)),
+    RATIONAL: st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    # huge magnitudes reach the divide-first fallback, and past it
+    # inf and nan, which must come out the same too
+    FLOAT: st.one_of(
+        st.integers(-9, 9).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(1e150, 1e160) | st.floats(-1e160, -1e150),
+    ),
+}
+SHAPES = ["random", "zero-heavy", "singular", "row-swap", "duplicate-row"]
+
+
+@st.composite
+def shaped_matrices(draw, kinds=(INTEGER, RATIONAL, FLOAT), max_size=8):
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(0, max_size))
+    shape = draw(st.sampled_from(SHAPES))
+    entry = ENTRIES[kind]
+    if shape == "zero-heavy":
+        entry = st.one_of(st.just(kind.zero), st.just(kind.zero), entry)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2:
+        i, j, *rest = draw(st.permutations(range(n)))
+        if shape == "singular":
+            rows[i] = [a + b for a, b in zip(rows[j], rows[rest[0]])] if rest else [kind.zero] * n
+        elif shape == "duplicate-row":
+            rows[i] = list(rows[j])
+        elif shape == "row-swap":
+            # a zero corner makes the first stage swap rows
+            rows[0][0], rows[-1][0] = kind.zero, kind.one
+    return Matrix(rows, kind, cols=n)
+
+
+def same_value(a, b):
+    return repr(a) == repr(b) and type(a) is type(b)
+
+
+def with_counts(det, m, **kwargs):
+    ops = OpCounts()
+    return det(m, ops, **kwargs), ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices())
+def test_bareiss_matches_the_per_entry_loop(m):
+    (value, ops), (ref_value, ref_ops) = with_counts(det_bareiss, m), with_counts(reference_det_bareiss, m)
+    assert same_value(value, ref_value)
+    assert ops == ref_ops
+    if m.kind is INTEGER:
+        bits, ref_bits = [], []
+        det_bareiss(m, stage_bits=bits)
+        reference_det_bareiss(m, stage_bits=ref_bits)
+        assert bits == ref_bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices())
+def test_cofactor_matches_the_minor_copying_expansion(m):
+    (value, ops), (ref_value, ref_ops) = with_counts(det_cofactor, m), with_counts(reference_det_cofactor, m)
+    assert same_value(value, ref_value)
+    assert ops == ref_ops
+
+
+# --- a planted non-exact division --------------------------------------------
+
+def _plant_after_first_stage(monkeypatch):
+    """From the second elimination stage on, every pivot search first
+    adds 1 to the bottom-right entry, which no stage has yet
+    eliminated, so a later division by the previous pivot is off."""
+    pivot_row = oracle_module._pivot_row
+
+    def planted(grid, col, start, n):
+        if start >= 1:
+            grid[n - 1][n - 1] += 1
+        return pivot_row(grid, col, start, n)
+
+    monkeypatch.setattr(oracle_module, "_pivot_row", planted)
+    monkeypatch.setitem(globals(), "_pivot_row", planted)
+
+
+PLANT_MATRIX = random_integer_matrix(5, 9, SplitMix64(12))
+
+
+@pytest.mark.parametrize("cutoff", [scalars_module._RECURSIVE_DIV_BITS, 0])
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL])
+def test_planted_non_exact_division_raises_the_per_entry_error(monkeypatch, kind, cutoff):
+    # Both branches of the once-per-stage division: builtin divmod for
+    # short divisors, recursive division with the cutoff forced to 0.
+    m = Matrix(PLANT_MATRIX.to_rows(), kind)
+    recursive = []
+    inner = scalars_module._divmod_recursive
+
+    def spy(a, b):
+        recursive.append(b)
+        return inner(a, b)
+
+    monkeypatch.setattr(scalars_module, "_RECURSIVE_DIV_BITS", cutoff)
+    monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
+    _plant_after_first_stage(monkeypatch)
+    with pytest.raises(ExactDivisionError) as expected:
+        reference_det_bareiss(m)
+    del recursive[:]
+    with pytest.raises(ExactDivisionError) as raised:
+        det_bareiss(m)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("non-exact integer division: ")
+    assert bool(recursive) == (cutoff == 0)
+
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL])
+def test_recursive_and_builtin_division_agree(monkeypatch, kind):
+    rng = random.Random(308)
+    mats = [random_int_matrix(rng, n, 10**6) for n in range(1, 9) for _ in range(3)]
+    if kind is RATIONAL:
+        mats = [random_rat_matrix(rng, n) for n in range(1, 9) for _ in range(3)]
+    builtin = [with_counts(det_bareiss, m) for m in mats]
+    monkeypatch.setattr(scalars_module, "_RECURSIVE_DIV_BITS", 0)
+    recursive = [with_counts(det_bareiss, m) for m in mats]
+    assert recursive == builtin
