@@ -144,11 +144,10 @@ def random_rational_matrix(
 
 class Method(NamedTuple):
     """One determinant method: its ``condet det --method`` spelling,
-    the wording error messages use for it, how to run it, the scalar
-    kinds it accepts and its size cap (None for no cap)."""
+    how to run it, the scalar kinds it accepts and its size cap (None
+    for no cap)."""
 
     cli_name: str
-    title: str
     run: Callable[[Matrix], DetResult]
     kinds: Tuple[ScalarKind, ...] = (RATIONAL, INTEGER, FLOAT)
     size_limit: Optional[int] = None
@@ -185,20 +184,17 @@ _ENTRY_BOUND_LIMIT = 2**31
 METHODS: Dict[str, Method] = {
     "condensation": Method(
         "condense",
-        "condensation",
         lambda m: det_condensation(m),
         size_limit=CONDENSATION_SIZE_LIMIT,
     ),
     "cofactor": Method(
         "cofactor",
-        "cofactor expansion",
         lambda m: _oracle_result(det_cofactor, m),
         size_limit=COFACTOR_SIZE_LIMIT,
     ),
-    "bareiss": Method("bareiss", "Bareiss elimination", lambda m: _oracle_result(det_bareiss, m)),
+    "bareiss": Method("bareiss", lambda m: _oracle_result(det_bareiss, m)),
     "gauss-rational": Method(
         "gauss",
-        "rational Gaussian elimination",
         lambda m: _oracle_result(det_gauss_rational, m),
         kinds=(RATIONAL,),
     ),
@@ -319,6 +315,8 @@ class MethodDisagreement(RuntimeError):
     ``seed``, ``child`` and ``entry_bound`` locate the matrix in the
     corpus: it is ``random_integer_matrix(n, entry_bound, gen)`` where
     ``gen`` is split number ``child`` (0-based) of ``SplitMix64(seed)``.
+    The message ends with a ``python -c`` command that rebuilds it and
+    prints it in the plain-row format ``condet det`` reads.
     """
 
     def __init__(
@@ -340,7 +338,11 @@ class MethodDisagreement(RuntimeError):
         super().__init__(
             f"method disagreement on n={n} trial={trial} "
             f"(corpus seed {seed}, child {child}, entry bound {entry_bound}): "
-            f"{method_a} -> {digest_a!r} but {method_b} -> {digest_b!r}"
+            f"{method_a} -> {digest_a!r} but {method_b} -> {digest_b!r}; rebuild the matrix with: "
+            'python -c "from condet.bench import SplitMix64, random_integer_matrix; '
+            f"g = SplitMix64({seed}); [g.split() for _ in range({child})]; "
+            f"m = random_integer_matrix({n}, {entry_bound}, g.split()); "
+            "print(*(' '.join(map(str, row)) for row in m.to_rows()), sep='\\n')\""
         )
 
 

@@ -63,7 +63,8 @@ EXIT_INTERNAL_ERROR = 3
 
 VERIFY_REL_TOL = 1e-9
 
-_CLI_METHODS = {method.cli_name: method for method in METHODS.values()}
+# Each ``--method`` spelling to its ``METHODS`` key, the name messages use.
+_CLI_METHODS = {method.cli_name: name for name, method in METHODS.items()}
 
 
 class UsageError(ValueError):
@@ -144,14 +145,15 @@ def cmd_det(args: argparse.Namespace) -> int:
     for flag, value in (("--trace", args.trace), ("--pivot", args.pivot)):
         if value is not None and args.method != "condense":
             raise UsageError(f"{flag} is only available with --method condense")
-    method = _CLI_METHODS[args.method]
+    name = _CLI_METHODS[args.method]
+    method = METHODS[name]
     if kind not in method.kinds:
         needed = " or ".join(k.name for k in method.kinds)
         raise UsageError(f"--method {args.method} needs --scalar {needed}")
     limit = method.size_limit
     if limit is not None and m.rows > limit:
         raise UsageError(
-            f"{method.title} is limited to {limit}x{limit}, got {m.rows}x{m.cols}"
+            f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols}"
             " (--method bareiss has no size cap)"
         )
     if args.method == "condense":

@@ -86,14 +86,6 @@ class PivotStrategy(enum.Enum):
     MAX_MAGNITUDE = "max-magnitude"
 
 
-def _require_condensable(m: Matrix, who: str) -> int:
-    if not m.is_square():
-        raise ValueError(f"{who} needs a square matrix, got {m.rows}x{m.cols}")
-    if m.rows < 2:
-        raise ValueError(f"{who} needs size >= 2, got {m.rows}")
-    return m.rows
-
-
 def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
     """Condense the rows ``src`` at the 0-based pivot (k, l): the one
     place the pivot-anchored 2x2 determinants are computed.
@@ -130,26 +122,6 @@ def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
     return data
 
 
-def _fraction_matrix(rows: Sequence[Sequence[int]], scales: Sequence[int]) -> Matrix:
-    """The square rational matrix whose row i is ``rows[i] / scales[i]``."""
-    data = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(rows, scales)]
-    return Matrix._trusted(data, RATIONAL, len(data))
-
-
-def _condense(m: Matrix, k: int, l: int) -> Matrix:
-    """``_condense_rows`` on a Matrix, for the single-step entry points.
-
-    A rational matrix runs on integer rows (``RationalKind.integer_row``):
-    each 2x2 determinant of row r and the pivot row comes out scaled by
-    both rows' scales and turns back into one ``Fraction``.
-    """
-    if m.kind is not RATIONAL:
-        return Matrix._trusted(_condense_rows(m.as_tuples(), k, l), m.kind, m.rows - 1)
-    src, scales = zip(*map(RATIONAL.integer_row, m.as_tuples()))
-    condensed_scales = [scale * scales[k] for r, scale in enumerate(scales) if r != k]
-    return _fraction_matrix(_condense_rows(src, k, l), condensed_scales)
-
-
 def condense_at_11(m: Matrix) -> CondensationStep:
     """Condense at the natural corner pivot (1, 1).
 
@@ -157,8 +129,7 @@ def condense_at_11(m: Matrix) -> CondensationStep:
     The pivot value may be zero; the identity then degenerates to a
     singular condensed matrix.
     """
-    _require_condensable(m, "condense_at_11")
-    return CondensationStep(PivotSpec(1, 1), m.get(1, 1), 1, _condense(m, 0, 0))
+    return condense_at(m, PivotSpec(1, 1))
 
 
 def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
@@ -168,12 +139,17 @@ def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
     contribute, ``(-1)**((k-1)+(l-1))``; the block layout already
     absorbs it, so the condensation identity itself needs no sign.
     """
-    n = _require_condensable(m, "condense_at")
+    n = m.rows
+    if not m.is_square():
+        raise ValueError(f"condense_at needs a square matrix, got {n}x{m.cols}")
+    if n < 2:
+        raise ValueError(f"condense_at needs size >= 2, got {n}")
     k, l = pivot
     if not (1 <= k <= n and 1 <= l <= n):
         raise IndexError(f"pivot {pivot!r} out of range for size {n}")
     sign = 1 if (k + l) % 2 == 0 else -1
-    return CondensationStep(PivotSpec(k, l), m.get(k, l), sign, _condense(m, k - 1, l - 1))
+    condensed = Matrix._trusted(_condense_rows(m.as_tuples(), k - 1, l - 1), m.kind, n - 1)
+    return CondensationStep(PivotSpec(k, l), m.get(k, l), sign, condensed)
 
 
 MinorDet = Callable[[Tuple[int, ...], Tuple[int, ...]], Scalar]
@@ -301,10 +277,11 @@ def det_condensation(
 
     A rational matrix is turned into integer rows once
     (``RationalKind.integer_row``: row i is ``I[i] / scale_i``), and
-    every level runs on ints.  Condensed row r carries the scale
-    ``scale_r * scale_pivot``; dividing it and its scale by their gcd
-    keeps the rows exactly the integer rows of the level's reduced
-    ``Fraction`` matrix.  With G the product of a level's row gcds and
+    every level runs on ints.  ``_reduce_rows`` divides each condensed
+    row and its scale s by g = gcd(s, entries...), which keeps the rows
+    exactly the integer rows of the level's reduced ``Fraction``
+    matrix: entry c_j / s has denominator s / gcd(c_j, s), and the lcm
+    of those is s / g.  With G the product of a level's row gcds and
     p its integer pivot, det(I) = det(I_next) * G / p**(s-2) is an
     exact integer division, and det(A) = Fraction(det(I_0), product of
     the input scales).  ``Fraction`` values are built only for trace
@@ -361,7 +338,8 @@ def det_condensation(
             pivot_scale = scales[0]
             condensed, scales, gcds = _reduce_rows(condensed, scales)
             if record_trace:
-                step = _fraction_matrix(condensed, scales)
+                data = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
+                step = Matrix._trusted(data, RATIONAL, size - 1)
                 trace.append(CondensationStep(PivotSpec(1, l), Fraction(pivot, pivot_scale), 1, step))
         pending.append((pivot, l, size, gcds))
         rows = condensed

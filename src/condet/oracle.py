@@ -16,23 +16,21 @@ performs (pivot searches and swaps are comparisons, not counted).
 
 The inner loops pay for arithmetic, not for bookkeeping.  Exact
 Bareiss divides every entry of a stage by the same previous pivot, so
-it picks the division once per stage (builtin ``divmod``, or recursive
-division past ``scalars._RECURSIVE_DIV_BITS``, the size test
-``IntegerKind.exact_div`` makes per call), tests each remainder inline
-and adds the stage's counts in one step.  Cofactor expansion recurses
-over a row index and a tuple of kept column indices into the input
-rows instead of copying each minor, and works its 3x3 minors' three
-2x2 minors inline.  Values and counts are those of the plain per-entry
-loops, floats bit for bit.
+it picks the integer division once per stage, tests each remainder
+inline and adds the stage's counts in one step.  Cofactor expansion
+recurses over a row index and a tuple of kept column indices into the
+input rows instead of copying each minor, and works its 3x3 minors'
+three 2x2 minors inline.  Values and counts are those of the plain
+per-entry loops, floats bit for bit.
 
-Over rationals, ``det_bareiss`` eliminates on integer rows, as
-condensation does: each row is scaled once by the lcm of its
-denominators (``RationalKind.integer_row``) and the integer determinant
-is divided by the product of the scales at the end.  Cofactor expansion
-and Gaussian elimination stay on ``Fraction`` arithmetic on purpose, so
-that two oracles share nothing with that representation: a fault in the
-row scaling would show as a disagreement with them, not be repeated by
-them.
+Over rationals, ``det_bareiss`` eliminates on integer rows: each row
+is scaled once by the lcm of its denominators
+(``RationalKind.integer_row``) and the integer determinant is divided
+by the product of the scales at the end.  Cofactor expansion and
+Gaussian elimination stay on ``Fraction`` arithmetic on purpose, so
+that two oracles share nothing with that representation: a fault in
+the row scaling would show as a disagreement with them, not be
+repeated by them.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional
 
-from . import scalars
 from .matrix import Matrix
-from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, bit_length
+from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, _divmod_for, bit_length
 
 __all__ = [
     "det_cofactor",
@@ -204,9 +201,7 @@ def det_bareiss(
                     else:
                         row_i[j] = ring.exact_div(num, prev)
         else:
-            # prev is fixed for the stage, so the division is chosen
-            # once, by the size test IntegerKind.exact_div makes.
-            div = scalars._divmod_recursive if prev.bit_length() > scalars._RECURSIVE_DIV_BITS else divmod
+            div = _divmod_for(prev)  # prev is fixed for the stage
             for i in range(k + 1, n):
                 row_i = grid[i]
                 lead = row_i[k]

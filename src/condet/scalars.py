@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 __all__ = [
     "ScalarParseError",
@@ -136,6 +136,12 @@ def _text_int(text: str) -> int:
 # divisor, the recursion cost 1.01-1.15x the builtin at 4,000-6,000
 # divisor bits and 0.75-0.83x at 7,000-10,000.
 _RECURSIVE_DIV_BITS = 6000
+
+
+def _divmod_for(b: int) -> Callable[[int, int], Tuple[int, int]]:
+    """The ``divmod`` for divisor ``b``: ``_divmod_recursive`` past
+    ``_RECURSIVE_DIV_BITS`` bits, the builtin up to there."""
+    return _divmod_recursive if b.bit_length() > _RECURSIVE_DIV_BITS else divmod
 
 
 def _divmod_recursive(a: int, b: int) -> Tuple[int, int]:
@@ -276,13 +282,6 @@ class RationalKind(ScalarKind):
         by scale_i * scale_k and a full determinant by the product of
         all the scales.  One ``Fraction`` per result then replaces a
         gcd normalisation per product, difference and division.
-
-        ``det_condensation`` calls this once per input row and never
-        again: it keeps the (row, scale) pairs across levels, dividing
-        each condensed row of scale s by g = gcd(s, entries...).  That
-        gives the same pair this method would build from the reduced
-        ``Fraction`` row, whose lcm of denominators s / gcd(c_j, s) is
-        s / g.
         """
         dens = [v.denominator for v in row]
         scale = math.lcm(*dens)
@@ -310,13 +309,7 @@ class IntegerKind(ScalarKind):
     def exact_div(self, a: int, b: int) -> int:
         if b == 0:
             raise ExactDivisionError("integer division by zero")
-        # Size test inline: Bareiss calls this once per eliminated entry
-        # with short divisors, and an extra function call there costs
-        # more than the test.
-        if b.bit_length() > _RECURSIVE_DIV_BITS:
-            q, r = _divmod_recursive(a, b)
-        else:
-            q, r = divmod(a, b)
+        q, r = _divmod_for(b)(a, b)
         if r != 0:
             # Bit lengths, not digits: operands can be far past the
             # int/str conversion limit.

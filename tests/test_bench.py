@@ -1,6 +1,10 @@
 """Seeded corpus generation, bench records, reports and growth data."""
 
+import os
 import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -23,8 +27,8 @@ from condet import (
     run_bench,
 )
 import condet.bench as bench_module
-from condet.cli import EXIT_OK, main
-from conftest import FIXTURES
+from condet.cli import EXIT_OK, main, parse_matrix_text
+from conftest import FIXTURES, REPO_ROOT
 
 
 def test_splitmix64_is_deterministic():
@@ -236,6 +240,15 @@ def test_disagreement_rebuilds_the_failing_matrix(monkeypatch):
     for _ in range(err.child):
         master.split()
     assert random_integer_matrix(err.n, err.entry_bound, master.split()) == seen[-1]
+    # the message ends with one command that prints the same matrix
+    command = str(err).rpartition("rebuild the matrix with: ")[2]
+    argv = shlex.split(command)
+    assert argv[:2] == ["python", "-c"]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run(
+        [sys.executable, *argv[1:]], cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=True
+    )
+    assert parse_matrix_text(proc.stdout, INTEGER) == seen[-1]
 
 
 def test_condensation_mult_closed_form_n7():

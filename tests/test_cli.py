@@ -19,6 +19,8 @@ from condet import (
     random_integer_matrix,
     trace_from_document,
 )
+import condet.cli as cli
+from condet.bench import METHODS
 from condet.cli import (
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
@@ -197,7 +199,7 @@ def test_det_cofactor_size_cap_is_user_error(tmp_path, capsys):
     text = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
     path = write(tmp_path, "big.txt", text + "\n")
     assert main(["det", path, "--method", "cofactor"]) == EXIT_USER_ERROR
-    assert "limited" in capsys.readouterr().err
+    assert "cofactor is limited to 10x10, got 11x11 (--method bareiss has no size cap)" in capsys.readouterr().err
 
 
 def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
@@ -211,6 +213,15 @@ def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "condensation is limited to 20x20, got 21x21 (--method bareiss has no size cap)" in captured.err
+
+
+def test_cli_methods_pair_each_method_flag_with_one_bench_method():
+    # each --method choice names one METHODS entry, and every entry is
+    # named exactly once
+    assert sorted(cli._CLI_METHODS.values()) == sorted(METHODS)
+    for flag, name in cli._CLI_METHODS.items():
+        assert METHODS[name].cli_name == flag
+        assert cli.build_parser().parse_args(["det", "m.txt", "--method", flag]).method == flag
 
 
 def test_det_gauss_needs_rational_scalar(tmp_path, capsys):
