@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .condense import CondensationStep, DetResult, det_condensation
-from .matrix import Matrix, _is_json
+from .matrix import Matrix, _is_json, _require_square
 from .oracle import (
     COFACTOR_SIZE_LIMIT,
     det_bareiss,
@@ -510,8 +510,7 @@ def hadamard_bit_bound(m: Matrix) -> int:
     at least 1).  Any row of zeros makes the determinant zero and the
     bound collapses to 1.
     """
-    if not m.is_square():
-        raise ValueError("hadamard_bit_bound needs a square matrix")
+    _require_square(m, "hadamard_bit_bound")
     if m.kind is not INTEGER:
         raise ValueError("hadamard_bit_bound needs integer entries")
     total = 0.0

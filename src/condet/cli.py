@@ -85,12 +85,10 @@ def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
             raise MatrixFileError(f"JSON matrix file: {exc}") from exc
     rows: List[List] = []
     width = None
-    row_count = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         cells = line.replace(",", " ").split()
         if not cells:
             continue
-        row_count += 1
         if width is None:
             width = len(cells)
         elif len(cells) != width:
@@ -248,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report_condensation(condense_at_11(m))
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            if not m.kind.is_zero(m.get(k, l)):
+            if m.get(k, l) != 0:
                 report_condensation(condense_at(m, PivotSpec(k, l)))
 
     # Dodgson minor identity for every row/column pair k < l.

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .matrix import Matrix, PivotSpec, _is_json, matrix_from_doc, matrix_to_doc, remove_rows_cols
+from .matrix import Matrix, PivotSpec, _is_json, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
 from .oracle import det_bareiss
 from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError
 
@@ -139,9 +139,7 @@ def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
     contribute, ``(-1)**((k-1)+(l-1))``; the block layout already
     absorbs it, so the condensation identity itself needs no sign.
     """
-    n = m.rows
-    if not m.is_square():
-        raise ValueError(f"condense_at needs a square matrix, got {n}x{m.cols}")
+    n = _require_square(m, "condense_at")
     if n < 2:
         raise ValueError(f"condense_at needs size >= 2, got {n}")
     k, l = pivot
@@ -175,9 +173,7 @@ def dodgson_identity_residual(m: Matrix, k: int, l: int, minor_det: Optional[Min
     distinct minor is computed once: the six determinants of one pair
     share det(m) and their one-removed minors with the other pairs.
     """
-    n = m.rows
-    if not m.is_square():
-        raise ValueError("dodgson_identity_residual needs a square matrix")
+    n = _require_square(m, "dodgson_identity_residual")
     if n < 2:
         raise ValueError(f"dodgson_identity_residual needs size >= 2, got {n}")
     if not (1 <= k < l <= n):
@@ -227,7 +223,7 @@ def _divide_back(kind: ScalarKind, value: Scalar, pivot: Scalar, size: int, ops:
     # intermediate magnitudes.
     if kind is FLOAT:
         for _ in range(size - 2):
-            value = kind.exact_div(value, pivot)
+            value /= pivot
             ops.divisions += 1
         return value
     power = pivot
@@ -235,7 +231,7 @@ def _divide_back(kind: ScalarKind, value: Scalar, pivot: Scalar, size: int, ops:
         power = power * pivot
         ops.multiplications += 1
     ops.divisions += 1
-    return kind.exact_div(value, power)
+    return INTEGER.exact_div(value, power)
 
 
 def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple], List[int], int]:
@@ -293,12 +289,10 @@ def det_condensation(
     case and the pivot-power build-up; the scale and gcd bookkeeping of
     rational rows is representation, not counted.
     """
-    if not m.is_square():
-        raise ValueError(f"det_condensation needs a square matrix, got {m.rows}x{m.cols}")
+    n = _require_square(m, "det_condensation")
     kind = m.kind
     ops = OpCounts()
     trace: List[TraceEntry] = []
-    n = m.rows
     if n == 0:
         return DetResult(kind.one, (), ops)
     if n == 1:

@@ -130,6 +130,13 @@ class Matrix:
         return f"Matrix({self.to_rows()!r}, kind={self._kind.name})"
 
 
+def _require_square(m: Matrix, who: str) -> int:
+    """The size of ``m``; a ValueError naming ``who`` if it is not square."""
+    if not m.is_square():
+        raise ValueError(f"{who} needs a square matrix, got {m.rows}x{m.cols}")
+    return m.rows
+
+
 def _check_removed(indices: Iterable[int], limit: int, what: str) -> list:
     out = sorted(set(int(i) for i in indices))
     given = list(indices)

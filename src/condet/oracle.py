@@ -14,14 +14,15 @@ Each routine accepts an optional ``OpCounts`` tally and counts the
 scalar multiplications, subtractions and divisions it actually
 performs (pivot searches and swaps are comparisons, not counted).
 
-The inner loops pay for arithmetic, not for bookkeeping.  Exact
-Bareiss divides every entry of a stage by the same previous pivot, so
-it picks the integer division once per stage, tests each remainder
-inline and adds the stage's counts in one step.  Cofactor expansion
-recurses over a row index and a tuple of kept column indices into the
-input rows instead of copying each minor, and works its 3x3 minors'
-three 2x2 minors inline.  Values and counts are those of the plain
-per-entry loops, floats bit for bit.
+The inner loops pay for arithmetic, not for bookkeeping.  Bareiss
+adds each stage's counts in one step; only the float divide-first
+fallback adds its extra ones per entry.  Exact Bareiss divides every
+entry of a stage by the same previous pivot, so it picks the integer
+division once per stage and tests each remainder inline.  Cofactor
+expansion recurses over a row index and a tuple of kept column indices
+into the input rows instead of copying each minor, and works its 3x3
+minors' three 2x2 minors inline.  Values and counts are those of the
+plain per-entry loops, floats bit for bit.
 
 Over rationals, ``det_bareiss`` eliminates on integer rows: each row
 is scaled once by the lcm of its denominators
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional
 
-from .matrix import Matrix
+from .matrix import Matrix, _require_square
 from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, _divmod_for, bit_length
 
 __all__ = [
@@ -50,12 +51,6 @@ __all__ = [
 ]
 
 COFACTOR_SIZE_LIMIT = 10
-
-
-def _require_square(m: Matrix, who: str) -> int:
-    if not m.is_square():
-        raise ValueError(f"{who} needs a square matrix, got {m.rows}x{m.cols}")
-    return m.rows
 
 
 def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
@@ -143,8 +138,8 @@ def det_bareiss(
 
     Intermediate entries stay in the ground domain: each division by
     the previous pivot is exact, and a nonzero remainder raises
-    ``ExactDivisionError`` through ``ScalarKind.exact_div`` (on exact
-    kinds a stage that raises adds none of its counts).  Row pivoting
+    ``ExactDivisionError`` through ``IntegerKind.exact_div`` (a stage
+    that raises adds none of its counts).  Row pivoting
     picks the largest magnitude in the column, flipping the sign per
     swap, so the routine is also usable on
     floats.  Where a float product ``a*piv - lead*b`` leaves the double
@@ -188,9 +183,6 @@ def det_bareiss(
                 lead = row_i[k]
                 for j in range(k + 1, n):
                     num = row_i[j] * piv - lead * row_k[j]
-                    ops.multiplications += 2
-                    ops.subtractions += 1
-                    ops.divisions += 1
                     if not math.isfinite(num):
                         # The fraction-free product left the double range,
                         # though the entry need not: divide first.
@@ -199,7 +191,7 @@ def det_bareiss(
                         ops.subtractions += 1
                         ops.divisions += 1
                     else:
-                        row_i[j] = ring.exact_div(num, prev)
+                        row_i[j] = num / prev
         else:
             div = _divmod_for(prev)  # prev is fixed for the stage
             for i in range(k + 1, n):
@@ -209,12 +201,12 @@ def det_bareiss(
                     num = row_i[j] * piv - lead * row_k[j]
                     q, rem = div(num, prev)
                     if rem:
-                        ring.exact_div(num, prev)  # raises, naming the operands
+                        INTEGER.exact_div(num, prev)  # raises, naming the operands
                     row_i[j] = q
-            size = n - k - 1
-            ops.multiplications += 2 * size * size
-            ops.subtractions += size * size
-            ops.divisions += size * size
+        size = n - k - 1
+        ops.multiplications += 2 * size * size
+        ops.subtractions += size * size
+        ops.divisions += size * size
         prev = piv
         if stage_bits is not None:
             stage_bits.append(

@@ -1,12 +1,13 @@
 """Scalar domains for exact and floating-point determinant work.
 
 Matrix entries are plain Python values: ``fractions.Fraction``, ``int``
-or ``float``.  A :class:`ScalarKind` bundles everything that differs
-between those domains (text parsing, canonical formatting, exact
-division, zero test, the constants zero and one) so the matrix and
-condensation code can stay generic.  Ordinary arithmetic uses the
-values' native operators, which all three domains support; magnitude
-comparisons use built-in ``abs``.
+or ``float``.  A :class:`ScalarKind` holds what every domain has its
+own version of: text parsing, canonical formatting, the entry check
+and the constants zero and one.  Arithmetic, zero tests (``== 0``,
+exact for every kind) and magnitude comparisons (built-in ``abs``) use
+the values' native operators.  The remainder-checked division of
+condensation and Bareiss runs on integers, rational matrices as integer
+rows (``RationalKind.integer_row``), so it is ``IntegerKind.exact_div``.
 
 Integers of any length format and parse, including those past
 Python's int/str conversion limit (``sys.get_int_max_str_digits()``),
@@ -49,8 +50,8 @@ class ScalarParseError(ValueError):
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact is not.
 
-    Raised on a nonzero remainder under the integer kind and on any
-    zero divisor.  Inside a determinant run this signals a broken
+    Raised on a nonzero remainder under the integer kind and on an
+    integer zero divisor.  Inside a determinant run this signals a broken
     divisibility invariant, not bad user input.
     """
 
@@ -193,7 +194,7 @@ def _div2n1n(a: int, b: int, n: int) -> Tuple[int, int]:
 
 
 class ScalarKind:
-    """One scalar domain: parsing, formatting and exact division."""
+    """One scalar domain: parsing, formatting and the entry check."""
 
     name: str = "abstract"
     zero: Scalar
@@ -205,17 +206,9 @@ class ScalarKind:
     def format(self, value: Scalar) -> str:
         raise NotImplementedError
 
-    def exact_div(self, a: Scalar, b: Scalar) -> Scalar:
-        raise NotImplementedError
-
     def check(self, value) -> Scalar:
         """Validate (and canonicalize) one entry value for this kind."""
         raise NotImplementedError
-
-    def is_zero(self, value: Scalar) -> bool:
-        # Exact comparison for every kind, floats included.  Tolerances
-        # belong to callers that want them, never to the domain itself.
-        return value == self.zero
 
     def __repr__(self) -> str:
         return f"<scalar kind {self.name!r}>"
@@ -258,11 +251,6 @@ class RationalKind(ScalarKind):
         if value.denominator == 1:
             return _int_text(value.numerator)
         return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
-
-    def exact_div(self, a: Fraction, b: Fraction) -> Fraction:
-        if b == 0:
-            raise ExactDivisionError("rational division by zero")
-        return a / b
 
     def check(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -326,7 +314,7 @@ class IntegerKind(ScalarKind):
 
 
 class FloatKind(ScalarKind):
-    """IEEE doubles.  The zero test stays exact; tolerances live in callers."""
+    """IEEE doubles.  Comparisons stay exact; tolerances live in callers."""
 
     name = "float"
     zero = 0.0
@@ -364,11 +352,6 @@ class FloatKind(ScalarKind):
     def format(self, value: float) -> str:
         # repr of a float is the shortest text that round-trips exactly.
         return repr(value)
-
-    def exact_div(self, a: float, b: float) -> float:
-        if b == 0.0:
-            raise ExactDivisionError("float division by zero")
-        return a / b
 
     def check(self, value) -> float:
         if isinstance(value, float):

@@ -526,6 +526,9 @@ def test_verify_needs_size_three(tmp_path, capsys):
     path = write(tmp_path, "m.txt", SMALL)
     assert main(["verify", path]) == EXIT_USER_ERROR
     assert "size >= 3" in capsys.readouterr().err
+    path = write(tmp_path, "wide.txt", "1 2 3\n4 5 6\n")
+    assert main(["verify", path]) == EXIT_USER_ERROR
+    assert "verify needs a square matrix, got 2x3" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):

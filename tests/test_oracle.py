@@ -208,10 +208,11 @@ def test_op_counting_is_optional_and_additive():
 
 # --- the per-entry loops as reference -----------------------------------------
 #
-# det_cofactor and det_bareiss as they stood at b7b4a6d, bodies verbatim:
-# cofactor copies every minor, and Bareiss counts and divides entry by
-# entry through ring.exact_div.  The oracles must match them exactly:
-# value (floats by repr), OpCounts and stage bits.
+# det_cofactor and det_bareiss as they stood at b7b4a6d, bodies verbatim
+# but for the float division, a plain num / prev: cofactor copies
+# every minor, and Bareiss counts and divides entry by entry, exact kinds
+# through INTEGER.exact_div.  The oracles must match them exactly: value
+# (floats by repr), OpCounts and stage bits.
 
 def reference_det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     n = _require_square(m, "det_cofactor")
@@ -293,8 +294,10 @@ def reference_det_bareiss(
                     ops.multiplications += 2
                     ops.subtractions += 1
                     ops.divisions += 1
+                elif floats:
+                    row_i[j] = num / prev
                 else:
-                    row_i[j] = ring.exact_div(num, prev)
+                    row_i[j] = INTEGER.exact_div(num, prev)
         prev = piv
         if stage_bits is not None:
             stage_bits.append(

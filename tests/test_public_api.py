@@ -67,3 +67,13 @@ def test_public_names_are_pinned_and_cover_the_acceptance_imports():
     }
     assert imported, "the acceptance suite imports from condet"
     assert imported <= set(condet.__all__)
+
+
+def test_scalar_kinds_expose_only_their_own_members():
+    # Remainder-checked division runs on integer rows, so it belongs to
+    # INTEGER alone; a method shared by every kind is a deliberate change.
+    common = {"name", "zero", "one", "parse", "format", "check"}
+    own = {"rational": {"integer_row"}, "integer": {"exact_div"}, "float": set()}
+    for kind in (condet.RATIONAL, condet.INTEGER, condet.FLOAT):
+        public = {name for name in dir(kind) if not name.startswith("_")}
+        assert public == common | own[kind.name], kind

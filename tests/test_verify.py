@@ -123,6 +123,21 @@ def test_verify_call_count_skips_zero_pivots(n, bareiss_calls):
     assert len(bareiss_calls) == 2 + nonzero + n * n + comb(n, 2)
 
 
+@pytest.mark.parametrize(
+    "kind, zero_a, zero_b, tiny",
+    [(FLOAT, "-0.0", "0.0", "1e-300"), (RATIONAL, "0", "0", "1/1000000000")],
+)
+def test_verify_pivots_on_exactly_the_nonzero_entries(kind, zero_a, zero_b, tiny):
+    # The zero test is exact: signed float zeros are zero, and an entry
+    # however tiny is a pivot.  Zeros sit at (1,1) and (2,2); the corner
+    # line comes first whatever its value.
+    code, out = run_verify(f"{zero_a} 2 {tiny}\n3 {zero_b} 4\n5 6 7\n", kind)
+    assert code == EXIT_OK
+    pivots = [line.split()[2] for line in out.splitlines() if " condense-identity pivot=" in line]
+    nonzero = [(k, l) for k in range(1, 4) for l in range(1, 4) if (k, l) not in ((1, 1), (2, 2))]
+    assert pivots == ["pivot=(1,1)"] + [f"pivot=({k},{l})" for k, l in nonzero]
+
+
 # Small signed entries; the zero-heavy draw below makes most of them zero.
 ENTRIES = st.one_of(st.just(0), st.integers(-9, 9))
 
