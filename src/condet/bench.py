@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .condense import CondensationStep, DetResult, det_condensation
-from .matrix import Matrix, _is_json, _require_square
+from .matrix import Matrix, _is_json, _refuse_unknown_keys, _require_square
 from .oracle import (
     COFACTOR_SIZE_LIMIT,
     det_bareiss,
@@ -257,10 +257,11 @@ class BenchConfig(_BenchConfigFields):
     @classmethod
     def from_dict(cls, doc) -> "BenchConfig":
         """Build a config from its JSON object; a ValueError names the
-        field that is missing or of the wrong JSON type."""
+        field that is missing, unknown or of the wrong JSON type."""
         if not isinstance(doc, dict):
             raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
-        for name in ("sizes", "trials_per_size", "entry_bound", "seed", "methods"):
+        _refuse_unknown_keys(doc, cls._fields)
+        for name in cls._fields:
             if name not in doc:
                 raise ValueError(f"missing field {name!r}")
         for name, item, what in (("sizes", int, "integers"), ("methods", str, "strings")):

@@ -30,7 +30,9 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .matrix import Matrix, PivotSpec, _is_json, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
+from .matrix import (
+    Matrix, PivotSpec, _is_json, _refuse_unknown_keys, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
+)
 from .oracle import det_bareiss
 from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError
 
@@ -51,13 +53,10 @@ __all__ = [
 
 
 class CondensationStep(NamedTuple):
-    """One condensation level: pivot position, its value, the sign the
-    rotation convention contributes (+1 for the in-place block layout),
-    and the condensed matrix."""
+    """One condensation level, with pivot_value**(n-2) * det(A) = det(condensed)."""
 
     pivot: PivotSpec
     pivot_value: Scalar
-    sign: int
     condensed: Matrix
 
 
@@ -135,9 +134,8 @@ def condense_at_11(m: Matrix) -> CondensationStep:
 def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
     """Condense at an arbitrary pivot (k, l) without moving any rows.
 
-    The recorded sign is the one a front-rotation of the pivot would
-    contribute, ``(-1)**((k-1)+(l-1))``; the block layout already
-    absorbs it, so the condensation identity itself needs no sign.
+    The block layout absorbs the sign a front-rotation of the pivot
+    would contribute, so the step satisfies the identity as it stands.
     """
     n = _require_square(m, "condense_at")
     if n < 2:
@@ -145,9 +143,8 @@ def condense_at(m: Matrix, pivot: PivotSpec) -> CondensationStep:
     k, l = pivot
     if not (1 <= k <= n and 1 <= l <= n):
         raise IndexError(f"pivot {pivot!r} out of range for size {n}")
-    sign = 1 if (k + l) % 2 == 0 else -1
     condensed = Matrix._trusted(_condense_rows(m.as_tuples(), k - 1, l - 1), m.kind, n - 1)
-    return CondensationStep(PivotSpec(k, l), m.get(k, l), sign, condensed)
+    return CondensationStep(PivotSpec(k, l), m.get(k, l), condensed)
 
 
 MinorDet = Callable[[Tuple[int, ...], Tuple[int, ...]], Scalar]
@@ -323,18 +320,15 @@ def det_condensation(
         condensed = _condense_rows(rows, 0, l - 1)
         ops.multiplications += 2 * (size - 1) ** 2
         ops.subtractions += (size - 1) ** 2
-        gcds = 1
         if scales is None:
-            if record_trace:
-                step = Matrix._trusted(condensed, kind, size - 1)
-                trace.append(CondensationStep(PivotSpec(1, l), pivot, 1, step))
+            pivot_value, view, gcds = pivot, condensed, 1
         else:
-            pivot_scale = scales[0]
+            pivot_value = Fraction(pivot, scales[0])
             condensed, scales, gcds = _reduce_rows(condensed, scales)
             if record_trace:
-                data = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
-                step = Matrix._trusted(data, RATIONAL, size - 1)
-                trace.append(CondensationStep(PivotSpec(1, l), Fraction(pivot, pivot_scale), 1, step))
+                view = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
+        if record_trace:
+            trace.append(CondensationStep(PivotSpec(1, l), pivot_value, Matrix._trusted(view, kind, size - 1)))
         pending.append((pivot, l, size, gcds))
         rows = condensed
 
@@ -360,9 +354,9 @@ def _read_matrix(doc, kind: ScalarKind, where: str) -> Matrix:
 
 def trace_document(m: Matrix, result: DetResult) -> dict:
     """JSON-ready document for one run: source matrix, per-level steps
-    (pivot position, pivot value text, sign, condensed entries in
-    row-major order) and the final value, all scalars as canonical
-    text."""
+    (pivot position, pivot value text, the format's constant ``"sign":
+    1``, condensed entries in row-major order) and the final value, all
+    scalars as canonical text."""
     kind = m.kind
     steps: List[dict] = []
     for entry in result.trace:
@@ -374,7 +368,7 @@ def trace_document(m: Matrix, result: DetResult) -> dict:
                     "kind": "condense",
                     "pivot": [entry.pivot.k, entry.pivot.l],
                     "pivot_value": kind.format(entry.pivot_value),
-                    "sign": entry.sign,
+                    "sign": 1,
                     "condensed": matrix_to_doc(entry.condensed),
                 }
             )
@@ -410,11 +404,12 @@ def _read_scalar(obj: dict, name: str, kind: ScalarKind, where: str) -> Scalar:
 
 def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ...]]:
     """Rebuild (source matrix, value, steps) from a trace document; a
-    ValueError names the field, step or matrix entry at fault."""
+    ValueError names the field, unknown key, step or matrix entry at fault."""
     if not isinstance(doc, dict):
         raise ValueError(f"trace document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} document: format={doc.get('format')!r}")
+    _refuse_unknown_keys(doc, ("format", "scalar_kind", "matrix", "steps", "value"), "trace document: ")
     kind = KINDS.get(doc.get("scalar_kind"))
     if kind is None:
         raise ValueError(f"unknown scalar kind {doc.get('scalar_kind')!r}")
@@ -426,17 +421,15 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
         if not isinstance(step, dict):
             raise ValueError(f"{where}: must be a JSON object, got {type(step).__name__}")
         if step.get("kind") == "zero-row":
+            _refuse_unknown_keys(step, ("kind", "size"), f"{where}: ")
             steps.append(ZeroRowExit(_field(step, "size", where, lambda v: _is_json(v, int), "an integer")))
         elif step.get("kind") == "condense":
+            _refuse_unknown_keys(step, ("kind", "pivot", "pivot_value", "sign", "condensed"), f"{where}: ")
             k, l = _field(step, "pivot", where, _is_pivot, "a pair of integers")
-            steps.append(
-                CondensationStep(
-                    PivotSpec(k, l),
-                    _read_scalar(step, "pivot_value", kind, where),
-                    _field(step, "sign", where, lambda v: _is_json(v, int) and v in (1, -1), "1 or -1"),
-                    _read_matrix(step.get("condensed"), kind, f"{where} condensed matrix"),
-                )
-            )
+            pivot_value = _read_scalar(step, "pivot_value", kind, where)
+            _field(step, "sign", where, lambda v: _is_json(v, int) and v == 1, "1")
+            condensed = _read_matrix(step.get("condensed"), kind, f"{where} condensed matrix")
+            steps.append(CondensationStep(PivotSpec(k, l), pivot_value, condensed))
         else:
             raise ValueError(f"unknown trace step kind {step.get('kind')!r}")
     value = _read_scalar(doc, "value", kind, "trace document")

@@ -173,6 +173,13 @@ def _is_json(value, typ: type) -> bool:
     return isinstance(value, typ) and not isinstance(value, bool)
 
 
+def _refuse_unknown_keys(doc: dict, known: Sequence[str], where: str = "") -> None:
+    """A ValueError after ``where`` for the first key of ``doc`` not in ``known``."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{where}unknown key {key!r}; known keys: {', '.join(known)}")
+
+
 def matrix_to_doc(m: Matrix) -> dict:
     """``m`` as its JSON object: dimensions and canonical entry texts in
     row-major order."""
@@ -186,10 +193,11 @@ def matrix_to_doc(m: Matrix) -> dict:
 
 def matrix_from_doc(doc, kind: ScalarKind) -> Matrix:
     """Read the JSON object written by :func:`matrix_to_doc`; anything
-    else raises a ValueError naming the field, or the entry by its
-    1-based row-major position, at fault."""
+    else, an unknown key included, raises a ValueError naming the key,
+    or the entry by its 1-based row-major position, at fault."""
     if not isinstance(doc, dict):
         raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
+    _refuse_unknown_keys(doc, ("rows", "cols", "entries"))
     for name in ("rows", "cols", "entries"):
         if name not in doc:
             raise ValueError(f"missing '{name}'")

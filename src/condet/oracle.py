@@ -136,7 +136,9 @@ def det_bareiss(
 ) -> Scalar:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    Intermediate entries stay in the ground domain: each division by
+    A rational matrix becomes integer rows at the door (row i is
+    ``I[i] / scale_i``) and det(m) is det(I) over the scales' product,
+    so elimination runs on integers or floats: each division by
     the previous pivot is exact, and a nonzero remainder raises
     ``ExactDivisionError`` through ``IntegerKind.exact_div`` (a stage
     that raises adds none of its counts).  Row pivoting
@@ -157,17 +159,14 @@ def det_bareiss(
         raise ValueError("stage_bits tracking needs integer entries")
     if n == 0:
         return kind.one
+    if kind is RATIONAL:
+        rows, scales = zip(*map(RATIONAL.integer_row, m.as_tuples()))
+        return Fraction(det_bareiss(Matrix._trusted(rows, INTEGER, n), ops), math.prod(scales))
     if ops is None:
         ops = OpCounts()
-    # Rationals eliminate on integer rows: det(m) is the integer
-    # determinant over the product of the row scales.
-    ring, rows, scale = kind, m.as_tuples(), 1
-    if kind is RATIONAL:
-        rows, scales = zip(*map(RATIONAL.integer_row, rows))
-        ring, scale = INTEGER, math.prod(scales)
-    grid = [list(row) for row in rows]
+    grid = [list(row) for row in m.as_tuples()]
     sign = 1
-    prev = ring.one
+    prev = kind.one
     for k in range(n - 1):
         r = _pivot_row(grid, k, k, n)
         if r is None:
@@ -213,9 +212,7 @@ def det_bareiss(
                 max(bit_length(grid[i][j]) for i in range(n) for j in range(n))
             )
     value = grid[n - 1][n - 1]
-    if sign == -1:
-        value = -value
-    return Fraction(value, scale) if kind is RATIONAL else value
+    return -value if sign == -1 else value
 
 
 def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
@@ -223,8 +220,6 @@ def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     n = _require_square(m, "det_gauss_rational")
     if m.kind is not RATIONAL:
         raise ValueError("det_gauss_rational needs rational entries")
-    if n == 0:
-        return RATIONAL.one
     if ops is None:
         ops = OpCounts()
     grid = [list(row) for row in m.as_tuples()]

@@ -10,6 +10,7 @@ import pytest
 
 from condet import (
     INTEGER,
+    RATIONAL,
     BenchConfig,
     DEFAULT_CONFIG,
     Matrix,
@@ -75,6 +76,11 @@ def test_random_integer_matrix_reproducible():
     assert m1 == m2
     assert m1.kind is INTEGER
     assert all(-9 <= v <= 9 for row in m1.as_tuples() for v in row)
+
+
+def test_random_integer_matrix_rejects_bound_below_one():
+    with pytest.raises(ValueError, match="entry bound must be >= 1, got 0"):
+        random_integer_matrix(3, 0, SplitMix64(1))
 
 
 def test_random_rational_matrix_entries_nonzero():
@@ -307,6 +313,10 @@ def test_parse_report_rejects_malformed():
         parse_report(good + "bareiss,3,0,1\n")  # cell count mismatch
     with pytest.raises(ValueError):
         parse_report(good + "sorcery,3,0,1,1,1,42\n")
+    with pytest.raises(ValueError, match="must end with 'digest'"):
+        parse_report("method,n,trial,mults,subs,divs,max_bits_level_1\n")
+    with pytest.raises(ValueError, match="unexpected bit-length column 'max_bits_level_2' at position 1"):
+        parse_report("method,n,trial,mults,subs,divs,max_bits_level_2,digest\n")
 
 
 def test_growth_report_structure():
@@ -344,6 +354,8 @@ def test_hadamard_bound_dominates_actual_bits():
 def test_hadamard_bound_validation():
     with pytest.raises(ValueError):
         hadamard_bit_bound(Matrix([[1, 2, 3], [4, 5, 6]], INTEGER))
+    with pytest.raises(ValueError, match="needs integer entries"):
+        hadamard_bit_bound(Matrix([[1, 2], [3, 4]], RATIONAL))
     assert hadamard_bit_bound(Matrix([[0, 0], [1, 2]], INTEGER)) == 1
 
 

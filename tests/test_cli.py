@@ -107,6 +107,15 @@ def test_parse_json_names_the_bad_field(tmp_path, capsys, doc, message):
     assert captured.err.startswith("error: JSON matrix file: ")
 
 
+def test_json_matrix_file_refuses_unknown_keys(tmp_path, capsys):
+    # A foreign "kind" key must not pass for a choice of scalar kind.
+    path = write(tmp_path, "m.json", '{"rows": 1, "cols": 1, "entries": ["5"], "kind": "float"}')
+    assert main(["det", path, "--scalar", "rational"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: JSON matrix file: unknown key 'kind'; known keys: rows, cols, entries\n"
+
+
 def test_parse_empty_file():
     with pytest.raises(MatrixFileError, match="no rows"):
         parse_matrix_text("   \n", INTEGER)
@@ -709,6 +718,25 @@ def test_bench_config_types_are_user_errors(tmp_path, capsys, field, value):
     assert captured.out == ""
     assert captured.err.startswith(f"error: bench config {path}: ")
     assert (f"field {field!r}" if field else "must be a JSON object") in captured.err
+
+
+def test_bench_config_refuses_unknown_keys(tmp_path, capsys):
+    path = write(tmp_path, "cfg.json", json.dumps({**BENCH_CFG, "trials": 50, "entry_bounds": 3}))
+    assert main(["bench", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bench config {path}: unknown key 'trials'; "
+        "known keys: sizes, trials_per_size, entry_bound, seed, methods\n"
+    )
+
+
+def test_bench_config_without_methods_is_user_error(tmp_path, capsys):
+    path = write(tmp_path, "cfg.json", json.dumps({**BENCH_CFG, "methods": []}))
+    assert main(["bench", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bench config {path}: config needs at least one method\n"
 
 
 def test_bench_method_disagreement_maps_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condet import (
     FLOAT,
@@ -125,7 +127,6 @@ def test_condense_at_11_worked_example():
     assert step.condensed.to_rows() == [[6, 0], [9, -1]]
     assert step.pivot == PivotSpec(1, 1)
     assert step.pivot_value == 2
-    assert step.sign == 1
     # 2**(3-2) * det(m) = det(condensed):  2 * -3 = -6
     assert det_cofactor(step.condensed) == 2 * det_cofactor(m)
 
@@ -216,14 +217,6 @@ def test_condense_at_identity_all_pivots():
                         )
 
 
-def test_condense_at_records_rotation_sign():
-    m = random_rat_matrix(random.Random(405), 4)
-    assert condense_at(m, PivotSpec(1, 1)).sign == 1
-    assert condense_at(m, PivotSpec(2, 1)).sign == -1
-    assert condense_at(m, PivotSpec(2, 2)).sign == 1
-    assert condense_at(m, PivotSpec(3, 4)).sign == -1
-
-
 def test_condense_at_zero_pivot_vanishes():
     # With a zero pivot the identity degenerates: the condensed matrix
     # must be singular.  Exploratory extension of the pivot identity;
@@ -280,6 +273,8 @@ def test_dodgson_rejects_bad_pairs():
         dodgson_identity_residual(m, 2, 1)
     with pytest.raises(ValueError):
         dodgson_identity_residual(m, 1, 3)
+    with pytest.raises(ValueError, match="needs size >= 2, got 1"):
+        dodgson_identity_residual(Matrix([[5]], INTEGER), 1, 2)
 
 
 # --- pivot selection -------------------------------------------------------
@@ -296,6 +291,11 @@ def test_select_pivot_max_magnitude():
     assert select_pivot((0, 0.0), PivotStrategy.MAX_MAGNITUDE) is None
     # ties keep the lowest column
     assert select_pivot((3, -3, 1), PivotStrategy.MAX_MAGNITUDE) == 1
+
+
+def test_select_pivot_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown pivot strategy 'first-nonzero'"):
+        select_pivot((1, 2), "first-nonzero")
 
 
 # --- the condensation determinant driver -----------------------------------
@@ -316,7 +316,6 @@ def test_det_condensation_worked_example():
     step = result.trace[0]
     assert isinstance(step, CondensationStep)
     assert step.condensed.to_rows() == [[6, 0], [9, -1]]
-    assert step.sign == 1
 
 
 def test_det_condensation_matches_cofactor_on_integers():
@@ -462,6 +461,29 @@ def test_det_condensation_levels_divide_at_return():
         size -= 1
 
 
+# Zero-heavy entries, so that some levels have their pivot past column 1.
+KIND_ENTRIES = {
+    RATIONAL: st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))),
+    INTEGER: st.one_of(st.just(0), st.integers(-9, 9)),
+    FLOAT: st.one_of(st.just(0.0), st.floats(-9, 9)),
+}
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, INTEGER, FLOAT], ids=lambda k: k.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_trace_step_is_condense_at_of_the_level_before(kind, data):
+    n = data.draw(st.integers(3, 7))
+    m = Matrix([[data.draw(KIND_ENTRIES[kind]) for _ in range(n)] for _ in range(n)], kind)
+    for strategy in PivotStrategy:
+        level = m
+        for step in det_condensation(m, strategy).trace:
+            if isinstance(step, ZeroRowExit):
+                break
+            assert step == condense_at(level, step.pivot)
+            level = step.condensed
+
+
 def test_det_condensation_rejects_non_square():
     with pytest.raises(ValueError):
         det_condensation(Matrix([[1, 2, 3], [4, 5, 6]], INTEGER))
@@ -530,12 +552,15 @@ MISSING = object()
         (0, "pivot", [1], "trace step 1: 'pivot' must be a pair of integers, got [1]"),
         (0, "pivot", [1, "1"], "trace step 1: 'pivot' must be a pair of integers, got [1, '1']"),
         (0, "pivot", [1, 1.0], "trace step 1: 'pivot' must be a pair of integers, got [1, 1.0]"),
-        (0, "sign", 2, "trace step 1: 'sign' must be 1 or -1, got 2"),
-        (0, "sign", True, "trace step 1: 'sign' must be 1 or -1, got True"),
-        (0, "sign", "1", "trace step 1: 'sign' must be 1 or -1, got '1'"),
+        (0, "sign", 2, "trace step 1: 'sign' must be 1, got 2"),
+        (0, "sign", True, "trace step 1: 'sign' must be 1, got True"),
+        (0, "sign", "1", "trace step 1: 'sign' must be 1, got '1'"),
+        (0, "sign", -1, "trace step 1: 'sign' must be 1, got -1"),
         (0, "pivot_value", 7, "trace step 1: 'pivot_value' must be a string, got 7"),
         (0, "pivot_value", None, "trace step 1: 'pivot_value' must be a string, got None"),
         (0, "pivot_value", "1/2", "trace step 1: 'pivot_value': not an integer scalar (fractional text): '1/2'"),
+        (None, "scalar_kind", "complex", "unknown scalar kind 'complex'"),
+        (0, "kind", "rotate", "unknown trace step kind 'rotate'"),
     ],
 )
 def test_trace_document_rejects_malformed_fields(step, field, value, message):
@@ -550,6 +575,27 @@ def test_trace_document_rejects_malformed_fields(step, field, value, message):
         else:
             target[field] = value
     with pytest.raises(ValueError, match=re.escape(message)):
+        trace_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("document", "trace document: unknown key 'extra'; known keys: format, scalar_kind, matrix, steps, value"),
+        ("condense step", "trace step 1: unknown key 'extra'; known keys: kind, pivot, pivot_value, sign, condensed"),
+        ("zero-row step", "trace step 1: unknown key 'extra'; known keys: kind, size"),
+        ("matrix", "trace matrix: unknown key 'extra'; known keys: rows, cols, entries"),
+        ("condensed", "trace step 1 condensed matrix: unknown key 'extra'; known keys: rows, cols, entries"),
+    ],
+)
+def test_trace_document_refuses_unknown_keys(where, message):
+    rows = [[0, 0, 0], [1, 2, 3], [4, 5, 6]] if where == "zero-row step" else [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    m = Matrix(rows, INTEGER)
+    doc = trace_document(m, det_condensation(m))
+    step = doc["steps"][0]
+    target = {"document": doc, "matrix": doc["matrix"], "condensed": step.get("condensed")}.get(where, step)
+    target["extra"] = 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         trace_from_document(doc)
 
 

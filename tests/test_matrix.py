@@ -63,11 +63,19 @@ def test_get_bounds():
         m.get(1, 3)
     with pytest.raises(IndexError):
         m.get(3, 1)
+    for i in (0, 3):
+        with pytest.raises(IndexError, match=f"row {i} out of range 1..2"):
+            m.row(i)
 
 
 def test_construction_rejects_ragged():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]], INTEGER)
+
+
+def test_construction_rejects_empty_rows():
+    with pytest.raises(ValueError, match="matrix rows must not be empty"):
+        Matrix([[]], INTEGER)
 
 
 def test_construction_rejects_wrong_kind():

@@ -116,6 +116,8 @@ def test_bareiss_stage_bits():
 
 def test_gauss_known_values():
     assert det_gauss_rational(identity(5, RATIONAL)) == 1
+    empty = det_gauss_rational(Matrix([], RATIONAL))
+    assert empty == 1 and isinstance(empty, Fraction)
     diag = Matrix(
         [[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(1, 6)]], RATIONAL
     )
