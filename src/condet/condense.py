@@ -382,7 +382,7 @@ def trace_document(m: Matrix, result: DetResult) -> dict:
 
 
 def _is_pivot(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(_is_json(v, int) for v in value)
+    return isinstance(value, list) and len(value) == 2 and all(_is_json(v, int) and v >= 1 for v in value)
 
 
 def _field(obj: dict, name: str, where: str, ok: Callable[[object], bool], what: str):
@@ -422,13 +422,17 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
             raise ValueError(f"{where}: must be a JSON object, got {type(step).__name__}")
         if step.get("kind") == "zero-row":
             _refuse_unknown_keys(step, ("kind", "size"), f"{where}: ")
-            steps.append(ZeroRowExit(_field(step, "size", where, lambda v: _is_json(v, int), "an integer")))
+            size = _field(step, "size", where, lambda v: _is_json(v, int) and v >= 3, "an integer >= 3")
+            steps.append(ZeroRowExit(size))
         elif step.get("kind") == "condense":
             _refuse_unknown_keys(step, ("kind", "pivot", "pivot_value", "sign", "condensed"), f"{where}: ")
-            k, l = _field(step, "pivot", where, _is_pivot, "a pair of integers")
+            k, l = _field(step, "pivot", where, _is_pivot, "a pair of integers >= 1")
             pivot_value = _read_scalar(step, "pivot_value", kind, where)
             _field(step, "sign", where, lambda v: _is_json(v, int) and v == 1, "1")
             condensed = _read_matrix(step.get("condensed"), kind, f"{where} condensed matrix")
+            size = condensed.rows + 1
+            if max(k, l) > size:
+                raise ValueError(f"{where}: 'pivot' must lie within its size-{size} level, got {[k, l]!r}")
             steps.append(CondensationStep(PivotSpec(k, l), pivot_value, condensed))
         else:
             raise ValueError(f"unknown trace step kind {step.get('kind')!r}")

@@ -15,23 +15,26 @@ scalar multiplications, subtractions and divisions it actually
 performs (pivot searches and swaps are comparisons, not counted).
 
 The inner loops pay for arithmetic, not for bookkeeping.  Bareiss
-adds each stage's counts in one step; only the float divide-first
-fallback adds its extra ones per entry.  Exact Bareiss divides every
-entry of a stage by the same previous pivot, so it picks the integer
-division once per stage and tests each remainder inline.  Cofactor
-expansion recurses over a row index and a tuple of kept column indices
-into the input rows instead of copying each minor, and works its 3x3
-minors' three 2x2 minors inline.  Values and counts are those of the
-plain per-entry loops, floats bit for bit.
+and Gauss add each stage's counts in one step; only the float
+divide-first fallback adds its extra ones per entry.  Exact Bareiss
+divides every entry of a stage by the same previous pivot, so it picks
+the integer division once per stage and tests each remainder inline.
+Cofactor expansion recurses over a row index and a tuple of kept
+column indices into the input rows instead of copying each minor, and
+works its 3x3 minors' three 2x2 minors inline.  Values and counts are
+those of the plain per-entry loops, floats bit for bit.
 
 Over rationals, ``det_bareiss`` eliminates on integer rows: each row
 is scaled once by the lcm of its denominators
 (``RationalKind.integer_row``) and the integer determinant is divided
-by the product of the scales at the end.  Cofactor expansion and
-Gaussian elimination stay on ``Fraction`` arithmetic on purpose, so
-that two oracles share nothing with that representation: a fault in
-the row scaling would show as a disagreement with them, not be
-repeated by them.
+by the product of the scales at the end.  Cofactor expansion stays on
+``Fraction`` arithmetic, and Gaussian elimination runs on canonical
+numerator/denominator pairs of plain ints, each entry reduced on its
+own with the same gcd splits as ``Fraction``.  Both hold every entry
+as its own rational in lowest terms, so two oracles share nothing
+with the row-scaling representation on purpose: a fault in the row
+scaling would show as a disagreement with them, not be repeated by
+them.
 """
 
 from __future__ import annotations
@@ -215,35 +218,89 @@ def det_bareiss(
     return -value if sign == -1 else value
 
 
+def _pivot_pair_row(nums, dens, col: int, start: int, n: int) -> Optional[int]:
+    # _pivot_row on (numerator, positive denominator) pairs: the largest
+    # |a/b|, earliest row on ties, compared as |a|*d > |c|*b.
+    best = None
+    for r in range(start, n):
+        a = nums[r][col]
+        if a and (best is None or abs(a) * d > abs(c) * dens[r][col]):
+            best, c, d = r, a, dens[r][col]
+    return best
+
+
 def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
-    """Determinant by rational Gaussian elimination with partial pivoting."""
+    """Determinant by rational Gaussian elimination with partial pivoting.
+
+    Each row is held as two int lists, numerators and positive
+    denominators in lowest terms, and updated with the gcd splits of
+    ``Fraction`` division, multiplication and subtraction (Knuth,
+    TAOCP vol. 2, 4.5.1), so the grid holds exactly the rationals a
+    ``Fraction`` loop holds.  The pivot is the largest magnitude in the
+    column, earliest row on ties; each swap flips the sign.
+    """
     n = _require_square(m, "det_gauss_rational")
     if m.kind is not RATIONAL:
         raise ValueError("det_gauss_rational needs rational entries")
     if ops is None:
         ops = OpCounts()
-    grid = [list(row) for row in m.as_tuples()]
+    rows = m.as_tuples()
+    nums = [[v.numerator for v in row] for row in rows]
+    dens = [[v.denominator for v in row] for row in rows]
+    gcd = math.gcd
     sign = 1
     for k in range(n - 1):
-        r = _pivot_row(grid, k, k, n)
+        r = _pivot_pair_row(nums, dens, k, k, n)
         if r is None:
             return RATIONAL.zero
         if r != k:
-            grid[k], grid[r] = grid[r], grid[k]
+            nums[k], nums[r] = nums[r], nums[k]
+            dens[k], dens[r] = dens[r], dens[k]
             sign = -sign
-        piv = grid[k][k]
+        pn, pd = nums[k], dens[k]
+        p, q = pn[k], pd[k]
+        updated = 0
         for i in range(k + 1, n):
-            lead = grid[i][k]
-            if lead == 0:
+            xn, xd = nums[i], dens[i]
+            a = xn[k]
+            if a == 0:
                 continue
-            factor = lead / piv
-            ops.divisions += 1
+            updated += 1
+            # factor = (a/b) / (p/q)
+            b = xd[k]
+            g1, g2 = gcd(a, p), gcd(q, b)
+            fn, fd = (a // g1) * (q // g2), (p // g1) * (b // g2)
+            if fd < 0:
+                fn, fd = -fn, -fd
             for j in range(k + 1, n):
-                grid[i][j] = grid[i][j] - factor * grid[k][j]
-                ops.multiplications += 1
-                ops.subtractions += 1
-    value = RATIONAL.one
-    for k in range(n):
-        value = value * grid[k][k]
-        ops.multiplications += 1
-    return value if sign == 1 else -value
+                # y = factor * pivot-row entry
+                yn, yd = fn, fd
+                zn, zd = pn[j], pd[j]
+                g1 = gcd(yn, zd)
+                if g1 > 1:
+                    yn //= g1
+                    zd //= g1
+                g2 = gcd(zn, yd)
+                if g2 > 1:
+                    zn //= g2
+                    yd //= g2
+                yn, yd = yn * zn, zd * yd
+                # x - y
+                un, ud = xn[j], xd[j]
+                g = gcd(ud, yd)
+                if g == 1:
+                    xn[j], xd[j] = un * yd - ud * yn, ud * yd
+                    continue
+                s = ud // g
+                t = un * (yd // g) - yn * s
+                g2 = gcd(t, g)
+                if g2 == 1:
+                    xn[j], xd[j] = t, s * yd
+                else:
+                    xn[j], xd[j] = t // g2, s * (yd // g2)
+        size = n - k - 1
+        ops.divisions += updated
+        ops.multiplications += updated * size
+        ops.subtractions += updated * size
+    ops.multiplications += n
+    return Fraction(sign * math.prod(nums[k][k] for k in range(n)), math.prod(dens[k][k] for k in range(n)))

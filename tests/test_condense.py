@@ -548,10 +548,13 @@ MISSING = object()
         (None, "value", "x", "trace document: 'value': not an integer scalar: 'x'"),
         (0, None, 5, "trace step 1: must be a JSON object, got int"),
         (0, "pivot", MISSING, "trace step 1: missing 'pivot'"),
-        (0, "pivot", 5, "trace step 1: 'pivot' must be a pair of integers, got 5"),
-        (0, "pivot", [1], "trace step 1: 'pivot' must be a pair of integers, got [1]"),
-        (0, "pivot", [1, "1"], "trace step 1: 'pivot' must be a pair of integers, got [1, '1']"),
-        (0, "pivot", [1, 1.0], "trace step 1: 'pivot' must be a pair of integers, got [1, 1.0]"),
+        (0, "pivot", 5, "trace step 1: 'pivot' must be a pair of integers >= 1, got 5"),
+        (0, "pivot", [1], "trace step 1: 'pivot' must be a pair of integers >= 1, got [1]"),
+        (0, "pivot", [1, "1"], "trace step 1: 'pivot' must be a pair of integers >= 1, got [1, '1']"),
+        (0, "pivot", [1, 1.0], "trace step 1: 'pivot' must be a pair of integers >= 1, got [1, 1.0]"),
+        (0, "pivot", [0, -3], "trace step 1: 'pivot' must be a pair of integers >= 1, got [0, -3]"),
+        (0, "pivot", [1, 4], "trace step 1: 'pivot' must lie within its size-3 level, got [1, 4]"),
+        (0, "pivot", [4, 1], "trace step 1: 'pivot' must lie within its size-3 level, got [4, 1]"),
         (0, "sign", 2, "trace step 1: 'sign' must be 1, got 2"),
         (0, "sign", True, "trace step 1: 'sign' must be 1, got True"),
         (0, "sign", "1", "trace step 1: 'sign' must be 1, got '1'"),
@@ -603,9 +606,11 @@ def test_trace_document_refuses_unknown_keys(where, message):
     "value, message",
     [
         (MISSING, "trace step 1: missing 'size'"),
-        ("3", "trace step 1: 'size' must be an integer, got '3'"),
-        (3.0, "trace step 1: 'size' must be an integer, got 3.0"),
-        (False, "trace step 1: 'size' must be an integer, got False"),
+        ("3", "trace step 1: 'size' must be an integer >= 3, got '3'"),
+        (3.0, "trace step 1: 'size' must be an integer >= 3, got 3.0"),
+        (False, "trace step 1: 'size' must be an integer >= 3, got False"),
+        (-5, "trace step 1: 'size' must be an integer >= 3, got -5"),
+        (2, "trace step 1: 'size' must be an integer >= 3, got 2"),
     ],
 )
 def test_trace_document_rejects_malformed_zero_row_size(value, message):

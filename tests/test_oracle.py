@@ -213,8 +213,10 @@ def test_op_counting_is_optional_and_additive():
 # det_cofactor and det_bareiss as they stood at b7b4a6d, bodies verbatim
 # but for the float division, a plain num / prev: cofactor copies
 # every minor, and Bareiss counts and divides entry by entry, exact kinds
-# through INTEGER.exact_div.  The oracles must match them exactly: value
-# (floats by repr), OpCounts and stage bits.
+# through INTEGER.exact_div.  det_gauss_rational as it stood at 9a7c9e7,
+# verbatim: Fraction arithmetic, counted entry by entry.  The oracles
+# must match them exactly: value (floats by repr), OpCounts and stage
+# bits.
 
 def reference_det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     n = _require_square(m, "det_cofactor")
@@ -311,6 +313,40 @@ def reference_det_bareiss(
     return Fraction(value, scale) if kind is RATIONAL else value
 
 
+def reference_det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
+    """Determinant by rational Gaussian elimination with partial pivoting."""
+    n = _require_square(m, "det_gauss_rational")
+    if m.kind is not RATIONAL:
+        raise ValueError("det_gauss_rational needs rational entries")
+    if ops is None:
+        ops = OpCounts()
+    grid = [list(row) for row in m.as_tuples()]
+    sign = 1
+    for k in range(n - 1):
+        r = _pivot_row(grid, k, k, n)
+        if r is None:
+            return RATIONAL.zero
+        if r != k:
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
+        piv = grid[k][k]
+        for i in range(k + 1, n):
+            lead = grid[i][k]
+            if lead == 0:
+                continue
+            factor = lead / piv
+            ops.divisions += 1
+            for j in range(k + 1, n):
+                grid[i][j] = grid[i][j] - factor * grid[k][j]
+                ops.multiplications += 1
+                ops.subtractions += 1
+    value = RATIONAL.one
+    for k in range(n):
+        value = value * grid[k][k]
+        ops.multiplications += 1
+    return value if sign == 1 else -value
+
+
 ENTRIES = {
     INTEGER: st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)),
     RATIONAL: st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
@@ -374,6 +410,96 @@ def test_cofactor_matches_the_minor_copying_expansion(m):
     (value, ops), (ref_value, ref_ops) = with_counts(det_cofactor, m), with_counts(reference_det_cofactor, m)
     assert same_value(value, ref_value)
     assert ops == ref_ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_matrices(kinds=(RATIONAL,)))
+def test_gauss_matches_the_fraction_loop(m):
+    (value, ops), (ref_value, ref_ops) = with_counts(det_gauss_rational, m), with_counts(reference_det_gauss_rational, m)
+    assert same_value(value, ref_value)
+    assert ops == ref_ops
+
+
+def big_rat_rows(rng, n):
+    # numerators and denominators near 2**70 with small common factors,
+    # so that every gcd split of the pair arithmetic finds one
+    return [
+        [
+            Fraction(
+                rng.choice([-1, 1]) * (2**70 + rng.randint(0, 2**20)) * rng.choice([2, 3, 6, 10]),
+                (2**70 - rng.randint(0, 2**20)) * rng.choice([1, 3, 5, 6]),
+            )
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+F = Fraction
+GAUSS_CASES = {
+    # |-3/2| in the second row ties |3/2| in the third, and the earlier
+    # (index 1) is the pivot.  The first row's lead then drops to 0 and
+    # the third's does not, so the last stage pivots on index 2 and
+    # updates nothing; pivoting on the third row first would leave both
+    # leads nonzero and divide once more.
+    "magnitude tie": (
+        [[F(1, 2), F(-1, 2), F(2, 3)], [F(-3, 2), F(3, 2), F(5, 7)], [F(3, 2), F(1, 4), F(-4, 5)]],
+        [1, 2],
+    ),
+    # every factor lead / (-3/2) comes out with a negative denominator
+    # before its sign moves to the numerator
+    "negative pivot": (
+        [[F(-3, 2), F(1, 3), F(2)], [F(1), F(5, 7), F(-1)], [F(1, 2), F(2, 5), F(3)]],
+        [0, 1],
+    ),
+    "entries near 2**70": (big_rat_rows(random.Random(309), 6), None),
+}
+
+
+@pytest.mark.parametrize("case", GAUSS_CASES)
+def test_gauss_pairs_stay_in_lowest_terms(monkeypatch, case):
+    # Before each pivot search, every entry still to be eliminated is a
+    # numerator/denominator pair in lowest terms with a positive
+    # denominator: the rationals of the Fraction loop, entry by entry.
+    rows, pivots = GAUSS_CASES[case]
+    m = Matrix(rows, RATIONAL)
+    pivot_pair_row = oracle_module._pivot_pair_row
+    chosen = []
+
+    def checked(nums, dens, col, start, n):
+        for i in range(start, n):
+            for j in range(start, n):
+                assert dens[i][j] > 0 and math.gcd(nums[i][j], dens[i][j]) == 1, (i, j)
+        chosen.append(pivot_pair_row(nums, dens, col, start, n))
+        return chosen[-1]
+
+    monkeypatch.setattr(oracle_module, "_pivot_pair_row", checked)
+    (value, ops), (ref_value, ref_ops) = with_counts(det_gauss_rational, m), with_counts(reference_det_gauss_rational, m)
+    assert same_value(value, ref_value)
+    assert ops == ref_ops
+    assert len(chosen) == m.rows - 1
+    if pivots is not None:
+        assert chosen == pivots
+
+
+def test_gauss_never_scales_rows_to_integers(monkeypatch):
+    # Gauss is an oracle for the integer-row representation that Bareiss
+    # and condensation share, so it must never build one.
+    calls = []
+    integer_row = type(RATIONAL).integer_row
+
+    def spy(self, row):
+        calls.append(row)
+        return integer_row(self, row)
+
+    monkeypatch.setattr(type(RATIONAL), "integer_row", spy)
+    m = random_rat_matrix(random.Random(310), 6)
+    det_bareiss(m)
+    assert len(calls) == 6  # the spy sees Bareiss scale each row
+    del calls[:]
+    value = det_gauss_rational(m)
+    assert calls == []
+    assert value == det_bareiss(m)
 
 
 # --- a planted non-exact division --------------------------------------------
