@@ -35,6 +35,15 @@ as its own rational in lowest terms, so two oracles share nothing
 with the row-scaling representation on purpose: a fault in the row
 scaling would show as a disagreement with them, not be repeated by
 them.
+
+The private ``_adjugate`` gives adj(m) of a nonsingular integer matrix
+by one fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
+1968), in O(n^3): entry (l, k) is (-1)**(k+l) times the minor with row
+k and column l removed, so ``verify`` reads all n*n one-removed minors
+from it instead of running n*n eliminations of size n-1.  It counts no
+operations.  Like ``det_bareiss`` it eliminates rows of the input with
+exact divisions by the previous pivot; it never forms a condensed
+matrix, so a fault in condensation cannot be repeated by it.
 """
 
 from __future__ import annotations
@@ -216,6 +225,59 @@ def det_bareiss(
             )
     value = grid[n - 1][n - 1]
     return -value if sign == -1 else value
+
+
+def _first_nonzero_row(grid, col: int, start: int, n: int) -> Optional[int]:
+    # The earliest row from start on with a nonzero entry in col.
+    return next((r for r in range(start, n) if grid[r][col]), None)
+
+
+def _adjugate(m: Matrix) -> Optional[List[List[int]]]:
+    """adj(m) of an integer matrix, or None when m is singular.
+
+    Fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
+    Math. Comp. 22, 1968): the first nonzero entry of each column is
+    its pivot, each row swap flips the sign, and stage k sets every row
+    but the pivot row to ``(row * piv - lead * pivot row) / prev``, each
+    division exact (a nonzero remainder raises ``ExactDivisionError``
+    through ``IntegerKind.exact_div``, as in ``det_bareiss``).  Left
+    block = right block * m throughout, and the left block ends as
+    ``d * I`` with ``d = sign * det(m)``, so the right block is
+    ``sign * adj(m)``.  A column with no nonzero pivot means m is
+    singular.  Stage k updates only the columns past k: the columns
+    already eliminated (zero but for the pivot) are never read again.
+    """
+    n = _require_square(m, "_adjugate")
+    if m.kind is not INTEGER:
+        raise ValueError("_adjugate needs integer entries")
+    grid = [list(row) + [0] * n for row in m.as_tuples()]
+    for i, row in enumerate(grid):
+        row[n + i] = 1
+    sign = 1
+    prev = 1
+    for k in range(n):
+        r = _first_nonzero_row(grid, k, k, n)
+        if r is None:
+            return None
+        if r != k:
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
+        row_k = grid[k]
+        piv = row_k[k]
+        div = _divmod_for(prev)  # prev is fixed for the stage
+        for i in range(n):
+            if i == k:
+                continue
+            row_i = grid[i]
+            lead = row_i[k]
+            for j in range(k + 1, 2 * n):
+                num = row_i[j] * piv - lead * row_k[j]
+                q, rem = div(num, prev)
+                if rem:
+                    INTEGER.exact_div(num, prev)  # raises, naming the operands
+                row_i[j] = q
+        prev = piv
+    return [[-v for v in row[n:]] if sign == -1 else row[n:] for row in grid]
 
 
 def _pivot_pair_row(nums, dens, col: int, start: int, n: int) -> Optional[int]:

@@ -540,6 +540,30 @@ def test_verify_needs_size_three(tmp_path, capsys):
     assert "verify needs a square matrix, got 2x3" in capsys.readouterr().err
 
 
+def test_verify_refuses_sizes_past_its_cap_before_any_work(tmp_path, capsys, monkeypatch):
+    # verify costs O(n**5); an identity past the cap is refused before
+    # any determinant, condensation or conversion is computed.
+    limit = cli._VERIFY_SIZE_LIMIT
+    assert limit == 32
+    work = []
+    for name in ("det_bareiss", "_adjugate", "condense_at", "condense_at_11"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: work.append(name))
+    n = limit + 1
+    path = write(tmp_path, "m.txt", "".join(" ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
+    assert main(["verify", path, "--scalar", "integer"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify is limited to 32x32, got 33x33 (det --method bareiss has no size cap)\n"
+    assert work == []
+
+
+def test_verify_runs_at_its_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_VERIFY_SIZE_LIMIT", 3)
+    assert main(["verify", write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7 8 10\n")]) == EXIT_OK
+    assert main(["verify", write(tmp_path, "m4.txt", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")]) == EXIT_USER_ERROR
+    assert "verify is limited to 3x3, got 4x4" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     import condet.cli as cli_module
 

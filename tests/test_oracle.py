@@ -25,8 +25,9 @@ from condet import (
     det_cofactor,
     det_gauss_rational,
     random_integer_matrix,
+    remove_rows_cols,
 )
-from condet.oracle import COFACTOR_SIZE_LIMIT, _pivot_row, _require_square
+from condet.oracle import COFACTOR_SIZE_LIMIT, _adjugate, _pivot_row, _require_square
 from condet.scalars import Scalar
 
 
@@ -504,19 +505,20 @@ def test_gauss_never_scales_rows_to_integers(monkeypatch):
 
 # --- a planted non-exact division --------------------------------------------
 
-def _plant_after_first_stage(monkeypatch):
-    """From the second elimination stage on, every pivot search first
-    adds 1 to the bottom-right entry, which no stage has yet
-    eliminated, so a later division by the previous pivot is off."""
-    pivot_row = oracle_module._pivot_row
+def _plant_after_first_stage(monkeypatch, search="_pivot_row"):
+    """From the second elimination stage on, every pivot search (the
+    oracle's function ``search``) first adds 1 to the bottom-right
+    entry of the square block, which no stage has yet eliminated, so a
+    later division by the previous pivot is off."""
+    pivot_row = getattr(oracle_module, search)
 
     def planted(grid, col, start, n):
         if start >= 1:
             grid[n - 1][n - 1] += 1
         return pivot_row(grid, col, start, n)
 
-    monkeypatch.setattr(oracle_module, "_pivot_row", planted)
-    monkeypatch.setitem(globals(), "_pivot_row", planted)
+    monkeypatch.setattr(oracle_module, search, planted)
+    monkeypatch.setitem(globals(), search, planted)
 
 
 PLANT_MATRIX = random_integer_matrix(5, 9, SplitMix64(12))
@@ -558,3 +560,97 @@ def test_recursive_and_builtin_division_agree(monkeypatch, kind):
     monkeypatch.setattr(scalars_module, "_RECURSIVE_DIV_BITS", 0)
     recursive = [with_counts(det_bareiss, m) for m in mats]
     assert recursive == builtin
+
+
+# --- the adjugate that verify reads its one-removed minors from -------------
+
+def signed_cofactors(m: Matrix) -> List[List[int]]:
+    """adj(m) entry by entry: entry (i, j) is (-1)**(i+j) * det M({j},{i}),
+    one Bareiss call per one-removed minor."""
+    n = m.rows
+    return [
+        [(-1) ** (i + j) * det_bareiss(remove_rows_cols(m, (j,), (i,))) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+
+
+@st.composite
+def adjugate_inputs(draw):
+    # Integer matrices, half of them zero-heavy and half of them with a
+    # duplicated row.
+    n = draw(st.integers(1, 8))
+    entry = draw(st.sampled_from([ENTRIES[INTEGER], st.one_of(st.just(0), st.just(0), ENTRIES[INTEGER])]))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j, *_ = draw(st.permutations(range(n)))
+        rows[i] = list(rows[j])
+    return Matrix(rows, INTEGER)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjugate_inputs())
+def test_adjugate_is_the_signed_cofactor_matrix(m):
+    adj = _adjugate(m)
+    if det_bareiss(m) == 0:
+        assert adj is None
+    else:
+        assert adj == signed_cofactors(m)
+
+
+@pytest.mark.parametrize(
+    "rows, swapped",
+    [
+        ([[0, 2, 1], [3, 1, 4], [5, 9, 2]], [0]),
+        # the first stage leaves a zero at (2, 2): the second one swaps
+        ([[1, 2, 3], [2, 4, 5], [3, 7, 1]], [1]),
+    ],
+    ids=["zero-corner", "later-swap"],
+)
+def test_adjugate_signs_each_row_swap(monkeypatch, rows, swapped):
+    m = Matrix(rows, INTEGER)
+    steps = []
+    search = oracle_module._first_nonzero_row
+
+    def spy(grid, col, start, n):
+        r = search(grid, col, start, n)
+        steps.append(r - start)
+        return r
+
+    monkeypatch.setattr(oracle_module, "_first_nonzero_row", spy)
+    assert _adjugate(m) == signed_cofactors(m)
+    assert [stage for stage, step in enumerate(steps) if step] == swapped
+
+
+def test_adjugate_divides_recursively_past_the_cutoff(monkeypatch):
+    # Entries near 2**4000: from the third stage on, the previous pivot
+    # is a 2x2 minor of about 8,000 bits, past _RECURSIVE_DIV_BITS.
+    # The reference's Bareiss calls on 3x3 minors never divide by more
+    # than one entry, so they stay on the builtin division.
+    rng = random.Random(4000)
+    m = Matrix([[rng.choice((-1, 1)) * rng.randrange(2**3999, 2**4000) for _ in range(4)] for _ in range(4)], INTEGER)
+    divisors = []
+    inner = scalars_module._divmod_recursive
+
+    def spy(a, b):
+        divisors.append(b.bit_length())
+        return inner(a, b)
+
+    monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
+    adj = _adjugate(m)
+    assert divisors and min(divisors) > scalars_module._RECURSIVE_DIV_BITS
+    del divisors[:]
+    assert adj == signed_cofactors(m)
+    assert divisors == []
+
+
+@pytest.mark.parametrize("cutoff", [scalars_module._RECURSIVE_DIV_BITS, 0])
+def test_planted_non_exact_division_in_the_adjugate_raises(monkeypatch, cutoff):
+    monkeypatch.setattr(scalars_module, "_RECURSIVE_DIV_BITS", cutoff)
+    _plant_after_first_stage(monkeypatch, "_first_nonzero_row")
+    with pytest.raises(ExactDivisionError, match="^non-exact integer division: "):
+        _adjugate(PLANT_MATRIX)
+
+
+def test_adjugate_needs_integer_entries():
+    with pytest.raises(ValueError, match="needs integer entries"):
+        _adjugate(Matrix([[Fraction(1, 2)]], RATIONAL))

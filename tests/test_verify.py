@@ -31,6 +31,7 @@ from condet import (
 )
 from conftest import GOLDEN_PATH
 from condet.cli import EXIT_OK, EXIT_VERIFY_FAILED, VERIFY_REL_TOL, main, parse_matrix_text
+from condet.oracle import _adjugate
 
 
 def matrix_text(m: Matrix) -> str:
@@ -105,22 +106,82 @@ def bareiss_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_verify_makes_one_bareiss_call_per_distinct_determinant(n, bareiss_calls):
-    # det(A), the corner, the n*n pivots, the n*n one-removed and the
-    # C(n,2) two-removed minors.  Without sharing it was 2 + n*n + 7*C(n,2).
+    # det(A), the corner, the n*n pivots and the C(n,2) two-removed
+    # minors; the n*n one-removed minors come from one adjugate.
+    # Without sharing it was 2 + n*n + 7*C(n,2).
     m = random_rational_matrix(n, SplitMix64(n))
     assert main_on(m) == EXIT_OK
-    assert len(bareiss_calls) == 2 + 2 * n * n + comb(n, 2)
+    assert len(bareiss_calls) == 2 + n * n + comb(n, 2)
+
+
+def zero_pattern(m: Matrix) -> Matrix:
+    """``m`` with a zero corner, and zeros spread over every row and column."""
+    rows = [[0 if (i + 2 * j) % 3 == 0 else v for j, v in enumerate(row)] for i, row in enumerate(m.to_rows())]
+    return Matrix(rows, m.kind)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_verify_call_count_skips_zero_pivots(n, bareiss_calls):
-    # a zero corner, and zeros spread over every row and column
-    rows = random_rational_matrix(n, SplitMix64(n)).to_rows()
-    rows = [[0 if (i + 2 * j) % 3 == 0 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    m = Matrix(rows, RATIONAL)
-    nonzero = sum(v != 0 for row in rows for v in row)
+    m = zero_pattern(random_rational_matrix(n, SplitMix64(n)))
+    assert det_bareiss(m) != 0
+    nonzero = sum(v != 0 for row in m.as_tuples() for v in row)
+    assert main_on(m) == EXIT_OK
+    assert len(bareiss_calls) == 2 + nonzero + comb(n, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_float_verify_computes_each_one_removed_minor(n, bareiss_calls):
+    # Float residuals depend on the order of operations, so each
+    # one-removed minor keeps a Bareiss call of its own.
+    m = zero_pattern(random_rational_matrix(n, SplitMix64(n)))
+    nonzero = sum(v != 0 for row in m.as_tuples() for v in row)
+    code, _ = run_verify(matrix_text(m), FLOAT)
+    assert code == EXIT_OK
+    assert len(bareiss_calls) == 2 + nonzero + n * n + comb(n, 2)
+
+
+def duplicate_last_row(m: Matrix) -> Matrix:
+    first, *rest = m.as_tuples()
+    return Matrix([first, *rest[:-1], first], m.kind)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, INTEGER])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_singular_verify_computes_each_one_removed_minor(n, kind, bareiss_calls):
+    # On a singular matrix the adjugate's elimination meets a column
+    # with no pivot, so each one-removed minor keeps a Bareiss call.
+    m = duplicate_last_row(zero_pattern(random_integer_matrix(n, 9, SplitMix64(n))))
+    m = Matrix(m.to_rows(), kind)
+    assert det_bareiss(m) == 0
+    nonzero = sum(v != 0 for row in m.as_tuples() for v in row)
     assert main_on(m) == EXIT_OK
     assert len(bareiss_calls) == 2 + nonzero + n * n + comb(n, 2)
+
+
+@pytest.fixture
+def adjugate_calls(monkeypatch):
+    """Every matrix verify computes an adjugate of."""
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return _adjugate(m)
+
+    monkeypatch.setattr(cli, "_adjugate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, INTEGER, FLOAT])
+@pytest.mark.parametrize("singular", [False, True], ids=["nonsingular", "singular"])
+def test_verify_takes_one_adjugate_of_exact_nonsingular_input(kind, singular, adjugate_calls):
+    m = zero_pattern(random_rational_matrix(6, SplitMix64(6)))
+    if singular:
+        m = duplicate_last_row(m)
+    integer_rows = Matrix([RATIONAL.integer_row(row)[0] for row in m.as_tuples()], INTEGER)
+    code, _ = run_verify(matrix_text(integer_rows if kind is INTEGER else m), kind)
+    assert code == EXIT_OK
+    # on the integer rows, for a rational matrix the ones converted once
+    assert adjugate_calls == ([] if kind is FLOAT or singular else [integer_rows])
 
 
 @pytest.mark.parametrize(
@@ -197,12 +258,33 @@ def condensed_doubled_at(target):
     return condense
 
 
-def corrupt_minor(monkeypatch, target):
+def adjugate_doubled_at(target, computed: list):
+    """``_adjugate`` whose entry for the one-removed minor ``target`` =
+    ((k,), (l,)), entry (l, k), comes out doubled, and with it
+    det(M({k},{l})); every matrix it runs on is listed in ``computed``.
+    Any other ``target`` plants nothing."""
+
+    def adjugate(m):
+        computed.append(m)
+        adj = _adjugate(m)
+        if adj is not None and target is not None and len(target[0]) == 1:
+            (k,), (l,) = target
+            adj[l - 1][k - 1] *= 2
+        return adj
+
+    return adjugate
+
+
+def plant_minor(mp, target) -> tuple:
     """Make the determinant of the minor ``target`` come out doubled in
-    ``verify``; return the list of minors built."""
-    built = []
-    monkeypatch.setattr(cli, "remove_rows_cols", minor_doubled_at(target, built))
-    return built
+    ``verify``, whichever path computes it: a one-removed minor of an
+    exact nonsingular matrix comes from the adjugate, any other minor
+    from Bareiss on ``remove_rows_cols``.  Returns the lists of minors
+    built and of adjugates computed."""
+    built, computed = [], []
+    mp.setattr(cli, "remove_rows_cols", minor_doubled_at(target, built))
+    mp.setattr(cli, "_adjugate", adjugate_doubled_at(target, computed))
+    return built, computed
 
 
 FAULT_N = 5
@@ -228,16 +310,37 @@ def fault_matrix(tmp_path):
     ids=["M(2,2)", "M(2,3)"],
 )
 def test_a_wrong_minor_fails_only_the_pairs_that_use_it(capsys, monkeypatch, fault_matrix, target, failing):
-    built = corrupt_minor(monkeypatch, target)
+    built, computed = plant_minor(monkeypatch, target)
     assert main(["verify", fault_matrix]) == EXIT_VERIFY_FAILED
     *lines, summary = capsys.readouterr().out.splitlines()
-    assert built.count(target) == 1, "the minor is computed once and shared"
+    # the minor is computed once, as an entry of the one adjugate, and shared
+    assert len(computed) == 1
+    assert not any(len(rows) == 1 for rows, _ in built)
     fields = [line.split() for line in lines]
     assert sum(identity == "dodgson-identity" for _, identity, _, _ in fields) == comb(FAULT_N, 2)
     assert {where for verdict, _, where, _ in fields if verdict == "FAIL"} == {
         f"rows/cols=({k},{l})" for k, l in failing
     }
     assert summary == f"verify FAILED: {len(lines) - len(failing)}/{len(lines)} identities hold"
+
+
+def test_dodgson_reads_each_one_removed_minor_with_its_sign(monkeypatch):
+    # The identity cannot see a sign flip of every one-removed minor at
+    # once (each of its products has two of them), so the values fed to
+    # it are compared with Bareiss on each minor.
+    m = random_integer_matrix(5, 9, SplitMix64(7))
+    assert det_bareiss(m) != 0  # so that the minors come from the adjugate
+    seen = {}
+
+    def residual(a, k, l, minor_det):
+        for rows, cols in (((k,), (k,)), ((l,), (l,)), ((k,), (l,)), ((l,), (k,))):
+            seen[rows, cols] = minor_det(rows, cols)
+        return dodgson_identity_residual(a, k, l, minor_det)
+
+    monkeypatch.setattr(cli, "dodgson_identity_residual", residual)
+    assert main_on(m) == EXIT_OK
+    indices = range(1, 6)
+    assert seen == {((i,), (j,)): det_bareiss(remove_rows_cols(m, (i,), (j,))) for i in indices for j in indices}
 
 
 @pytest.mark.parametrize("factor, verdict", [(0.5, "PASS"), (2.0, "FAIL")])
@@ -288,15 +391,17 @@ def scaled_rational_faults(draw):
     return m, draw(st.sampled_from([None, *pivots])), draw(st.sampled_from([None, *minors]))
 
 
-def check_against_fraction_reference(m: Matrix, pivot, minor) -> None:
-    """verify's full stdout on ``m``, with the faults planted, equals
-    the uncached identities worked on the ``Fraction`` matrix with the
-    same faults (a fault at None is no fault)."""
+def check_against_fraction_reference(m: Matrix, pivot, minor) -> tuple:
+    """verify's exit code and full stdout on ``m``, with the faults
+    planted, equal the uncached identities worked on the ``Fraction``
+    matrix with the same faults (a fault at None is no fault); returns
+    them."""
     expected = uncached_verify_lines(m, condensed_doubled_at(pivot), minor_doubled_at(minor, []))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "condense_at", condensed_doubled_at(pivot))
-        mp.setattr(cli, "remove_rows_cols", minor_doubled_at(minor, []))
+        plant_minor(mp, minor)
         assert run_verify(matrix_text(m), RATIONAL) == expected
+    return expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,7 +423,8 @@ def test_rescaled_fail_lines_match_the_fraction_reference(pivot, minor):
     m = Matrix([[Fraction(v, d) for v in row] for row, d in zip(a.as_tuples(), dens)], RATIONAL)
     assert [RATIONAL.integer_row(row)[1] for row in m.as_tuples()] == dens
     assert pivot is None or m.get(*pivot) != 0
-    check_against_fraction_reference(m, pivot, minor)
+    code, _ = check_against_fraction_reference(m, pivot, minor)
+    assert code == EXIT_VERIFY_FAILED
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -326,9 +432,8 @@ def test_verify_converts_a_rational_matrix_once(n, monkeypatch, bareiss_calls):
     # Every determinant runs on the integer rows of m, built by n
     # integer_row calls; the one Bareiss call on the whole matrix gets
     # exactly the rows that rational Bareiss builds for det(m).
-    rows = random_rational_matrix(n, SplitMix64(n)).to_rows()
-    rows = [[0 if (i + 2 * j) % 3 == 0 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    m = Matrix(rows, RATIONAL)
+    m = zero_pattern(random_rational_matrix(n, SplitMix64(n)))
+    rows = m.to_rows()
     integer_rows = [RATIONAL.integer_row(row)[0] for row in m.as_tuples()]
     conversions = []
     condensed = []
@@ -351,6 +456,6 @@ def test_verify_converts_a_rational_matrix_once(n, monkeypatch, bareiss_calls):
     nonzero = sum(v != 0 for row in rows for v in row)
     assert len(conversions) == n
     assert len(condensed) == 1 + nonzero
-    assert len(bareiss_calls) == 2 + nonzero + n * n + comb(n, 2)
+    assert len(bareiss_calls) == 2 + nonzero + comb(n, 2)
     assert {a.kind for a in condensed + bareiss_calls} == {INTEGER}
     assert Matrix(integer_rows, INTEGER) in bareiss_calls
