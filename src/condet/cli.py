@@ -10,10 +10,11 @@ Three subcommands:
 Exit codes: 0 success, 1 at least one identity failed to verify,
 2 bad input from a file, flag or config (the message says where),
 3 anything else: one line for a non-exact division, a method
-disagreement, a float determinant that came out nan or infinite or a
-float verify check out of the double range, a traceback for any other
-fault.  Commands raise; ``main`` alone reports and picks the code.  A
-failed ``det`` prints nothing on stdout and writes no trace.
+disagreement, a float determinant that came out nan or infinite, a
+float verify check out of the double range or a verify adjugate that
+fails its self-check, a traceback for any other fault.  Commands
+raise; ``main`` alone reports and picks the code.  A failed ``det``
+prints nothing on stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -28,6 +29,7 @@ import copy
 import functools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -223,12 +225,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Float residuals depend on the order of operations, and on a
     # singular m that elimination stops at a column with no pivot, so
     # both keep a Bareiss call per one-removed minor.  Either way the
-    # minors share no code with condensation.
+    # minors share no code with condensation.  adj(m) is read only
+    # once m * adj(m) = det(m) * I holds, det(m) by Bareiss: the
+    # Dodgson identity alone cannot see a sign fault common to every
+    # one-removed minor, since each of its products reads two of them.
     bareiss_minor = functools.cache(lambda rows, cols: det_bareiss(remove_rows_cols(m, rows, cols)))
     det_full = bareiss_minor((), ())
     minor = bareiss_minor
     if m.kind is INTEGER and det_full != 0:
         adj = _adjugate(m)
+        adj_cols = list(zip(*adj))
+        for i, row in enumerate(m.as_tuples()):
+            for j, col in enumerate(adj_cols):
+                if sum(map(operator.mul, row, col)) != (det_full if i == j else 0):
+                    raise ArithmeticError(
+                        f"adjugate self-check failed: entry ({i + 1},{j + 1}) of A*adj(A)"
+                        f" is not {'det(A)' if i == j else 0}"
+                    )
 
         def minor(rows, cols):
             if len(rows) != 1:

@@ -385,10 +385,14 @@ def _is_pivot(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(_is_json(v, int) and v >= 1 for v in value)
 
 
-def _field(obj: dict, name: str, where: str, ok: Callable[[object], bool], what: str):
+def _required(obj: dict, name: str, where: str):
     if name not in obj:
         raise ValueError(f"{where}: missing '{name}'")
-    value = obj[name]
+    return obj[name]
+
+
+def _field(obj: dict, name: str, where: str, ok: Callable[[object], bool], what: str):
+    value = _required(obj, name, where)
     if not ok(value):
         raise ValueError(f"{where}: '{name}' must be {what}, got {value!r}")
     return value
@@ -410,10 +414,11 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
     if doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} document: format={doc.get('format')!r}")
     _refuse_unknown_keys(doc, ("format", "scalar_kind", "matrix", "steps", "value"), "trace document: ")
-    kind = KINDS.get(doc.get("scalar_kind"))
+    kind_name = _required(doc, "scalar_kind", "trace document")
+    kind = KINDS.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
-        raise ValueError(f"unknown scalar kind {doc.get('scalar_kind')!r}")
-    m = _read_matrix(doc.get("matrix"), kind, "trace matrix")
+        raise ValueError(f"unknown scalar kind {kind_name!r}")
+    m = _read_matrix(_required(doc, "matrix", "trace document"), kind, "trace matrix")
     steps: List[TraceEntry] = []
     step_docs = _field(doc, "steps", "trace document", lambda v: isinstance(v, list), "a list")
     for number, step in enumerate(step_docs, start=1):
@@ -429,7 +434,7 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
             k, l = _field(step, "pivot", where, _is_pivot, "a pair of integers >= 1")
             pivot_value = _read_scalar(step, "pivot_value", kind, where)
             _field(step, "sign", where, lambda v: _is_json(v, int) and v == 1, "1")
-            condensed = _read_matrix(step.get("condensed"), kind, f"{where} condensed matrix")
+            condensed = _read_matrix(_required(step, "condensed", where), kind, f"{where} condensed matrix")
             size = condensed.rows + 1
             if max(k, l) > size:
                 raise ValueError(f"{where}: 'pivot' must lie within its size-{size} level, got {[k, l]!r}")

@@ -16,9 +16,10 @@ performs (pivot searches and swaps are comparisons, not counted).
 
 The inner loops pay for arithmetic, not for bookkeeping.  Bareiss
 and Gauss add each stage's counts in one step; only the float
-divide-first fallback adds its extra ones per entry.  Exact Bareiss
-divides every entry of a stage by the same previous pivot, so it picks
-the integer division once per stage and tests each remainder inline.
+divide-first fallback adds its extra ones per entry.  An exact stage
+divides every entry by the same previous pivot, so ``_exact_stage``
+picks the integer division once per stage and tests each remainder
+inline.
 Cofactor expansion recurses over a row index and a tuple of kept
 column indices into the input rows instead of copying each minor, and
 works its 3x3 minors' three 2x2 minors inline.  Values and counts are
@@ -41,9 +42,11 @@ by one fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
 1968), in O(n^3): entry (l, k) is (-1)**(k+l) times the minor with row
 k and column l removed, so ``verify`` reads all n*n one-removed minors
 from it instead of running n*n eliminations of size n-1.  It counts no
-operations.  Like ``det_bareiss`` it eliminates rows of the input with
-exact divisions by the previous pivot; it never forms a condensed
-matrix, so a fault in condensation cannot be repeated by it.
+operations.  Exact ``det_bareiss`` and ``_adjugate`` run the same
+stage, ``_exact_stage``, on different rows and columns (the rows below
+the pivot and n columns, every other row and 2n columns), and pick
+their pivots by the same ``_pivot_row``.  Neither forms a condensed
+matrix, so a fault in condensation cannot be repeated by them.
 """
 
 from __future__ import annotations
@@ -141,6 +144,24 @@ def _pivot_row(grid, col: int, start: int, n: int) -> Optional[int]:
     return best
 
 
+def _exact_stage(grid, k: int, rows, stop: int, prev: int) -> None:
+    # One exact fraction-free stage on integer rows: each row i in rows
+    # becomes (row_i * piv - lead * row_k) / prev over columns k+1 to
+    # stop-1, with piv = grid[k][k] and lead = row_i[k].
+    row_k = grid[k]
+    piv = row_k[k]
+    div = _divmod_for(prev)  # prev is fixed for the stage
+    for i in rows:
+        row_i = grid[i]
+        lead = row_i[k]
+        for j in range(k + 1, stop):
+            num = row_i[j] * piv - lead * row_k[j]
+            q, rem = div(num, prev)
+            if rem:
+                INTEGER.exact_div(num, prev)  # raises, naming the operands
+            row_i[j] = q
+
+
 def det_bareiss(
     m: Matrix,
     ops: Optional[OpCounts] = None,
@@ -204,16 +225,7 @@ def det_bareiss(
                     else:
                         row_i[j] = num / prev
         else:
-            div = _divmod_for(prev)  # prev is fixed for the stage
-            for i in range(k + 1, n):
-                row_i = grid[i]
-                lead = row_i[k]
-                for j in range(k + 1, n):
-                    num = row_i[j] * piv - lead * row_k[j]
-                    q, rem = div(num, prev)
-                    if rem:
-                        INTEGER.exact_div(num, prev)  # raises, naming the operands
-                    row_i[j] = q
+            _exact_stage(grid, k, range(k + 1, n), n, prev)
         size = n - k - 1
         ops.multiplications += 2 * size * size
         ops.subtractions += size * size
@@ -227,21 +239,16 @@ def det_bareiss(
     return -value if sign == -1 else value
 
 
-def _first_nonzero_row(grid, col: int, start: int, n: int) -> Optional[int]:
-    # The earliest row from start on with a nonzero entry in col.
-    return next((r for r in range(start, n) if grid[r][col]), None)
-
-
 def _adjugate(m: Matrix) -> Optional[List[List[int]]]:
     """adj(m) of an integer matrix, or None when m is singular.
 
     Fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
-    Math. Comp. 22, 1968): the first nonzero entry of each column is
-    its pivot, each row swap flips the sign, and stage k sets every row
-    but the pivot row to ``(row * piv - lead * pivot row) / prev``, each
-    division exact (a nonzero remainder raises ``ExactDivisionError``
-    through ``IntegerKind.exact_div``, as in ``det_bareiss``).  Left
-    block = right block * m throughout, and the left block ends as
+    Math. Comp. 22, 1968), with the stage and the pivot rule of
+    ``det_bareiss``: the largest magnitude in the column is its pivot,
+    each row swap flips the sign, and stage k sets every row but the
+    pivot row to ``(row * piv - lead * pivot row) / prev``, each
+    division exact (a nonzero remainder raises ``ExactDivisionError``).
+    Left block = right block * m throughout, and the left block ends as
     ``d * I`` with ``d = sign * det(m)``, so the right block is
     ``sign * adj(m)``.  A column with no nonzero pivot means m is
     singular.  Stage k updates only the columns past k: the columns
@@ -256,27 +263,14 @@ def _adjugate(m: Matrix) -> Optional[List[List[int]]]:
     sign = 1
     prev = 1
     for k in range(n):
-        r = _first_nonzero_row(grid, k, k, n)
+        r = _pivot_row(grid, k, k, n)
         if r is None:
             return None
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
             sign = -sign
-        row_k = grid[k]
-        piv = row_k[k]
-        div = _divmod_for(prev)  # prev is fixed for the stage
-        for i in range(n):
-            if i == k:
-                continue
-            row_i = grid[i]
-            lead = row_i[k]
-            for j in range(k + 1, 2 * n):
-                num = row_i[j] * piv - lead * row_k[j]
-                q, rem = div(num, prev)
-                if rem:
-                    INTEGER.exact_div(num, prev)  # raises, naming the operands
-                row_i[j] = q
-        prev = piv
+        _exact_stage(grid, k, [i for i in range(n) if i != k], 2 * n, prev)
+        prev = grid[k][k]
     return [[-v for v in row[n:]] if sign == -1 else row[n:] for row in grid]
 
 

@@ -313,6 +313,28 @@ class IntegerKind(ScalarKind):
         raise TypeError(f"integer entries must be int, got {value!r}")
 
 
+def _parse_plain_float(text: str) -> float:
+    # A float fraction or decimal, within the double range.
+    t = text.strip()
+    m = _FRACTION_RE.match(t)
+    if m:
+        num, den = _text_int(m.group(1)), _text_int(m.group(2))
+        if den == 0:
+            raise ScalarParseError(f"zero denominator in {text!r}")
+        try:
+            value = num / den
+        except OverflowError:
+            value = math.inf
+    elif _DECIMAL_RE.match(t):
+        value = float(t)
+    else:
+        raise ScalarParseError(f"not a float scalar: {text!r}")
+    # float() turns out-of-range text such as "1e400" into inf.
+    if not math.isfinite(value):
+        raise ScalarParseError(f"float out of range: {text!r}")
+    return value
+
+
 class FloatKind(ScalarKind):
     """IEEE doubles.  Comparisons stay exact; tolerances live in callers."""
 
@@ -321,33 +343,17 @@ class FloatKind(ScalarKind):
     one = 1.0
 
     def parse(self, text: str) -> float:
-        t = text.strip()
-        m = _SQRT_RE.match(t)
-        if m:
-            # A small convenience for irrational fixture entries,
-            # e.g. "sqrt(3)" or "-sqrt(2)".
-            inner = self.parse(m.group(2))
-            if inner < 0:
-                raise ScalarParseError(f"square root of a negative value: {text!r}")
-            root = math.sqrt(inner)
-            return -root if m.group(1) else root
-        m = _FRACTION_RE.match(t)
-        if m:
-            num, den = _text_int(m.group(1)), _text_int(m.group(2))
-            if den == 0:
-                raise ScalarParseError(f"zero denominator in {text!r}")
-            try:
-                value = num / den
-            except OverflowError:
-                value = math.inf
-        elif _DECIMAL_RE.match(t):
-            value = float(t)
-        else:
-            raise ScalarParseError(f"not a float scalar: {text!r}")
-        # float() turns out-of-range text such as "1e400" into inf.
-        if not math.isfinite(value):
-            raise ScalarParseError(f"float out of range: {text!r}")
-        return value
+        m = _SQRT_RE.match(text.strip())
+        if not m:
+            return _parse_plain_float(text)
+        # A small convenience for irrational fixture entries, e.g.
+        # "sqrt(3)" or "-sqrt(2)": one level, with a plain fraction or
+        # decimal inside, so a nested form is refused in linear time.
+        inner = _parse_plain_float(m.group(2))
+        if inner < 0:
+            raise ScalarParseError(f"square root of a negative value: {text!r}")
+        root = math.sqrt(inner)
+        return -root if m.group(1) else root
 
     def format(self, value: float) -> str:
         # repr of a float is the shortest text that round-trips exactly.

@@ -254,6 +254,18 @@ def test_det_float_overflow_text_is_user_error(tmp_path, capsys):
         assert "out of range" in captured.err
 
 
+def test_det_float_refuses_a_nested_sqrt(tmp_path, capsys):
+    # The inside of sqrt( is a plain fraction or decimal, so a cell
+    # nested 1,200 deep is bad input, not a RecursionError traceback.
+    cell = "sqrt(" * 1200 + "4" + ")" * 1200
+    path = write(tmp_path, "m.txt", f"1 2\n3 {cell}\n")
+    assert main(["det", path, "--scalar", "float"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2, entry 2: not a float scalar: 'sqrt(sqrt(")
+    assert captured.err.count("\n") == 1
+
+
 def test_det_trace_requires_condense(tmp_path, capsys):
     path = write(tmp_path, "m.txt", SMALL)
     out = str(tmp_path / "trace.json")

@@ -29,6 +29,7 @@ from condet import (
     trace_document,
     trace_from_document,
 )
+from condet.condense import _condense_rows
 from conftest import GOLDEN_CONDENSED, GOLDEN_FACTOR, golden_matrix
 
 
@@ -215,6 +216,21 @@ def test_condense_at_identity_all_pivots():
                         assert step.pivot_value ** (n - 2) * det == det_bareiss(step.condensed), (
                             f"pivot ({k},{l})"
                         )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_condense_identity_holds_symbolically(n):
+    # a(k,l)**(n-2) * det(A) = det(condensed at (k,l)) as a polynomial
+    # identity in the n*n entries of A, at every pivot: a proof for
+    # these sizes, not a sample.
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Matrix(n, n, lambda i, j: sympy.Symbol(f"a{i + 1}{j + 1}"))
+    det = a.det()
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            condensed = sympy.Matrix(_condense_rows(a.tolist(), k - 1, l - 1))
+            residual = a[k - 1, l - 1] ** (n - 2) * det - condensed.det()
+            assert sympy.expand(residual) == 0, f"pivot ({k},{l})"
 
 
 def test_condense_at_zero_pivot_vanishes():
@@ -564,6 +580,10 @@ MISSING = object()
         (0, "pivot_value", "1/2", "trace step 1: 'pivot_value': not an integer scalar (fractional text): '1/2'"),
         (None, "scalar_kind", "complex", "unknown scalar kind 'complex'"),
         (0, "kind", "rotate", "unknown trace step kind 'rotate'"),
+        (None, "scalar_kind", ["integer"], "unknown scalar kind ['integer']"),
+        (None, "scalar_kind", MISSING, "trace document: missing 'scalar_kind'"),
+        (None, "matrix", MISSING, "trace document: missing 'matrix'"),
+        (0, "condensed", MISSING, "trace step 1: missing 'condensed'"),
     ],
 )
 def test_trace_document_rejects_malformed_fields(step, field, value, message):

@@ -505,20 +505,21 @@ def test_gauss_never_scales_rows_to_integers(monkeypatch):
 
 # --- a planted non-exact division --------------------------------------------
 
-def _plant_after_first_stage(monkeypatch, search="_pivot_row"):
-    """From the second elimination stage on, every pivot search (the
-    oracle's function ``search``) first adds 1 to the bottom-right
-    entry of the square block, which no stage has yet eliminated, so a
-    later division by the previous pivot is off."""
-    pivot_row = getattr(oracle_module, search)
+def _plant_after_first_stage(monkeypatch):
+    """From the second elimination stage on, every pivot search
+    (``_pivot_row``, in the oracle and in the reference loops here)
+    first adds 1 to the bottom-right entry of the square block, which
+    no stage has yet eliminated, so a later division by the previous
+    pivot is off."""
+    pivot_row = oracle_module._pivot_row
 
     def planted(grid, col, start, n):
         if start >= 1:
             grid[n - 1][n - 1] += 1
         return pivot_row(grid, col, start, n)
 
-    monkeypatch.setattr(oracle_module, search, planted)
-    monkeypatch.setitem(globals(), search, planted)
+    monkeypatch.setattr(oracle_module, "_pivot_row", planted)
+    monkeypatch.setitem(globals(), "_pivot_row", planted)
 
 
 PLANT_MATRIX = random_integer_matrix(5, 9, SplitMix64(12))
@@ -600,24 +601,28 @@ def test_adjugate_is_the_signed_cofactor_matrix(m):
 @pytest.mark.parametrize(
     "rows, swapped",
     [
+        # the largest first-column entry is in the last row
         ([[0, 2, 1], [3, 1, 4], [5, 9, 2]], [0]),
-        # the first stage leaves a zero at (2, 2): the second one swaps
-        ([[1, 2, 3], [2, 4, 5], [3, 7, 1]], [1]),
+        # the first stage leaves 2 and 13 in the second column: the
+        # second one swaps
+        ([[3, 1, 2], [1, 1, 1], [2, 5, 1]], [1]),
     ],
     ids=["zero-corner", "later-swap"],
 )
 def test_adjugate_signs_each_row_swap(monkeypatch, rows, swapped):
     m = Matrix(rows, INTEGER)
     steps = []
-    search = oracle_module._first_nonzero_row
+    search = oracle_module._pivot_row
 
     def spy(grid, col, start, n):
         r = search(grid, col, start, n)
         steps.append(r - start)
         return r
 
-    monkeypatch.setattr(oracle_module, "_first_nonzero_row", spy)
-    assert _adjugate(m) == signed_cofactors(m)
+    # the reference runs Bareiss, which pivots by _pivot_row too
+    expected = signed_cofactors(m)
+    monkeypatch.setattr(oracle_module, "_pivot_row", spy)
+    assert _adjugate(m) == expected
     assert [stage for stage, step in enumerate(steps) if step] == swapped
 
 
@@ -646,9 +651,38 @@ def test_adjugate_divides_recursively_past_the_cutoff(monkeypatch):
 @pytest.mark.parametrize("cutoff", [scalars_module._RECURSIVE_DIV_BITS, 0])
 def test_planted_non_exact_division_in_the_adjugate_raises(monkeypatch, cutoff):
     monkeypatch.setattr(scalars_module, "_RECURSIVE_DIV_BITS", cutoff)
-    _plant_after_first_stage(monkeypatch, "_first_nonzero_row")
+    _plant_after_first_stage(monkeypatch)
     with pytest.raises(ExactDivisionError, match="^non-exact integer division: "):
         _adjugate(PLANT_MATRIX)
+
+
+@pytest.mark.parametrize("run", [det_bareiss, _adjugate], ids=["bareiss", "adjugate"])
+@pytest.mark.parametrize("seed, remainder", [(14, -1), (65, 1)])
+def test_a_remainder_of_one_raises_in_both_callers(monkeypatch, seed, remainder, run):
+    # The planted fault's first non-exact division in Bareiss and in
+    # the adjugate leaves a remainder of -1 or 1, the smallest there is:
+    # the shared stage's inline test must raise at that division, not
+    # at a later one the fault spreads to.
+    m = random_integer_matrix(4, 9, SplitMix64(seed))
+    remainders = []
+    divmod_for = oracle_module._divmod_for
+
+    def spy(prev):
+        div = divmod_for(prev)
+
+        def recorded(a, b):
+            q, rem = div(a, b)
+            if rem:
+                remainders.append(rem)
+            return q, rem
+
+        return recorded
+
+    monkeypatch.setattr(oracle_module, "_divmod_for", spy)
+    _plant_after_first_stage(monkeypatch)
+    with pytest.raises(ExactDivisionError, match="^non-exact integer division: "):
+        run(m)
+    assert remainders == [remainder]
 
 
 def test_adjugate_needs_integer_entries():

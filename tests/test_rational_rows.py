@@ -247,13 +247,15 @@ def test_det_condensation_converts_rational_rows_once(monkeypatch, strategy, rec
     # The levels run on the integer rows of the input: n conversions in
     # all, none per level or per trace step.
     calls = []
-    inner = RATIONAL.integer_row
+    inner = type(RATIONAL).integer_row
 
-    def counting(row):
+    def counting(self, row):
         calls.append(len(row))
-        return inner(row)
+        return inner(self, row)
 
-    monkeypatch.setattr(RATIONAL, "integer_row", counting)
+    # on the class: undoing a patch of the instance would leave the
+    # bound method behind as an instance attribute
+    monkeypatch.setattr(type(RATIONAL), "integer_row", counting)
     gen = SplitMix64(8)
     for n in range(2, 10):
         m = random_rational_matrix(n, gen.split())

@@ -62,6 +62,9 @@ def test_float_parse():
         FLOAT.parse("sqrt(-1)")
     with pytest.raises(ScalarParseError):
         FLOAT.parse("sqrt()")
+    # one level only: the inside is a plain fraction or decimal
+    with pytest.raises(ScalarParseError, match=r"^not a float scalar: 'sqrt\(16\)'$"):
+        FLOAT.parse("sqrt(sqrt(16))")
     with pytest.raises(ScalarParseError):
         FLOAT.parse("1/0")
     # text that would parse to a non-finite float is rejected, not inf

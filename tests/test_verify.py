@@ -30,7 +30,7 @@ from condet import (
     remove_rows_cols,
 )
 from conftest import GOLDEN_PATH
-from condet.cli import EXIT_OK, EXIT_VERIFY_FAILED, VERIFY_REL_TOL, main, parse_matrix_text
+from condet.cli import EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, VERIFY_REL_TOL, main, parse_matrix_text
 from condet.oracle import _adjugate
 
 
@@ -302,26 +302,38 @@ def fault_matrix(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "target, failing",
+    "target, outcome",
     [
-        (((2,), (2,)), {(1, 2), (2, 3), (2, 4), (2, 5)}),
-        (((2,), (3,)), {(2, 3)}),
+        # A one-removed minor is an entry of the one adjugate, so a
+        # fault in it fails the self-check A*adj(A) = det(A)*I before
+        # any line is printed: the entry named is the first the
+        # doubled entry of adj(A) changes.
+        (((2,), (2,)), "entry (1,2) of A*adj(A) is not 0"),
+        (((2,), (3,)), "entry (1,2) of A*adj(A) is not 0"),
+        (((2, 3), (2, 3)), {(2, 3)}),
     ],
-    ids=["M(2,2)", "M(2,3)"],
+    ids=["M(2,2)", "M(2,3)", "M(23,23)"],
 )
-def test_a_wrong_minor_fails_only_the_pairs_that_use_it(capsys, monkeypatch, fault_matrix, target, failing):
+def test_a_wrong_minor_fails_only_the_pairs_that_use_it(capsys, monkeypatch, fault_matrix, target, outcome):
     built, computed = plant_minor(monkeypatch, target)
-    assert main(["verify", fault_matrix]) == EXIT_VERIFY_FAILED
-    *lines, summary = capsys.readouterr().out.splitlines()
-    # the minor is computed once, as an entry of the one adjugate, and shared
+    code = main(["verify", fault_matrix])
+    out, err = capsys.readouterr()
+    # the one-removed minors are computed once, as the entries of the one adjugate
     assert len(computed) == 1
     assert not any(len(rows) == 1 for rows, _ in built)
+    if isinstance(outcome, str):
+        assert (code, out, err) == (EXIT_INTERNAL_ERROR, "", f"internal error: adjugate self-check failed: {outcome}\n")
+        return
+    assert code == EXIT_VERIFY_FAILED
+    *lines, summary = out.splitlines()
+    # a two-removed minor is computed once and shared
+    assert built.count(target) == 1
     fields = [line.split() for line in lines]
     assert sum(identity == "dodgson-identity" for _, identity, _, _ in fields) == comb(FAULT_N, 2)
     assert {where for verdict, _, where, _ in fields if verdict == "FAIL"} == {
-        f"rows/cols=({k},{l})" for k, l in failing
+        f"rows/cols=({k},{l})" for k, l in outcome
     }
-    assert summary == f"verify FAILED: {len(lines) - len(failing)}/{len(lines)} identities hold"
+    assert summary == f"verify FAILED: {len(lines) - len(outcome)}/{len(lines)} identities hold"
 
 
 def test_dodgson_reads_each_one_removed_minor_with_its_sign(monkeypatch):
@@ -341,6 +353,18 @@ def test_dodgson_reads_each_one_removed_minor_with_its_sign(monkeypatch):
     assert main_on(m) == EXIT_OK
     indices = range(1, 6)
     assert seen == {((i,), (j,)): det_bareiss(remove_rows_cols(m, (i,), (j,))) for i in indices for j in indices}
+
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL])
+def test_verify_stops_on_an_adjugate_with_a_common_sign_fault(capsys, monkeypatch, kind):
+    # Negating every one-removed minor leaves each Dodgson line as it
+    # was; the self-check A*adj(A) = det(A)*I sees it at entry (1,1).
+    m = random_integer_matrix(5, 9, SplitMix64(7))
+    assert det_bareiss(m) != 0
+    monkeypatch.setattr(cli, "_adjugate", lambda a: [[-v for v in row] for row in _adjugate(a)])
+    code, out = run_verify(matrix_text(m), kind)
+    assert (code, out) == (EXIT_INTERNAL_ERROR, "")
+    assert capsys.readouterr().err == "internal error: adjugate self-check failed: entry (1,1) of A*adj(A) is not det(A)\n"
 
 
 @pytest.mark.parametrize("factor, verdict", [(0.5, "PASS"), (2.0, "FAIL")])
@@ -395,8 +419,12 @@ def check_against_fraction_reference(m: Matrix, pivot, minor) -> tuple:
     """verify's exit code and full stdout on ``m``, with the faults
     planted, equal the uncached identities worked on the ``Fraction``
     matrix with the same faults (a fault at None is no fault); returns
-    them."""
+    them.  On a nonsingular ``m``, a fault that changes det(m) or a
+    one-removed minor (an entry of adj(m)) fails verify's adjugate
+    self-check instead: exit 3 before any line is printed."""
     expected = uncached_verify_lines(m, condensed_doubled_at(pivot), minor_doubled_at(minor, []))
+    if minor is not None and len(minor[0]) < 2 and 0 not in (det_bareiss(m), det_bareiss(remove_rows_cols(m, *minor))):
+        expected = (EXIT_INTERNAL_ERROR, "")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "condense_at", condensed_doubled_at(pivot))
         plant_minor(mp, minor)
@@ -411,11 +439,17 @@ def test_rational_residuals_rescale_to_the_fraction_reference(case):
 
 
 @pytest.mark.parametrize(
-    "pivot, minor",
-    [(PivotSpec(2, 3), None), (PivotSpec(5, 1), None), (None, ((2,), (3,))), (None, ((1, 4), (1, 4))), (PivotSpec(4, 4), ((), ()))],
+    "pivot, minor, exit_code",
+    [
+        (PivotSpec(2, 3), None, EXIT_VERIFY_FAILED),
+        (PivotSpec(5, 1), None, EXIT_VERIFY_FAILED),
+        (None, ((2,), (3,)), EXIT_INTERNAL_ERROR),
+        (None, ((1, 4), (1, 4)), EXIT_VERIFY_FAILED),
+        (PivotSpec(4, 4), ((), ()), EXIT_INTERNAL_ERROR),
+    ],
     ids=["condensed(2,3)", "condensed(5,1)", "M(2,3)", "M(14,14)", "condensed(4,4)+det"],
 )
-def test_rescaled_fail_lines_match_the_fraction_reference(pivot, minor):
+def test_rescaled_fail_lines_match_the_fraction_reference(pivot, minor, exit_code):
     # Row scales 1, 6, 35, 4 and 9, so every factor is distinct, and
     # no minor is zero, so that each fault changes its residuals.
     dens = [1, 6, 35, 4, 9]
@@ -424,7 +458,7 @@ def test_rescaled_fail_lines_match_the_fraction_reference(pivot, minor):
     assert [RATIONAL.integer_row(row)[1] for row in m.as_tuples()] == dens
     assert pivot is None or m.get(*pivot) != 0
     code, _ = check_against_fraction_reference(m, pivot, minor)
-    assert code == EXIT_VERIFY_FAILED
+    assert code == exit_code
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -438,9 +472,11 @@ def test_verify_converts_a_rational_matrix_once(n, monkeypatch, bareiss_calls):
     conversions = []
     condensed = []
 
-    def integer_row(row):
+    inner = type(RATIONAL).integer_row
+
+    def integer_row(self, row):
         conversions.append(row)
-        return type(RATIONAL).integer_row(RATIONAL, row)
+        return inner(self, row)
 
     def spy(function):
         def call(a, *args):
@@ -449,7 +485,9 @@ def test_verify_converts_a_rational_matrix_once(n, monkeypatch, bareiss_calls):
 
         return call
 
-    monkeypatch.setattr(RATIONAL, "integer_row", integer_row)
+    # on the class: undoing a patch of the instance would leave the
+    # bound method behind as an instance attribute
+    monkeypatch.setattr(type(RATIONAL), "integer_row", integer_row)
     monkeypatch.setattr(cli, "condense_at", spy(condense_at))
     monkeypatch.setattr(cli, "condense_at_11", spy(condense_at_11))
     assert main_on(m) == EXIT_OK
