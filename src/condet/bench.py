@@ -24,14 +24,14 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .condense import CondensationStep, DetResult, det_condensation
-from .matrix import Matrix, _is_json, _refuse_unknown_keys, _require_square
+from .matrix import Matrix, _field, _is_json, _json_object, _require_square
 from .oracle import (
     COFACTOR_SIZE_LIMIT,
     det_bareiss,
     det_cofactor,
     det_gauss_rational,
 )
-from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, ScalarKind, bit_length
+from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, ScalarKind, _echo, bit_length
 
 __all__ = [
     "SplitMix64",
@@ -144,13 +144,15 @@ def random_rational_matrix(
 
 class Method(NamedTuple):
     """One determinant method: its ``condet det --method`` spelling,
-    how to run it, the scalar kinds it accepts and its size cap (None
-    for no cap)."""
+    how to run it, the scalar kinds it accepts, its size cap (None for
+    no cap) and its cost per n x n matrix in bench work units (see
+    ``_BENCH_WORK_LIMIT``)."""
 
     cli_name: str
     run: Callable[[Matrix], DetResult]
     kinds: Tuple[ScalarKind, ...] = (RATIONAL, INTEGER, FLOAT)
     size_limit: Optional[int] = None
+    cost: Callable[[int], int] = lambda n: n**3
 
 
 def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetResult:
@@ -166,10 +168,16 @@ def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetR
 CONDENSATION_SIZE_LIMIT = 20
 
 # A bench config may ask for at most this much work, counted as
-# trials_per_size * sum(n**3 for n in sizes): elimination takes about
-# n**3 / 3 steps per matrix, and integer Bareiss at n = 60 took 54 ms
-# on a 2-CPU host, so the bound is some 25 s per method at that size.
-# It admits sizes 4..64 at 20 trials each (8.7e7).
+# trials_per_size times the sum, over its methods and sizes, of each
+# method's cost per matrix (``Method.cost``).  A unit is about 0.2 us
+# on a 2-CPU host under CPython 3.11, so the limit is some 20 s:
+# - Bareiss and rational Gauss cost n**3: Bareiss took 44 ms at
+#   n = 60 (0.2 us a unit), Gauss 218 ms (1 us a unit);
+# - cofactor expansion costs n!: 759 ms at n = 10 (0.21 us a unit);
+# - undivided condensation costs n**3 * 2**max(0, n-10), since its
+#   entry bits, and so its time, double per level: 15 ms at n = 16,
+#   393 ms at n = 19 and 1.24 s at n = 20 (0.06-0.15 us a unit).
+# Bareiss alone at sizes 4..64 and 20 trials each stays inside (8.7e7).
 _BENCH_WORK_LIMIT = 10**8
 
 # The largest entry_bound a bench config may ask for: the span 2**32 + 1
@@ -186,11 +194,13 @@ METHODS: Dict[str, Method] = {
         "condense",
         lambda m: det_condensation(m),
         size_limit=CONDENSATION_SIZE_LIMIT,
+        cost=lambda n: n**3 * 2 ** max(0, n - 10),
     ),
     "cofactor": Method(
         "cofactor",
         lambda m: _oracle_result(det_cofactor, m),
         size_limit=COFACTOR_SIZE_LIMIT,
+        cost=math.factorial,
     ),
     "bareiss": Method("bareiss", lambda m: _oracle_result(det_bareiss, m)),
     "gauss-rational": Method(
@@ -228,12 +238,6 @@ class BenchConfig(_BenchConfigFields):
                 raise ValueError(f"matrix size must be >= 1, got {n}")
         if trials_per_size < 0:
             raise ValueError(f"trials_per_size must be >= 0, got {trials_per_size}")
-        work = trials_per_size * sum(n**3 for n in sizes)
-        if work > _BENCH_WORK_LIMIT:
-            raise ValueError(
-                f"config asks for trials_per_size * sum(n**3 for n in sizes) = {work}, "
-                f"over the bench work limit of {_BENCH_WORK_LIMIT}"
-            )
         if entry_bound < 1:
             raise ValueError(f"entry_bound must be >= 1, got {entry_bound}")
         if entry_bound > _ENTRY_BOUND_LIMIT:
@@ -242,11 +246,18 @@ class BenchConfig(_BenchConfigFields):
             raise ValueError("config needs at least one method")
         for name in methods:
             if name not in METHODS:
-                raise ValueError(f"unknown method {name!r}; known: {', '.join(BENCH_METHODS)}")
+                raise ValueError(f"unknown method {_echo(name)}; known: {', '.join(BENCH_METHODS)}")
             limit = METHODS[name].size_limit
             too_big = [n for n in sizes if limit is not None and n > limit]
             if too_big:
                 raise ValueError(f"{name} method is limited to size {limit}, config asks for {too_big}")
+        # Charged once the size caps hold, so that n! stays small.
+        work = trials_per_size * sum(METHODS[name].cost(n) for name in methods for n in sizes)
+        if work > _BENCH_WORK_LIMIT:
+            raise ValueError(
+                f"config asks for trials_per_size * sum of method costs = {work}, "
+                f"over the bench work limit of {_BENCH_WORK_LIMIT}"
+            )
         return super().__new__(cls, sizes, trials_per_size, entry_bound, seed, methods)
 
     @classmethod
@@ -258,25 +269,15 @@ class BenchConfig(_BenchConfigFields):
     def from_dict(cls, doc) -> "BenchConfig":
         """Build a config from its JSON object; a ValueError names the
         field that is missing, unknown or of the wrong JSON type."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
-        _refuse_unknown_keys(doc, cls._fields)
-        for name in cls._fields:
-            if name not in doc:
-                raise ValueError(f"missing field {name!r}")
-        for name, item, what in (("sizes", int, "integers"), ("methods", str, "strings")):
-            value = doc[name]
-            if not (isinstance(value, list) and all(_is_json(v, item) for v in value)):
-                raise ValueError(f"field {name!r} must be a JSON list of {what}, got {value!r}")
-        for name in ("trials_per_size", "entry_bound", "seed"):
-            if not _is_json(doc[name], int):
-                raise ValueError(f"field {name!r} must be a JSON integer, got {doc[name]!r}")
+        _json_object(doc, cls._fields, "")
+        is_int = lambda v: _is_json(v, int)
+        list_of = lambda item: lambda v: isinstance(v, list) and all(_is_json(x, item) for x in v)
         return cls(
-            sizes=tuple(doc["sizes"]),
-            trials_per_size=doc["trials_per_size"],
-            entry_bound=doc["entry_bound"],
-            seed=doc["seed"],
-            methods=tuple(doc["methods"]),
+            sizes=tuple(_field(doc, "sizes", "", list_of(int), "a JSON list of integers")),
+            trials_per_size=_field(doc, "trials_per_size", "", is_int, "a JSON integer"),
+            entry_bound=_field(doc, "entry_bound", "", is_int, "a JSON integer"),
+            seed=_field(doc, "seed", "", is_int, "a JSON integer"),
+            methods=tuple(_field(doc, "methods", "", list_of(str), "a JSON list of strings")),
         )
 
 

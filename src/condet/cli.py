@@ -225,29 +225,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Float residuals depend on the order of operations, and on a
     # singular m that elimination stops at a column with no pivot, so
     # both keep a Bareiss call per one-removed minor.  Either way the
-    # minors share no code with condensation.  adj(m) is read only
-    # once m * adj(m) = det(m) * I holds, det(m) by Bareiss: the
-    # Dodgson identity alone cannot see a sign fault common to every
-    # one-removed minor, since each of its products reads two of them.
+    # minors share no code with condensation.  No minor is read from
+    # adj(m) before the one-removed minors, read through ``minor``
+    # itself, pass a Laplace expansion along each row i with the entries
+    # of each row r: the sum over j of a(r,j) * (-1)**(i+j) * M(i,j) is
+    # det(m), by Bareiss, if r == i and 0 otherwise (entry (r,i) of
+    # m * adj(m) = det(m) * I).  The Dodgson identity alone cannot see a
+    # sign fault common to every one-removed minor, since each of its
+    # products reads two of them.
     bareiss_minor = functools.cache(lambda rows, cols: det_bareiss(remove_rows_cols(m, rows, cols)))
     det_full = bareiss_minor((), ())
     minor = bareiss_minor
     if m.kind is INTEGER and det_full != 0:
         adj = _adjugate(m)
-        adj_cols = list(zip(*adj))
-        for i, row in enumerate(m.as_tuples()):
-            for j, col in enumerate(adj_cols):
-                if sum(map(operator.mul, row, col)) != (det_full if i == j else 0):
-                    raise ArithmeticError(
-                        f"adjugate self-check failed: entry ({i + 1},{j + 1}) of A*adj(A)"
-                        f" is not {'det(A)' if i == j else 0}"
-                    )
 
         def minor(rows, cols):
             if len(rows) != 1:
                 return bareiss_minor(rows, cols)
             (k,), (l,) = rows, cols
             return (-1) ** (k + l) * adj[l - 1][k - 1]
+
+        cofactors = [[(-1) ** (i + j) * minor((i,), (j,)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        for r, row in enumerate(m.as_tuples(), start=1):
+            for i, cofactor_row in enumerate(cofactors, start=1):
+                if sum(map(operator.mul, row, cofactor_row)) != (det_full if r == i else 0):
+                    raise ArithmeticError(
+                        f"adjugate self-check failed: entry ({r},{i}) of A*adj(A)"
+                        f" is not {'det(A)' if r == i else 0}"
+                    )
 
     failures = 0
     checked = 0

@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .matrix import (
-    Matrix, PivotSpec, _is_json, _refuse_unknown_keys, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
+    Matrix, PivotSpec, _field, _is_json, _json_object, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
 )
 from .oracle import det_bareiss
-from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError
+from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _echo
 
 __all__ = [
     "CondensationStep",
@@ -345,13 +345,6 @@ def det_condensation(
 TRACE_FORMAT = "condensation-trace/1"
 
 
-def _read_matrix(doc, kind: ScalarKind, where: str) -> Matrix:
-    try:
-        return matrix_from_doc(doc, kind)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def trace_document(m: Matrix, result: DetResult) -> dict:
     """JSON-ready document for one run: source matrix, per-level steps
     (pivot position, pivot value text, the format's constant ``"sign":
@@ -385,61 +378,47 @@ def _is_pivot(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(_is_json(v, int) and v >= 1 for v in value)
 
 
-def _required(obj: dict, name: str, where: str):
-    if name not in obj:
-        raise ValueError(f"{where}: missing '{name}'")
-    return obj[name]
-
-
-def _field(obj: dict, name: str, where: str, ok: Callable[[object], bool], what: str):
-    value = _required(obj, name, where)
-    if not ok(value):
-        raise ValueError(f"{where}: '{name}' must be {what}, got {value!r}")
-    return value
-
-
 def _read_scalar(obj: dict, name: str, kind: ScalarKind, where: str) -> Scalar:
     text = _field(obj, name, where, lambda v: isinstance(v, str), "a string")
     try:
         return kind.parse(text)
     except ScalarParseError as exc:
-        raise ValueError(f"{where}: '{name}': {exc}") from exc
+        raise ValueError(f"{where}'{name}': {exc}") from exc
 
 
 def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ...]]:
     """Rebuild (source matrix, value, steps) from a trace document; a
-    ValueError names the field, unknown key, step or matrix entry at fault."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"trace document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != TRACE_FORMAT:
-        raise ValueError(f"not a {TRACE_FORMAT} document: format={doc.get('format')!r}")
-    _refuse_unknown_keys(doc, ("format", "scalar_kind", "matrix", "steps", "value"), "trace document: ")
-    kind_name = _required(doc, "scalar_kind", "trace document")
+    ValueError names the field, unknown key, step or matrix entry at fault.
+    The document's format and each step's kind are read before their
+    keys are judged, since the keys a document may hold depend on them."""
+    where = "trace document: "
+    if _json_object(doc, None, where).get("format") != TRACE_FORMAT:
+        raise ValueError(f"not a {TRACE_FORMAT} document: format={_echo(doc.get('format'))}")
+    _json_object(doc, ("format", "scalar_kind", "matrix", "steps", "value"), where)
+    kind_name = _field(doc, "scalar_kind", where)
     kind = KINDS.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
-        raise ValueError(f"unknown scalar kind {kind_name!r}")
-    m = _read_matrix(_required(doc, "matrix", "trace document"), kind, "trace matrix")
+        raise ValueError(f"unknown scalar kind {_echo(kind_name)}")
+    m = matrix_from_doc(_field(doc, "matrix", where), kind, "trace matrix: ")
     steps: List[TraceEntry] = []
-    step_docs = _field(doc, "steps", "trace document", lambda v: isinstance(v, list), "a list")
+    step_docs = _field(doc, "steps", where, lambda v: isinstance(v, list), "a list")
     for number, step in enumerate(step_docs, start=1):
-        where = f"trace step {number}"
-        if not isinstance(step, dict):
-            raise ValueError(f"{where}: must be a JSON object, got {type(step).__name__}")
-        if step.get("kind") == "zero-row":
-            _refuse_unknown_keys(step, ("kind", "size"), f"{where}: ")
-            size = _field(step, "size", where, lambda v: _is_json(v, int) and v >= 3, "an integer >= 3")
-            steps.append(ZeroRowExit(size))
-        elif step.get("kind") == "condense":
-            _refuse_unknown_keys(step, ("kind", "pivot", "pivot_value", "sign", "condensed"), f"{where}: ")
-            k, l = _field(step, "pivot", where, _is_pivot, "a pair of integers >= 1")
-            pivot_value = _read_scalar(step, "pivot_value", kind, where)
-            _field(step, "sign", where, lambda v: _is_json(v, int) and v == 1, "1")
-            condensed = _read_matrix(_required(step, "condensed", where), kind, f"{where} condensed matrix")
+        at = f"trace step {number}: "
+        tag = _json_object(step, None, at).get("kind")
+        if tag == "zero-row":
+            _json_object(step, ("kind", "size"), at)
+            steps.append(ZeroRowExit(_field(step, "size", at, lambda v: _is_json(v, int) and v >= 3, "an integer >= 3")))
+        elif tag == "condense":
+            _json_object(step, ("kind", "pivot", "pivot_value", "sign", "condensed"), at)
+            k, l = _field(step, "pivot", at, _is_pivot, "a pair of integers >= 1")
+            pivot_value = _read_scalar(step, "pivot_value", kind, at)
+            _field(step, "sign", at, lambda v: _is_json(v, int) and v == 1, "1")
+            condensed = matrix_from_doc(_field(step, "condensed", at), kind, f"trace step {number} condensed matrix: ")
             size = condensed.rows + 1
             if max(k, l) > size:
-                raise ValueError(f"{where}: 'pivot' must lie within its size-{size} level, got {[k, l]!r}")
+                raise ValueError(f"{at}'pivot' must lie within its size-{size} level, got {[k, l]!r}")
             steps.append(CondensationStep(PivotSpec(k, l), pivot_value, condensed))
         else:
-            raise ValueError(f"unknown trace step kind {step.get('kind')!r}")
-    value = _read_scalar(doc, "value", kind, "trace document")
+            raise ValueError(f"unknown trace step kind {_echo(tag)}")
+    value = _read_scalar(doc, "value", kind, where)
     return m, value, tuple(steps)

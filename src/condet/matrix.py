@@ -9,14 +9,16 @@ Besides the container this module holds minor extraction
 (`remove_rows_cols`) and the one JSON form of a matrix, the object
 ``{"rows": R, "cols": C, "entries": [...]}`` with entry texts in
 row-major order, that matrix files and trace documents share
-(`matrix_to_doc` / `matrix_from_doc`).
+(`matrix_to_doc` / `matrix_from_doc`), and the two checks every JSON
+object condet reads goes through, matrix, bench config and trace
+document alike (`_json_object` / `_field`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .scalars import Scalar, ScalarKind, ScalarParseError
+from .scalars import Scalar, ScalarKind, ScalarParseError, _echo
 
 __all__ = [
     "PivotSpec",
@@ -173,11 +175,28 @@ def _is_json(value, typ: type) -> bool:
     return isinstance(value, typ) and not isinstance(value, bool)
 
 
-def _refuse_unknown_keys(doc: dict, known: Sequence[str], where: str = "") -> None:
-    """A ValueError after ``where`` for the first key of ``doc`` not in ``known``."""
+def _json_object(doc, known: Optional[Sequence[str]], where: str) -> dict:
+    """``doc`` if it is a JSON object whose keys are all in ``known``
+    (any keys when ``known`` is None); else a ValueError after the
+    ``where`` prefix.  Matrix files, bench configs and trace documents
+    are all read through this and :func:`_field`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}must be a JSON object, got {type(doc).__name__}")
     for key in doc:
-        if key not in known:
-            raise ValueError(f"{where}unknown key {key!r}; known keys: {', '.join(known)}")
+        if known is not None and key not in known:
+            raise ValueError(f"{where}unknown key {_echo(key)}; known keys: {', '.join(known)}")
+    return doc
+
+
+def _field(obj: dict, name: str, where: str, ok: Callable[[object], bool] = lambda v: True, what: str = ""):
+    """``obj[name]``; a ValueError after the ``where`` prefix if it is
+    missing or fails ``ok``, saying that it must be ``what``."""
+    if name not in obj:
+        raise ValueError(f"{where}missing '{name}'")
+    value = obj[name]
+    if not ok(value):
+        raise ValueError(f"{where}'{name}' must be {what}, got {_echo(value)}")
+    return value
 
 
 def matrix_to_doc(m: Matrix) -> dict:
@@ -191,33 +210,25 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
-def matrix_from_doc(doc, kind: ScalarKind) -> Matrix:
+def matrix_from_doc(doc, kind: ScalarKind, where: str = "") -> Matrix:
     """Read the JSON object written by :func:`matrix_to_doc`; anything
-    else, an unknown key included, raises a ValueError naming the key,
-    or the entry by its 1-based row-major position, at fault."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"must be a JSON object, got {type(doc).__name__}")
-    _refuse_unknown_keys(doc, ("rows", "cols", "entries"))
-    for name in ("rows", "cols", "entries"):
-        if name not in doc:
-            raise ValueError(f"missing '{name}'")
-    for name in ("rows", "cols"):
-        size = doc[name]
-        if not _is_json(size, int):
-            raise ValueError(f"'{name}' must be an integer, got {size!r}")
+    else, an unknown key included, raises a ValueError that starts with
+    ``where`` and names the key, or the entry by its 1-based row-major
+    position, at fault."""
+    _json_object(doc, ("rows", "cols", "entries"), where)
+    rows, cols = (_field(doc, name, where, lambda v: _is_json(v, int), "an integer") for name in ("rows", "cols"))
+    entries = _field(doc, "entries", where, lambda v: isinstance(v, list), "a list")
+    for name, size in (("rows", rows), ("cols", cols)):
         if size < 0:
-            raise ValueError(f"claims {name} = {size}, must be >= 0")
-    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not isinstance(entries, list):
-        raise ValueError(f"'entries' must be a list, got {type(entries).__name__}")
+            raise ValueError(f"{where}claims {name} = {size}, must be >= 0")
     parsed = []
     for idx, cell in enumerate(entries, start=1):
         if not isinstance(cell, str):
-            raise ValueError(f"entry {idx} (row-major): must be a string, got {cell!r}")
+            raise ValueError(f"{where}entry {idx} (row-major): must be a string, got {_echo(cell)}")
         try:
             parsed.append(kind.parse(cell))
         except ScalarParseError as exc:
-            raise ValueError(f"entry {idx} (row-major): {exc}") from exc
+            raise ValueError(f"{where}entry {idx} (row-major): {exc}") from exc
     if len(parsed) != rows * cols:
-        raise ValueError(f"claims {rows}x{cols} = {rows * cols} entries, got {len(parsed)}")
+        raise ValueError(f"{where}claims {rows}x{cols} = {rows * cols} entries, got {len(parsed)}")
     return Matrix([parsed[r * cols : (r + 1) * cols] for r in range(rows)], kind, cols=cols)

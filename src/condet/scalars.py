@@ -47,6 +47,20 @@ class ScalarParseError(ValueError):
     """Scalar text that does not parse under the requested kind."""
 
 
+# The longest echo of bad input a message carries: past it, a message
+# shows the head and the length, so one huge cell cannot flood stderr.
+_ECHO_LIMIT = 100
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut to its first
+    ``_ECHO_LIMIT`` characters plus ``… (N characters)`` when longer."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
+
+
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact is not.
 
@@ -227,7 +241,7 @@ class RationalKind(ScalarKind):
         if m:
             num, den = _text_int(m.group(1)), _text_int(m.group(2))
             if den == 0:
-                raise ScalarParseError(f"zero denominator in {text!r}")
+                raise ScalarParseError(f"zero denominator in {_echo(text)}")
             return Fraction(num, den)
         if _INT_RE.match(t):
             return Fraction(_text_int(t))
@@ -241,11 +255,11 @@ class RationalKind(ScalarKind):
             except ValueError:  # past the int/str limit: 10**exp could never be built
                 power = math.inf
             if abs(power) > MAX_DECIMAL_SHIFT:
-                raise ScalarParseError(f"exponent out of range: {text!r}")
+                raise ScalarParseError(f"exponent out of range: {_echo(text)}")
             value = Fraction(_text_int(whole + frac))
             shift = power - len(frac)
             return value * 10**shift if shift >= 0 else value / 10**-shift
-        raise ScalarParseError(f"not a rational scalar: {text!r}")
+        raise ScalarParseError(f"not a rational scalar: {_echo(text)}")
 
     def format(self, value: Fraction) -> str:
         if value.denominator == 1:
@@ -288,8 +302,8 @@ class IntegerKind(ScalarKind):
         if _INT_RE.match(t):
             return _text_int(t)
         if _FRACTION_RE.match(t) or _DECIMAL_RE.match(t):
-            raise ScalarParseError(f"not an integer scalar (fractional text): {text!r}")
-        raise ScalarParseError(f"not an integer scalar: {text!r}")
+            raise ScalarParseError(f"not an integer scalar (fractional text): {_echo(text)}")
+        raise ScalarParseError(f"not an integer scalar: {_echo(text)}")
 
     def format(self, value: int) -> str:
         return _int_text(value)
@@ -320,7 +334,7 @@ def _parse_plain_float(text: str) -> float:
     if m:
         num, den = _text_int(m.group(1)), _text_int(m.group(2))
         if den == 0:
-            raise ScalarParseError(f"zero denominator in {text!r}")
+            raise ScalarParseError(f"zero denominator in {_echo(text)}")
         try:
             value = num / den
         except OverflowError:
@@ -328,10 +342,10 @@ def _parse_plain_float(text: str) -> float:
     elif _DECIMAL_RE.match(t):
         value = float(t)
     else:
-        raise ScalarParseError(f"not a float scalar: {text!r}")
+        raise ScalarParseError(f"not a float scalar: {_echo(text)}")
     # float() turns out-of-range text such as "1e400" into inf.
     if not math.isfinite(value):
-        raise ScalarParseError(f"float out of range: {text!r}")
+        raise ScalarParseError(f"float out of range: {_echo(text)}")
     return value
 
 
@@ -351,7 +365,7 @@ class FloatKind(ScalarKind):
         # decimal inside, so a nested form is refused in linear time.
         inner = _parse_plain_float(m.group(2))
         if inner < 0:
-            raise ScalarParseError(f"square root of a negative value: {text!r}")
+            raise ScalarParseError(f"square root of a negative value: {_echo(text)}")
         root = math.sqrt(inner)
         return -root if m.group(1) else root
 

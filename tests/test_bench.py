@@ -1,5 +1,7 @@
 """Seeded corpus generation, bench records, reports and growth data."""
 
+import json
+import math
 import os
 import re
 import shlex
@@ -116,7 +118,8 @@ def test_config_replace_validates():
     assert cfg._replace(sizes=[3]).sizes == (3,)
     with pytest.raises(ValueError, match="matrix size must be >= 1"):
         cfg._replace(sizes=(0,))
-    with pytest.raises(ValueError, match=r"sum\(n\*\*3 for n in sizes\) = 432000000000, over"):
+    # sizes 3..6 cost 3! + ... + 6! = 870 for cofactor and 432 for each other method
+    with pytest.raises(ValueError, match=r"sum of method costs = 2166000000000, over"):
         cfg._replace(trials_per_size=10**9)
 
 
@@ -137,9 +140,9 @@ def test_config_entry_bound_is_capped():
 
 
 def test_config_work_is_bounded():
-    # trials_per_size * sum(n**3 for n in sizes) may reach 10**8, no further
+    # trials_per_size times the summed method costs may reach 10**8, no further
     big = {"sizes": [100000], "trials_per_size": 10**12, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
-    message = f"config asks for trials_per_size * sum(n**3 for n in sizes) = {10**27}, over the bench work limit of {10**8}"
+    message = f"config asks for trials_per_size * sum of method costs = {10**27}, over the bench work limit of {10**8}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BenchConfig.from_dict(big)
     with pytest.raises(ValueError, match=r"= 100000100, over"):
@@ -147,6 +150,44 @@ def test_config_work_is_bounded():
     assert BenchConfig(sizes=(100,), trials_per_size=100, entry_bound=9, seed=1, methods=("bareiss",))
     # a roadmap perf config: every size 4..64, a few trials
     assert BenchConfig(sizes=range(4, 65), trials_per_size=20, entry_bound=9, seed=1, methods=("bareiss",))
+
+
+def config_work(cfg) -> int:
+    methods = bench_module.METHODS
+    return cfg["trials_per_size"] * sum(methods[name].cost(n) for name in cfg["methods"] for n in cfg["sizes"])
+
+
+def test_config_work_charges_each_method_its_own_cost():
+    methods = bench_module.METHODS
+    assert [methods[name].cost(10) for name in ("bareiss", "gauss-rational", "cofactor", "condensation")] == [
+        1000, 1000, math.factorial(10), 1000,
+    ]
+    assert methods["condensation"].cost(20) == 20**3 * 2**10
+    # Cofactor expansion at n = 10 takes about 0.6 s a matrix: some 17 h.
+    cofactor = {"sizes": [10], "trials_per_size": 100000, "entry_bound": 9, "seed": 1, "methods": ["cofactor"]}
+    with pytest.raises(ValueError, match=f"= {math.factorial(10) * 100000}, over the bench work limit"):
+        BenchConfig.from_dict(cofactor)
+    # Undivided condensation at sizes 14..20: some 44 min.  Bareiss on
+    # the same corpus is charged n**3 and stays inside.
+    growth = {"sizes": list(range(14, 21)), "trials_per_size": 2791, "entry_bound": 9, "seed": 1}
+    with pytest.raises(ValueError, match="over the bench work limit"):
+        BenchConfig.from_dict({**growth, "methods": ["condensation"]})
+    assert config_work({**growth, "methods": ["bareiss"]}) <= 10**8
+    assert BenchConfig.from_dict({**growth, "methods": ["bareiss"]})
+    # Every listed method is charged, a repeated one each time.
+    assert config_work({**growth, "methods": ["bareiss", "bareiss"]}) > 10**8
+    with pytest.raises(ValueError, match="over the bench work limit"):
+        BenchConfig.from_dict({**growth, "methods": ["bareiss", "bareiss"]})
+
+
+def test_pinned_and_default_configs_stay_far_below_the_work_limit():
+    names = ("bench_default", "bench_sizes_5_7", "bench_sizes_13_15")
+    configs = [json.loads((FIXTURES / f"{name}.json").read_text()) for name in names]
+    configs.append(DEFAULT_CONFIG._asdict())
+    assert max(map(config_work, configs)) < 10**6
+    # the costliest config the bench-crosscheck workload writes
+    worst = {"sizes": [13, 14, 15], "trials_per_size": 1, "methods": ["condensation", "bareiss", "gauss-rational"]}
+    assert config_work(worst) == 186112
 
 
 def test_run_bench_shape_and_agreement():

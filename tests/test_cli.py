@@ -92,7 +92,7 @@ def test_parse_json_rejects_negative_dimensions(tmp_path, capsys):
         ('{"cols": 1, "entries": ["1"]}', "missing 'rows'"),
         ('{"rows": "1", "cols": 1, "entries": ["1"]}', "'rows' must be an integer, got '1'"),
         ('{"rows": 1, "cols": true, "entries": ["1"]}', "'cols' must be an integer, got True"),
-        ('{"rows": 1, "cols": 2, "entries": "12"}', "'entries' must be a list, got str"),
+        ('{"rows": 1, "cols": 2, "entries": "12"}', "'entries' must be a list, got '12'"),
         ('{"rows": 1, "cols": 2, "entries": ["1", 2]}', r"entry 2 \(row-major\): must be a string, got 2"),
         ('{"rows": 1, "cols": 2, "entries": ["1", "x"]}', r"entry 2 \(row-major\): not an integer scalar"),
         ('{"rows": 1, "cols": ', "JSON matrix file: Expecting value"),
@@ -264,6 +264,18 @@ def test_det_float_refuses_a_nested_sqrt(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: line 2, entry 2: not a float scalar: 'sqrt(sqrt(")
     assert captured.err.count("\n") == 1
+    # The message echoes the inside of the outer sqrt( as a repr of
+    # 7,197 characters, cut to its head and its length.
+    assert len(captured.err) < 200
+    assert captured.err.endswith("… (7197 characters)\n")
+
+
+def test_json_matrix_with_a_huge_field_gets_a_short_message(tmp_path, capsys):
+    path = write(tmp_path, "m.json", json.dumps({"rows": "7" * 10**6, "cols": 1, "entries": ["1"]}))
+    assert main(["det", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: JSON matrix file: 'rows' must be an integer, got '{'7' * 99}… (1000002 characters)\n"
 
 
 def test_det_trace_requires_condense(tmp_path, capsys):
@@ -668,7 +680,7 @@ def test_bench_invalid_json_is_user_error(tmp_path, capsys):
 def test_bench_missing_field_is_user_error(tmp_path, capsys):
     path = write(tmp_path, "cfg.json", json.dumps({"sizes": [3]}))
     assert main(["bench", path]) == EXIT_USER_ERROR
-    assert "missing field" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: bench config {path}: missing 'trials_per_size'\n"
 
 
 def test_bench_unwritable_out_is_user_error(tmp_path, capsys, monkeypatch):
@@ -718,7 +730,7 @@ def test_bench_config_over_the_work_limit_is_user_error(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: bench config {path}: config asks for trials_per_size * sum(n**3 for n in sizes)"
+        f"error: bench config {path}: config asks for trials_per_size * sum of method costs"
         f" = {10**27}, over the bench work limit of {10**8}\n"
     )
 
@@ -753,7 +765,7 @@ def test_bench_config_types_are_user_errors(tmp_path, capsys, field, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: bench config {path}: ")
-    assert (f"field {field!r}" if field else "must be a JSON object") in captured.err
+    assert (f"{field!r} must be a JSON " if field else "must be a JSON object") in captured.err
 
 
 def test_bench_config_refuses_unknown_keys(tmp_path, capsys):

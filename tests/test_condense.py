@@ -233,6 +233,49 @@ def test_condense_identity_holds_symbolically(n):
             assert sympy.expand(residual) == 0, f"pivot ({k},{l})"
 
 
+# A prime above any entry the points below draw: by Schwartz-Zippel, a
+# nonzero polynomial of degree d vanishes at a uniformly random point of
+# (Z/p)^(n*n) with probability at most d/p, here below 2**-50.
+PRIME = 2**61 - 1
+
+
+def det_mod(rows, p: int) -> int:
+    """det(rows) modulo the prime p, by Gaussian elimination over Z/p."""
+    a = [[v % p for v in row] for row in rows]
+    n, det = len(a), 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inverse = pow(a[c][c], -1, p)
+        for r in range(c + 1, n):
+            factor = a[r][c] * inverse % p
+            a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_condense_identity_holds_modulo_a_prime(n):
+    # a(k,l)**(n-2) * det(A) = det(condensed at (k,l)) at a random point
+    # mod PRIME: every pivot for n <= 10, above that pivots in odd and
+    # even columns, since a sign fault confined to the columns left of
+    # the pivot shows only when their number is odd.
+    rng = random.Random(n)
+    a = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
+    det = det_mod(a, PRIME)
+    if n <= 10:
+        pivots = [(k, l) for k in range(n) for l in range(n)]
+    else:
+        pivots = [(rng.randrange(n), rng.randrange(parity, n, 2)) for parity in (0, 1, 0, 1)]
+    for k, l in pivots:
+        lhs = pow(a[k][l], n - 2, PRIME) * det % PRIME
+        assert lhs == det_mod(_condense_rows(a, k, l), PRIME), f"pivot ({k + 1},{l + 1})"
+
+
 def test_condense_at_zero_pivot_vanishes():
     # With a zero pivot the identity degenerates: the condensed matrix
     # must be singular.  Exploratory extension of the pivot identity;
@@ -547,7 +590,7 @@ def test_trace_document_rejects_negative_dimensions():
 
 
 def test_trace_document_rejects_non_object():
-    with pytest.raises(ValueError, match="trace document must be a JSON object, got list"):
+    with pytest.raises(ValueError, match="^trace document: must be a JSON object, got list$"):
         trace_from_document([])
 
 
@@ -584,6 +627,8 @@ MISSING = object()
         (None, "scalar_kind", MISSING, "trace document: missing 'scalar_kind'"),
         (None, "matrix", MISSING, "trace document: missing 'matrix'"),
         (0, "condensed", MISSING, "trace step 1: missing 'condensed'"),
+        (0, "kind", ["condense"], "unknown trace step kind ['condense']"),
+        (None, "format", ["condensation-trace/1"], "not a condensation-trace/1 document: format=['condensation-trace/1']"),
     ],
 )
 def test_trace_document_rejects_malformed_fields(step, field, value, message):
@@ -649,7 +694,7 @@ def test_trace_document_rejects_malformed_zero_row_size(value, message):
     [
         ("matrix", "entries", ["1", 2, "3", "4"], r"trace matrix: entry 2 \(row-major\): must be a string, got 2"),
         ("matrix", "rows", None, "trace matrix: missing 'rows'"),
-        ("matrix", "entries", "1234", "trace matrix: 'entries' must be a list, got str"),
+        ("matrix", "entries", "1234", "trace matrix: 'entries' must be a list, got '1234'"),
         ("matrix", "cols", "2", "trace matrix: 'cols' must be an integer, got '2'"),
         ("step", "entries", ["x"], r"trace step 1 condensed matrix: entry 1 \(row-major\): not an integer"),
         ("step", "rows", None, "trace step 1 condensed matrix: missing 'rows'"),

@@ -34,6 +34,18 @@ def test_rational_parse_rejects_garbage():
             RATIONAL.parse(bad)
 
 
+@pytest.mark.parametrize("kind, prefix", [(RATIONAL, "not a rational"), (INTEGER, "not an integer"), (FLOAT, "not a float")])
+def test_parse_errors_echo_long_text_cut_to_its_head(kind, prefix):
+    # Text whose repr fits in 100 characters is echoed whole; longer text
+    # shows the first 100 characters of its repr and the repr's length.
+    short = "x" * 98
+    with pytest.raises(ScalarParseError, match=f"^{prefix} scalar: '{short}'$"):
+        kind.parse(short)
+    with pytest.raises(ScalarParseError) as info:
+        kind.parse("x" * 10**6)
+    assert str(info.value) == f"{prefix} scalar: '{'x' * 99}… (1000002 characters)"
+
+
 def test_rational_zero_denominator():
     with pytest.raises(ScalarParseError):
         RATIONAL.parse("3/0")

@@ -2,9 +2,11 @@
 run and prints exactly what the uncached identities give."""
 
 import contextlib
+import inspect
 import io
 import os
 import tempfile
+import types
 from fractions import Fraction
 from math import comb
 
@@ -29,7 +31,7 @@ from condet import (
     random_rational_matrix,
     remove_rows_cols,
 )
-from conftest import GOLDEN_PATH
+from conftest import FIXTURES, GOLDEN_PATH
 from condet.cli import EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, VERIFY_REL_TOL, main, parse_matrix_text
 from condet.oracle import _adjugate
 
@@ -365,6 +367,39 @@ def test_verify_stops_on_an_adjugate_with_a_common_sign_fault(capsys, monkeypatc
     code, out = run_verify(matrix_text(m), kind)
     assert (code, out) == (EXIT_INTERNAL_ERROR, "")
     assert capsys.readouterr().err == "internal error: adjugate self-check failed: entry (1,1) of A*adj(A) is not det(A)\n"
+
+
+MINOR_MAP = "(-1) ** (k + l) * adj[l - 1][k - 1]"
+
+
+def cli_with_minor_map(expression: str):
+    """A fresh copy of ``condet.cli`` whose ``verify`` reads each
+    one-removed minor M(k,l) from adj(A) by ``expression``."""
+    source = inspect.getsource(cli)
+    assert source.count(MINOR_MAP) == 1
+    module = types.ModuleType("condet._cli_copy")
+    module.__package__ = "condet"
+    exec(compile(source.replace(MINOR_MAP, expression), cli.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(-1) ** (k + l + 1) * adj[l - 1][k - 1]", "(-1) ** (k + l) * adj[k - 1][l - 1]"],
+    ids=["parity", "transposed"],
+)
+def test_self_check_reads_the_adjugate_through_the_minor_map(capsys, expression):
+    # The self-check expands det(A) through the same map the Dodgson
+    # lines read, so a fault in the map exits 3 before any line.  The
+    # parity fault negates every one-removed minor, which the Dodgson
+    # lines alone cannot see.
+    path = str(FIXTURES / "rational_7x7.txt")
+    assert cli_with_minor_map(MINOR_MAP).main(["verify", path]) == EXIT_OK
+    assert capsys.readouterr().out == (FIXTURES / "rational_7x7_verify.txt").read_text()
+    assert cli_with_minor_map(expression).main(["verify", path]) == EXIT_INTERNAL_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: adjugate self-check failed: entry (1,1) of A*adj(A) is not det(A)\n"
 
 
 @pytest.mark.parametrize("factor, verdict", [(0.5, "PASS"), (2.0, "FAIL")])
