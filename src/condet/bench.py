@@ -162,22 +162,26 @@ def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetR
 
 # Undivided condensation roughly doubles its entry bits per level: n=20
 # takes about 1 s (0.8-1.2 s over nine runs on a 2-CPU host) and n=24
-# did not finish in 10 minutes.  The cap holds for `condet det --method
-# condense` and bench configs; the library function det_condensation
-# itself takes any size.
+# did not finish in 10 minutes.  The cap holds for bench configs and
+# for `condet det --method condense` where it condenses undivided (under
+# --scalar rational or integer, or with --trace); the library function
+# det_condensation itself takes any size.
 CONDENSATION_SIZE_LIMIT = 20
 
 # A bench config may ask for at most this much work, counted as
 # trials_per_size times the sum, over its methods and sizes, of each
 # method's cost per matrix (``Method.cost``).  A unit is about 0.2 us
 # on a 2-CPU host under CPython 3.11, so the limit is some 20 s:
-# - Bareiss and rational Gauss cost n**3: Bareiss took 44 ms at
-#   n = 60 (0.2 us a unit), Gauss 218 ms (1 us a unit);
+# - Bareiss and divided condensation cost n**3: 44 ms and 54 ms at
+#   n = 60-64 (0.2 us a unit);
+# - rational Gauss costs 5 * n**3, since its gcds make it about five
+#   times slower than Bareiss: 218 ms at n = 60 (0.2 us a unit);
 # - cofactor expansion costs n!: 759 ms at n = 10 (0.21 us a unit);
 # - undivided condensation costs n**3 * 2**max(0, n-10), since its
 #   entry bits, and so its time, double per level: 15 ms at n = 16,
 #   393 ms at n = 19 and 1.24 s at n = 20 (0.06-0.15 us a unit).
-# Bareiss alone at sizes 4..64 and 20 trials each stays inside (8.7e7).
+# Bareiss alone at sizes 4..64 and 20 trials each stays inside (8.7e7);
+# rational Gauss alone on that config does not (4.3e8).
 _BENCH_WORK_LIMIT = 10**8
 
 # The largest entry_bound a bench config may ask for: the span 2**32 + 1
@@ -207,7 +211,11 @@ METHODS: Dict[str, Method] = {
         "gauss",
         lambda m: _oracle_result(det_gauss_rational, m),
         kinds=(RATIONAL,),
+        cost=lambda n: 5 * n**3,
     ),
+    # Divided levels are not the condensed matrices of a trace, so its
+    # rows leave the max_bits_level_* cells blank.
+    "condensation-divided": Method("condense-divided", lambda m: det_condensation(m, divided=True)),
 }
 
 BENCH_METHODS = tuple(METHODS)
@@ -286,16 +294,17 @@ DEFAULT_CONFIG = BenchConfig(
     trials_per_size=3,
     entry_bound=9,
     seed=20240817,
-    methods=BENCH_METHODS,
+    methods=("condensation", "cofactor", "bareiss", "gauss-rational"),
 )
 
 
 class BenchRecord(NamedTuple):
     """One (method, matrix) measurement.
 
-    ``max_bit_length_per_level`` is condensation-specific: the largest
-    entry bit length of each condensed matrix, one value per level, in
-    level order; empty for other methods and for non-integer runs.
+    ``max_bit_length_per_level`` is specific to undivided condensation:
+    the largest entry bit length of each condensed matrix, one value per
+    level, in level order; empty for other methods, divided condensation
+    included, and for non-integer runs.
     ``result_digest`` is the canonical text of the determinant.
     """
 

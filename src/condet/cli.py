@@ -90,6 +90,8 @@ def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
             return matrix_from_doc(json.loads(text), kind)
         except ValueError as exc:  # json.JSONDecodeError is one
             raise MatrixFileError(f"JSON matrix file: {exc}") from exc
+        except RecursionError:
+            raise MatrixFileError("JSON matrix file: nested too deeply to read") from None
     rows: List[List] = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -147,10 +149,16 @@ def cmd_det(args: argparse.Namespace) -> int:
     m = load_matrix(args.file, kind)
     if not m.is_square():
         raise UsageError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    for flag, value in (("--trace", args.trace), ("--pivot", args.pivot)):
-        if value is not None and args.method != "condense":
-            raise UsageError(f"{flag} is only available with --method condense")
+    if args.trace is not None and args.method != "condense":
+        raise UsageError("--trace is only available with --method condense")
+    if args.pivot is not None and not args.method.startswith("condense"):
+        raise UsageError("--pivot is only available with --method condense or condense-divided")
     name = _CLI_METHODS[args.method]
+    if name == "condensation" and kind is FLOAT and args.trace is None:
+        # Undivided float entries roughly double their exponent per level
+        # and leave the double range by n = 10.  Divided levels are minors
+        # of the matrix, but a trace records undivided levels only.
+        name = "condensation-divided"
     method = METHODS[name]
     if kind not in method.kinds:
         needed = " or ".join(k.name for k in method.kinds)
@@ -161,16 +169,20 @@ def cmd_det(args: argparse.Namespace) -> int:
             f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols}"
             " (--method bareiss has no size cap)"
         )
-    if args.method == "condense":
+    if name.startswith("condensation"):
         strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
-        result = det_condensation(m, strategy, record_trace=args.trace is not None)
+        divided = name == "condensation-divided"
+        result = det_condensation(m, strategy, record_trace=args.trace is not None, divided=divided)
     else:
         result = method.run(m)
     if kind is FLOAT and not math.isfinite(result.value):
-        # Undivided condensation entries roughly double their exponent
-        # per level and leave the double range by n = 10 (inf - inf is
-        # nan): there is no answer to print.  Bareiss keeps entries near
-        # the size of minors, so it is worth suggesting after the others.
+        # A product left the double range (inf - inf is nan): there is
+        # no answer to print.  Undivided condensation, which --trace
+        # runs, gets there by n = 10 on entries near 1.  Divided
+        # condensation and Bareiss keep entries near the size of minors,
+        # so only inputs such as 1e200 overflow them, at the first
+        # level.  Bareiss divides first where a product overflows, so
+        # it is worth suggesting after the others.
         alternative = "" if args.method == "bareiss" else ", or --method bareiss"
         raise FloatingPointError(
             f"the float determinant came out {result.value!r}; "
@@ -317,6 +329,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise UsageError(f"invalid JSON in {args.config}: {exc}") from exc
         except ValueError as exc:
             raise UsageError(f"bench config {args.config}: {exc}") from exc
+        except RecursionError:
+            raise UsageError(f"bench config {args.config}: nested too deeply to read") from None
     if args.seed is not None:
         cfg = cfg._replace(seed=args.seed)
     if args.out != "-":

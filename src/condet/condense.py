@@ -18,6 +18,15 @@ consequences drive the determinant driver ``det_condensation``:
 * repeated condensation shrinks the matrix one size per level, and a
   single division by the pivot power per level recovers det(A).
 
+Undivided, entry bits roughly double per level.  ``det_condensation(m,
+divided=True)`` divides every entry of each new level exactly by the
+pivot of the step before instead (Sylvester's identity, as in Bareiss,
+Math. Comp. 22, 1968, and Dodgson, Proc. R. Soc. 15, 1866): entry
+(r, c) of level t is then the minor of A on rows 1..t and t+1+r and on
+the columns of the t pivots so far plus the source column of c, in
+increasing order and with no sign, so entries stay below the Hadamard
+bound and the last 1x1 level is det(A) itself.
+
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
 as a cross-check that never touches the condensation code above it.
@@ -28,13 +37,15 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .matrix import (
     Matrix, PivotSpec, _field, _is_json, _json_object, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
 )
 from .oracle import det_bareiss
-from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _echo
+from .scalars import (
+    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo
+)
 
 __all__ = [
     "CondensationStep",
@@ -253,10 +264,63 @@ def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple],
     return out_rows, out_scales, product
 
 
+def _divided_levels(
+    rows: Sequence[Sequence], strategy: PivotStrategy, ring: ScalarKind, ops: OpCounts
+) -> Iterator[Tuple[int, List[tuple]]]:
+    """Sylvester-divided condensation of the square integer or float
+    ``rows``, one level at a time.
+
+    Level t is ``_condense_rows`` of level t-1 (level 0 being ``rows``)
+    at the pivot (1, l) picked in its first row by ``strategy``, with
+    every entry divided by the pivot picked in level t-2; level 1 has
+    no such pivot and does no division.  Yields ``(l, level)`` for
+    t = 1, 2, ...  The last level yielded is 1x1 and its entry is
+    det(rows), unless the first row of a level is all zero: then
+    det(rows) = 0 and nothing more is yielded.  Integer divisions are
+    exact, and a nonzero remainder raises ``ExactDivisionError`` naming
+    the level and the pivot divided by.
+    """
+    prev = None
+    level = 0
+    while len(rows) > 1:
+        row1 = rows[0]
+        l = select_pivot(row1, strategy)
+        if l is None:
+            return
+        level += 1
+        size = len(rows) - 1
+        rows = _condense_rows(rows, 0, l - 1)
+        ops.multiplications += 2 * size * size
+        ops.subtractions += size * size
+        if prev is not None:
+            ops.divisions += size * size
+            if ring is FLOAT:
+                rows = [tuple([v / prev for v in row]) for row in rows]
+            else:
+                divide = _divmod_for(prev)  # prev is fixed for the level
+                quotients = []
+                for row in rows:
+                    out = []
+                    for v in row:
+                        q, rem = divide(v, prev)
+                        if rem:
+                            raise ExactDivisionError(
+                                f"divided level {level}: a {v.bit_length()}-bit entry is not a multiple"
+                                f" of the {prev.bit_length()}-bit pivot (1, {prev_l}) of level {level - 2}"
+                            )
+                        out.append(q)
+                    quotients.append(tuple(out))
+                rows = quotients
+        prev, prev_l = row1[l - 1], l
+        yield l, rows
+
+
 def det_condensation(
     m: Matrix,
     strategy: PivotStrategy = PivotStrategy.FIRST_NONZERO,
     record_trace: bool = True,
+    *,
+    divided: bool = False,
 ) -> DetResult:
     """Determinant by repeated first-row condensation.
 
@@ -285,6 +349,14 @@ def det_condensation(
     divisions actually performed, including the closed-form 2x2 base
     case and the pivot-power build-up; the scale and gcd bookkeeping of
     rational rows is representation, not counted.
+
+    ``divided=True`` runs ``_divided_levels`` instead, down to the 1x1
+    level that is det(A): no divide-back, no sign, and entries that are
+    minors of A.  A rational matrix runs on its integer rows with no
+    per-level gcd, the result being ``Fraction(det(I_0), product of
+    the scales)``.  Divided levels are not the condensed matrices of
+    the identity above, so no trace is recorded, whatever
+    ``record_trace`` says.
     """
     n = _require_square(m, "det_condensation")
     kind = m.kind
@@ -300,6 +372,12 @@ def det_condensation(
     if kind is RATIONAL:
         rows, scales = zip(*map(RATIONAL.integer_row, rows))
         ring, denominator = INTEGER, math.prod(scales)
+    if divided:
+        level = rows
+        for _, level in _divided_levels(rows, strategy, ring, ops):
+            pass
+        value = level[0][0] if len(level) == 1 else ring.zero
+        return DetResult(value if scales is None else Fraction(value, denominator), (), ops)
     pending: List[Tuple[Scalar, int, int, int]] = []
     while True:
         size = len(rows)

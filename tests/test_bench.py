@@ -118,8 +118,9 @@ def test_config_replace_validates():
     assert cfg._replace(sizes=[3]).sizes == (3,)
     with pytest.raises(ValueError, match="matrix size must be >= 1"):
         cfg._replace(sizes=(0,))
-    # sizes 3..6 cost 3! + ... + 6! = 870 for cofactor and 432 for each other method
-    with pytest.raises(ValueError, match=r"sum of method costs = 2166000000000, over"):
+    # sizes 3..6 cost 3! + ... + 6! = 870 for cofactor, 432 each for
+    # condensation and Bareiss and 5 * 432 for rational Gauss
+    with pytest.raises(ValueError, match=r"sum of method costs = 3894000000000, over"):
         cfg._replace(trials_per_size=10**9)
 
 
@@ -159,9 +160,8 @@ def config_work(cfg) -> int:
 
 def test_config_work_charges_each_method_its_own_cost():
     methods = bench_module.METHODS
-    assert [methods[name].cost(10) for name in ("bareiss", "gauss-rational", "cofactor", "condensation")] == [
-        1000, 1000, math.factorial(10), 1000,
-    ]
+    names = ("bareiss", "gauss-rational", "cofactor", "condensation", "condensation-divided")
+    assert [methods[name].cost(10) for name in names] == [1000, 5000, math.factorial(10), 1000, 1000]
     assert methods["condensation"].cost(20) == 20**3 * 2**10
     # Cofactor expansion at n = 10 takes about 0.6 s a matrix: some 17 h.
     cofactor = {"sizes": [10], "trials_per_size": 100000, "entry_bound": 9, "seed": 1, "methods": ["cofactor"]}
@@ -178,16 +178,23 @@ def test_config_work_charges_each_method_its_own_cost():
     assert config_work({**growth, "methods": ["bareiss", "bareiss"]}) > 10**8
     with pytest.raises(ValueError, match="over the bench work limit"):
         BenchConfig.from_dict({**growth, "methods": ["bareiss", "bareiss"]})
+    # Rational Gauss took 218 ms at n = 60 against Bareiss's 44 ms, so
+    # the roadmap perf config that Bareiss may run (8.7e7 units, some
+    # 17 s) is charged five times over for it (about 90 s) and refused.
+    perf = {"sizes": list(range(4, 65)), "trials_per_size": 20, "entry_bound": 9, "seed": 1}
+    assert BenchConfig.from_dict({**perf, "methods": ["bareiss"]})
+    with pytest.raises(ValueError, match=f"= {5 * config_work({**perf, 'methods': ['bareiss']})}, over the bench"):
+        BenchConfig.from_dict({**perf, "methods": ["gauss-rational"]})
 
 
 def test_pinned_and_default_configs_stay_far_below_the_work_limit():
-    names = ("bench_default", "bench_sizes_5_7", "bench_sizes_13_15")
+    names = ("bench_default", "bench_sizes_5_7", "bench_sizes_13_15", "bench_divided")
     configs = [json.loads((FIXTURES / f"{name}.json").read_text()) for name in names]
     configs.append(DEFAULT_CONFIG._asdict())
     assert max(map(config_work, configs)) < 10**6
     # the costliest config the bench-crosscheck workload writes
     worst = {"sizes": [13, 14, 15], "trials_per_size": 1, "methods": ["condensation", "bareiss", "gauss-rational"]}
-    assert config_work(worst) == 186112
+    assert config_work(worst) == 219376
 
 
 def test_run_bench_shape_and_agreement():

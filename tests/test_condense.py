@@ -19,17 +19,19 @@ from condet import (
     PivotSpec,
     PivotStrategy,
     ZeroRowExit,
+    bit_length,
     condense_at,
     condense_at_11,
     det_bareiss,
     det_cofactor,
     det_condensation,
     dodgson_identity_residual,
+    hadamard_bit_bound,
     select_pivot,
     trace_document,
     trace_from_document,
 )
-from condet.condense import _condense_rows
+from condet.condense import _condense_rows, _divided_levels
 from conftest import GOLDEN_CONDENSED, GOLDEN_FACTOR, golden_matrix
 
 
@@ -546,6 +548,115 @@ def test_every_trace_step_is_condense_at_of_the_level_before(kind, data):
 def test_det_condensation_rejects_non_square():
     with pytest.raises(ValueError):
         det_condensation(Matrix([[1, 2, 3], [4, 5, 6]], INTEGER))
+
+
+# --- divided condensation --------------------------------------------------
+
+def check_divided_levels_are_minors(a, strategy, minor_det, reduce=lambda v: v, entries=None):
+    """Step through the production loop ``_divided_levels`` on the
+    integer rows ``a`` and assert that entry (r, c) of level t, reduced
+    by ``reduce``, is ``minor_det`` of the minor of ``a`` on rows 1..t
+    and t+1+r and on the columns of the t pivots so far plus the source
+    column of c, in increasing order, with no sign.  Also asserts each
+    level's entry bits within ``hadamard_bit_bound(a)`` when ``a`` has
+    no zero row.  ``entries(size)`` picks the cells to check (default:
+    all).  Returns how many levels pivoted past column 1."""
+    bound = hadamard_bit_bound(Matrix(a, INTEGER)) if all(any(row) for row in a) else None
+    cols = list(range(len(a)))  # source column of each column of the level
+    pivots = []
+    moved = 0
+    for t, (l, level) in enumerate(_divided_levels(a, strategy, INTEGER, OpCounts()), start=1):
+        moved += l > 1
+        pivots.append(cols.pop(l - 1))
+        if bound is not None:
+            # A minor is at most the product of its rows' norms.
+            assert max(bit_length(v) for row in level for v in row) <= bound, f"level {t}"
+        size = len(level)
+        cells = [(r, c) for r in range(size) for c in range(size)] if entries is None else entries(size)
+        for r, c in cells:
+            rows = list(range(t)) + [t + r]
+            columns = sorted(pivots + [cols[c]])
+            minor = minor_det([[a[i][j] for j in columns] for i in rows])
+            assert reduce(level[r][c]) == minor, f"level {t}, entry ({r + 1},{c + 1})"
+    return moved
+
+
+@pytest.mark.parametrize("strategy", list(PivotStrategy), ids=lambda s: s.value)
+def test_divided_level_entries_are_minors_of_the_matrix(strategy):
+    # Exactly, against Bareiss, on zero-heavy matrices so that pivots
+    # move past column 1 and some levels stop at a zero first row.
+    rng = random.Random(1801)
+    moved = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        moved += check_divided_levels_are_minors(a, strategy, lambda rows: det_bareiss(Matrix(rows, INTEGER)))
+    assert moved > 50
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_divided_level_entries_are_minors_modulo_a_prime(n):
+    # The same identity at a random point mod PRIME (Schwartz-Zippel):
+    # entry and minor are polynomials of degree t + 1 in the entries of
+    # A once the pivots are fixed.  Row i starts with i % 3 zeros, so
+    # first-nonzero pivots leave column 1 too.  Every entry up to
+    # n = 10; above that two opposite corners and one random cell a level.
+    rng = random.Random(1800 + n)
+    a = [[0 if j < i % 3 else rng.randrange(1, PRIME) for j in range(n)] for i in range(n)]
+
+    def sample(size):
+        return {(0, 0), (size - 1, size - 1), (rng.randrange(size), rng.randrange(size))}
+
+    moved = sum(
+        check_divided_levels_are_minors(
+            a, strategy, lambda rows: det_mod(rows, PRIME), lambda v: v % PRIME, None if n <= 10 else sample
+        )
+        for strategy in PivotStrategy
+    )
+    assert moved > 0
+
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_divided_condensation_matches_bareiss(kind, data):
+    # Zero-heavy, with a(1,1) = 0, so that pivots lie past column 1.
+    n = data.draw(st.integers(2, 8))
+    rows = [[data.draw(KIND_ENTRIES[kind]) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = kind.zero
+    m = Matrix(rows, kind)
+    expected = det_bareiss(m)
+    for strategy in PivotStrategy:
+        assert det_condensation(m, strategy, divided=True).value == expected
+
+
+def test_divided_condensation_records_no_trace_and_counts_what_it_does():
+    # A level of s x s entries costs 2s^2 multiplications, s^2
+    # subtractions and s^2 divisions, but the first (s = n-1) divides
+    # by nothing.
+    rng = random.Random(1802)
+    for n in range(2, 9):
+        m = random_int_matrix(rng, n)
+        result = det_condensation(m, record_trace=True, divided=True)
+        assert result.trace == ()
+        assert result.value == det_bareiss(m)
+        squares = [s * s for s in range(1, n)]
+        assert result.op_counts.multiplications == 2 * sum(squares)
+        assert result.op_counts.subtractions == sum(squares)
+        assert result.op_counts.divisions == sum(squares[:-1])
+
+
+@pytest.mark.parametrize("n", range(10, 41, 5))
+def test_divided_float_condensation_is_accurate_past_n_9(n):
+    # One-decimal entries in [-9, 9]; the reference is the exact
+    # determinant of the doubles themselves.
+    rng = random.Random(1803 + n)
+    rows = [[round(rng.uniform(-9, 9), 1) for _ in range(n)] for _ in range(n)]
+    exact = det_bareiss(Matrix([[Fraction(v) for v in row] for row in rows], RATIONAL))
+    m = Matrix(rows, FLOAT)
+    for strategy in PivotStrategy:
+        value = det_condensation(m, strategy, divided=True).value
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10**9) * abs(exact), strategy
 
 
 # --- trace serialization ---------------------------------------------------

@@ -244,3 +244,32 @@ def test_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monk
 
 def test_rational_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
     _check_divide_back_exit(tmp_path, capsys, monkeypatch, "rational")
+
+
+# --- divided condensation divides each entry exactly -------------------------
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        # Level 1 (condensed from size 6) divides by nothing, so its
+        # fault shows when level 2 divides by the pivot (1, 2) of the input.
+        (6, r"divided level 2: a \d+-bit entry is not a multiple of the 3-bit pivot \(1, 2\) of level 0"),
+        (4, r"divided level 3: a \d+-bit entry is not a multiple of the \d+-bit pivot \(1, \d\) of level 1"),
+    ],
+)
+def test_divided_level_error_names_level_and_pivot(monkeypatch, kind, size, message):
+    m = Matrix(FAULT_MATRIX.to_rows(), kind)
+    _off_by_one_at(monkeypatch, size)
+    with pytest.raises(ExactDivisionError, match=f"^{message}$"):
+        det_condensation(m, divided=True)
+
+
+def test_divided_level_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(" ".join(map(str, row)) for row in FAULT_MATRIX.to_rows()) + "\n")
+    _off_by_one_at(monkeypatch, 6)
+    assert main(["det", str(path), "--method", "condense-divided"]) == EXIT_INTERNAL_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: divided level 2: ")
