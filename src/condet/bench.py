@@ -172,8 +172,7 @@ CONDENSATION_SIZE_LIMIT = 20
 # trials_per_size times the sum, over its methods and sizes, of each
 # method's cost per matrix (``Method.cost``).  A unit is about 0.2 us
 # on a 2-CPU host under CPython 3.11, so the limit is some 20 s:
-# - Bareiss and divided condensation cost n**3: 44 ms and 54 ms at
-#   n = 60-64 (0.2 us a unit);
+# - Bareiss costs n**3: 44 ms at n = 60 (0.2 us a unit);
 # - rational Gauss costs 5 * n**3, since its gcds make it about five
 #   times slower than Bareiss: 218 ms at n = 60 (0.2 us a unit);
 # - cofactor expansion costs n!: 759 ms at n = 10 (0.21 us a unit);
@@ -213,9 +212,6 @@ METHODS: Dict[str, Method] = {
         kinds=(RATIONAL,),
         cost=lambda n: 5 * n**3,
     ),
-    # Divided levels are not the condensed matrices of a trace, so its
-    # rows leave the max_bits_level_* cells blank.
-    "condensation-divided": Method("condense-divided", lambda m: det_condensation(m, divided=True)),
 }
 
 BENCH_METHODS = tuple(METHODS)
@@ -294,17 +290,16 @@ DEFAULT_CONFIG = BenchConfig(
     trials_per_size=3,
     entry_bound=9,
     seed=20240817,
-    methods=("condensation", "cofactor", "bareiss", "gauss-rational"),
+    methods=BENCH_METHODS,
 )
 
 
 class BenchRecord(NamedTuple):
     """One (method, matrix) measurement.
 
-    ``max_bit_length_per_level`` is specific to undivided condensation:
-    the largest entry bit length of each condensed matrix, one value per
-    level, in level order; empty for other methods, divided condensation
-    included, and for non-integer runs.
+    ``max_bit_length_per_level`` is condensation-specific: the largest
+    entry bit length of each condensed matrix, one value per level, in
+    level order; empty for other methods and for non-integer runs.
     ``result_digest`` is the canonical text of the determinant.
     """
 

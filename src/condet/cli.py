@@ -149,40 +149,37 @@ def cmd_det(args: argparse.Namespace) -> int:
     m = load_matrix(args.file, kind)
     if not m.is_square():
         raise UsageError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    if args.trace is not None and args.method != "condense":
-        raise UsageError("--trace is only available with --method condense")
-    if args.pivot is not None and not args.method.startswith("condense"):
-        raise UsageError("--pivot is only available with --method condense or condense-divided")
+    for flag, value in (("--trace", args.trace), ("--pivot", args.pivot)):
+        if value is not None and args.method != "condense":
+            raise UsageError(f"{flag} is only available with --method condense")
     name = _CLI_METHODS[args.method]
-    if name == "condensation" and kind is FLOAT and args.trace is None:
-        # Undivided float entries roughly double their exponent per level
-        # and leave the double range by n = 10.  Divided levels are minors
-        # of the matrix, but a trace records undivided levels only.
-        name = "condensation-divided"
     method = METHODS[name]
     if kind not in method.kinds:
         needed = " or ".join(k.name for k in method.kinds)
         raise UsageError(f"--method {args.method} needs --scalar {needed}")
-    limit = method.size_limit
+    # Undivided float entries roughly double their exponent per level and
+    # leave the double range by n = 10, so untraced float condensation
+    # runs divided, whose levels are minors of the matrix and need no
+    # size cap.  A trace records undivided levels only.
+    divided = args.method == "condense" and kind is FLOAT and args.trace is None
+    limit = None if divided else method.size_limit
     if limit is not None and m.rows > limit:
         raise UsageError(
             f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols}"
             " (--method bareiss has no size cap)"
         )
-    if name.startswith("condensation"):
+    if args.method == "condense":
         strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
-        divided = name == "condensation-divided"
         result = det_condensation(m, strategy, record_trace=args.trace is not None, divided=divided)
     else:
         result = method.run(m)
     if kind is FLOAT and not math.isfinite(result.value):
-        # A product left the double range (inf - inf is nan): there is
-        # no answer to print.  Undivided condensation, which --trace
-        # runs, gets there by n = 10 on entries near 1.  Divided
-        # condensation and Bareiss keep entries near the size of minors,
-        # so only inputs such as 1e200 overflow them, at the first
-        # level.  Bareiss divides first where a product overflows, so
-        # it is worth suggesting after the others.
+        # A value left the double range (inf - inf is nan): there is no
+        # answer to print.  Undivided condensation, which --trace runs,
+        # gets there by n = 10 on entries near 1.  Divided condensation
+        # and Bareiss keep entries near the size of minors and divide
+        # first where a product of two overflows, so inputs such as 1e200
+        # overflow them at the first level, before any division.
         alternative = "" if args.method == "bareiss" else ", or --method bareiss"
         raise FloatingPointError(
             f"the float determinant came out {result.value!r}; "

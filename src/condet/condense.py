@@ -19,7 +19,7 @@ consequences drive the determinant driver ``det_condensation``:
   single division by the pivot power per level recovers det(A).
 
 Undivided, entry bits roughly double per level.  ``det_condensation(m,
-divided=True)`` divides every entry of each new level exactly by the
+record_trace=False, divided=True)`` divides every entry of each new level exactly by the
 pivot of the step before instead (Sylvester's identity, as in Bareiss,
 Math. Comp. 22, 1968, and Dodgson, Proc. R. Soc. 15, 1866): entry
 (r, c) of level t is then the minor of A on rows 1..t and t+1+r and on
@@ -35,6 +35,7 @@ as a cross-check that never touches the condensation code above it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -278,7 +279,9 @@ def _divided_levels(
     det(rows), unless the first row of a level is all zero: then
     det(rows) = 0 and nothing more is yielded.  Integer divisions are
     exact, and a nonzero remainder raises ``ExactDivisionError`` naming
-    the level and the pivot divided by.
+    the level and the pivot divided by.  Where a float level comes out
+    non-finite, it is condensed again with its pivot row divided by the
+    pivot first, as ``det_bareiss`` does entry by entry.
     """
     prev = None
     level = 0
@@ -289,13 +292,21 @@ def _divided_levels(
             return
         level += 1
         size = len(rows) - 1
-        rows = _condense_rows(rows, 0, l - 1)
+        src, rows = rows, _condense_rows(rows, 0, l - 1)
         ops.multiplications += 2 * size * size
         ops.subtractions += size * size
         if prev is not None:
             ops.divisions += size * size
             if ring is FLOAT:
                 rows = [tuple([v / prev for v in row]) for row in rows]
+                if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+                    # A product of two minors left the double range, though
+                    # the level need not: the 2x2 minors are linear in the
+                    # pivot row, so divide it first and condense again.
+                    rows = _condense_rows([tuple([v / prev for v in row1]), *src[1:]], 0, l - 1)
+                    ops.multiplications += 2 * size * size
+                    ops.subtractions += size * size
+                    ops.divisions += size + 1
             else:
                 divide = _divmod_for(prev)  # prev is fixed for the level
                 quotients = []
@@ -355,9 +366,11 @@ def det_condensation(
     minors of A.  A rational matrix runs on its integer rows with no
     per-level gcd, the result being ``Fraction(det(I_0), product of
     the scales)``.  Divided levels are not the condensed matrices of
-    the identity above, so no trace is recorded, whatever
-    ``record_trace`` says.
+    the identity above, so there is no trace to record: ``divided=True``
+    needs ``record_trace=False`` and raises ``ValueError`` otherwise.
     """
+    if divided and record_trace:
+        raise ValueError("det_condensation: divided levels record no trace; pass record_trace=False")
     n = _require_square(m, "det_condensation")
     kind = m.kind
     ops = OpCounts()

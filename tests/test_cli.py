@@ -5,7 +5,7 @@ import json
 import random
 import subprocess
 import sys
-import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -237,18 +237,6 @@ def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
         assert "condensation is limited to 20x20, got 21x21 (--method bareiss has no size cap)" in captured.err
 
 
-def test_det_condense_divided_has_no_size_cap(tmp_path, capsys):
-    # Divided levels are minors of the matrix, so a random 64x64 costs
-    # about what Bareiss does (some 60 ms on a 2-CPU host).
-    m = random_integer_matrix(64, 9, SplitMix64(1).split())
-    path = write(tmp_path, "m.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
-    for scalar in ("integer", "rational"):
-        start = time.perf_counter()
-        assert main(["det", path, "--method", "condense-divided", "--scalar", scalar]) == EXIT_OK
-        assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().out == f"{det_bareiss(m)}\n"
-
-
 def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
     # The matrix of test_det_non_finite_float_is_internal_error: traced,
     # the float default condenses undivided and comes out nan; untraced
@@ -258,27 +246,16 @@ def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
     gen.split()
     m = random_integer_matrix(10, 9, gen.split())
     path = write(tmp_path, "m.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
-    for argv in ([], ["--pivot", "max-magnitude"], ["--method", "condense-divided"]):
+    for argv in ([], ["--pivot", "max-magnitude"]):
         assert main(["det", path, "--scalar", "float", *argv]) == EXIT_OK
         assert abs(float(capsys.readouterr().out) + 346185508) <= 1e-9 * 346185508
-    # Nor is a float default run capped in size.
-    n = 21
-    identity = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
-    path = write(tmp_path, "big.txt", identity + "\n")
+    # Nor is a float default run capped in size: divided levels are
+    # minors of the matrix, so a random 64x64 stays in range.
+    m = random_integer_matrix(64, 9, SplitMix64(1).split())
+    path = write(tmp_path, "big.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
     assert main(["det", path, "--scalar", "float"]) == EXIT_OK
-    assert capsys.readouterr().out == "1.0\n"
-
-
-def test_det_condense_divided_takes_a_pivot_but_no_trace(tmp_path, capsys):
-    path = write(tmp_path, "m.txt", "0 2 1\n3 1 4\n1 5 9\n")
-    assert main(["det", path, "--method", "condense-divided", "--pivot", "max-magnitude"]) == EXIT_OK
-    assert capsys.readouterr().out == "-32\n"
-    trace = tmp_path / "trace.json"
-    assert main(["det", path, "--method", "condense-divided", "--trace", str(trace)]) == EXIT_USER_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --trace is only available with --method condense\n"
-    assert not trace.exists()
+    exact = det_bareiss(m)
+    assert abs(Fraction(capsys.readouterr().out.strip()) - exact) <= Fraction(1, 10**9) * abs(exact)
 
 
 def test_cli_methods_pair_each_method_flag_with_one_bench_method():
@@ -503,6 +480,7 @@ def test_det_internal_fault_exits_3_with_traceback(tmp_path, capsys, monkeypatch
 PINNED_SOURCES = {
     "golden": GOLDEN_PATH,
     "rational": FIXTURES / "rational_7x7.txt",
+    "bench": FIXTURES / "bench_default.json",
     # random_integer_matrix(6, 9, SplitMix64(4)), as text
     "integer": FIXTURES / "integer_6x6.txt",
 }
@@ -526,19 +504,13 @@ PINNED_SOURCES = {
         # float residual digits depend on the order of evaluation
         (["verify", "--scalar", "float"], "golden_7x7_verify_float.txt"),
         (["verify", "--scalar", "integer"], "integer_6x6_verify.txt"),
-        # divided condensation against Bareiss at n = 16..48
-        (["bench", "--out"], "bench_divided_report.csv"),
     ],
 )
 def test_outputs_match_pinned_bytes(tmp_path, capsys, argv, pinned):
     # trace JSON, bench CSV and verify output are formats: any byte
     # change must be a deliberate, versioned one.  The rational source
-    # starts row 1 with a zero, so the first-nonzero pivot moves.  A
-    # bench report is pinned next to its config.
-    if pinned.endswith("_report.csv"):
-        source = FIXTURES / pinned.replace("_report.csv", ".json")
-    else:
-        source = PINNED_SOURCES[pinned.split("_")[0]]
+    # starts row 1 with a zero, so the first-nonzero pivot moves.
+    source = PINNED_SOURCES[pinned.split("_")[0]]
     if argv[-1] in ("--trace", "--out"):
         out = tmp_path / pinned
         assert main([argv[0], str(source), *argv[1:], str(out)]) == EXIT_OK

@@ -627,17 +627,24 @@ def test_divided_condensation_matches_bareiss(kind, data):
     m = Matrix(rows, kind)
     expected = det_bareiss(m)
     for strategy in PivotStrategy:
-        assert det_condensation(m, strategy, divided=True).value == expected
+        assert det_condensation(m, strategy, record_trace=False, divided=True).value == expected
 
 
-def test_divided_condensation_records_no_trace_and_counts_what_it_does():
+def test_divided_condensation_records_no_trace():
+    # Divided levels are not the condensed matrices a trace step holds.
+    m = random_int_matrix(random.Random(1804), 4)
+    with pytest.raises(ValueError, match="divided levels record no trace; pass record_trace=False"):
+        det_condensation(m, divided=True)
+
+
+def test_divided_condensation_counts_what_it_does():
     # A level of s x s entries costs 2s^2 multiplications, s^2
     # subtractions and s^2 divisions, but the first (s = n-1) divides
     # by nothing.
     rng = random.Random(1802)
     for n in range(2, 9):
         m = random_int_matrix(rng, n)
-        result = det_condensation(m, record_trace=True, divided=True)
+        result = det_condensation(m, record_trace=False, divided=True)
         assert result.trace == ()
         assert result.value == det_bareiss(m)
         squares = [s * s for s in range(1, n)]
@@ -655,8 +662,26 @@ def test_divided_float_condensation_is_accurate_past_n_9(n):
     exact = det_bareiss(Matrix([[Fraction(v) for v in row] for row in rows], RATIONAL))
     m = Matrix(rows, FLOAT)
     for strategy in PivotStrategy:
-        value = det_condensation(m, strategy, divided=True).value
+        value = det_condensation(m, strategy, record_trace=False, divided=True).value
         assert abs(Fraction(value) - exact) <= Fraction(1, 10**9) * abs(exact), strategy
+
+
+def test_divided_float_condensation_divides_first_where_a_product_overflows():
+    # Entries near 1e20 at n = 10: the 8x8 minors of level 7 are near
+    # 1e168, so the products that build levels 8 and 9 leave the double
+    # range, though det(A), near 1e210, does not.  Those levels are
+    # condensed again with the pivot row divided first: s + 1 divisions
+    # and a second round of 2s^2 multiplications and s^2 subtractions.
+    n = 10
+    rng = random.Random(1805)
+    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    exact = det_bareiss(Matrix(ints, INTEGER)) * 10**(20 * n)
+    m = Matrix([[v * 1e20 for v in row] for row in ints], FLOAT)
+    plain = 2 * sum(s * s for s in range(1, n))
+    for strategy in PivotStrategy:
+        result = det_condensation(m, strategy, record_trace=False, divided=True)
+        assert abs(Fraction(result.value) - exact) <= Fraction(1, 10**9) * abs(exact), strategy
+        assert result.op_counts.multiplications > plain, strategy
 
 
 # --- trace serialization ---------------------------------------------------
