@@ -163,8 +163,9 @@ def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetR
 # Undivided condensation roughly doubles its entry bits per level: n=20
 # takes about 1 s (0.8-1.2 s over nine runs on a 2-CPU host) and n=24
 # did not finish in 10 minutes.  The cap holds for bench configs and
-# for `condet det --method condense` where it condenses undivided (under
-# --scalar rational or integer, or with --trace); the library function
+# for `condet det --method condense --trace`, the one det run that
+# condenses undivided (untraced det runs divided condensation, whose
+# entries are minors of the matrix); the library function
 # det_condensation itself takes any size.
 CONDENSATION_SIZE_LIMIT = 20
 

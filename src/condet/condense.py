@@ -257,7 +257,7 @@ def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple],
         scale *= head
         g = math.gcd(scale, *row)
         if g != 1:
-            row = tuple(v // g for v in row)
+            row = tuple([v // g for v in row])
             scale //= g
             product *= g
         out_rows.append(row)

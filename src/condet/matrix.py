@@ -45,7 +45,10 @@ class Matrix:
         data = []
         width = cols
         for lineno, row in enumerate(rows, start=1):
-            entries = tuple(kind.check(v) for v in row)
+            # Built from a list: CPython sizes tuple(<generator>) by
+            # resizing, and a resized tuple freed later lands on a free
+            # list of its final size that no allocation drains.
+            entries = tuple([kind.check(v) for v in row])
             if width is None:
                 width = len(entries)
             elif len(entries) != width:
@@ -163,7 +166,7 @@ def remove_rows_cols(m: Matrix, removed_rows: Iterable[int], removed_cols: Itera
     if not kept_cols and len(rr) < m.rows:
         raise ValueError("matrix rows must not be empty")
     data = [
-        tuple(row[j] for j in kept_cols)
+        tuple([row[j] for j in kept_cols])
         for i, row in enumerate(m.as_tuples())
         if i + 1 not in rr
     ]

@@ -1,10 +1,12 @@
 """The condet command line: det, verify and bench subcommands, exit
 codes, matrix file parsing and trace output."""
 
+import gc
 import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +15,13 @@ import pytest
 from condet import (
     INTEGER,
     RATIONAL,
+    Matrix,
     SplitMix64,
     ZeroRowExit,
     det_bareiss,
     det_condensation,
     random_integer_matrix,
+    random_rational_matrix,
     trace_from_document,
 )
 import condet.cli as cli
@@ -225,16 +229,70 @@ def test_det_cofactor_size_cap_is_user_error(tmp_path, capsys):
 
 
 def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
+    # Only a traced det condenses undivided, so only it is capped.
     n = 21
     text = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
     path = write(tmp_path, "big.txt", text + "\n")
-    assert main(["det", path, "--method", "bareiss"]) == EXIT_OK
-    assert capsys.readouterr().out == "1\n"
-    for argv in (["det", path], ["det", path, "--method", "condense", "--scalar", "integer"]):
-        assert main(argv) == EXIT_USER_ERROR
+    trace = tmp_path / "trace.json"
+    for argv in (["det", path], ["det", path, "--method", "bareiss"]):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "1\n"
+    for scalar in ("rational", "integer"):
+        assert main(["det", path, "--scalar", scalar, "--trace", str(trace)]) == EXIT_USER_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "condensation is limited to 20x20, got 21x21 (--method bareiss has no size cap)" in captured.err
+        assert "condensation is limited to 20x20, got 21x21 (drop --trace, or use --method bareiss)" in captured.err
+        assert not trace.exists()
+
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
+def test_det_exact_default_runs_divided_past_the_size_cap(tmp_path, capsys, kind):
+    # Untraced exact det runs divided condensation, whose levels are
+    # minors of the matrix, so it needs no size cap.
+    n = 64
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    gen = SplitMix64(n).split()
+    matrices = {
+        "identity": Matrix([[int(i == j) for j in range(n)] for i in range(n)], kind),
+        "permutation": Matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)], kind),
+        "random": random_integer_matrix(n, 9, gen) if kind is INTEGER else random_rational_matrix(n, gen),
+    }
+    for name, m in matrices.items():
+        path = write(tmp_path, f"{name}.txt", "\n".join(" ".join(map(kind.format, row)) for row in m.as_tuples()) + "\n")
+        for argv in ([], ["--pivot", "max-magnitude"]):
+            assert main(["det", path, "--scalar", kind.name, *argv]) == EXIT_OK, name
+            assert capsys.readouterr().out == f"{kind.format(det_bareiss(m))}\n", name
+
+
+def test_det_leaves_no_row_tuples_behind(tmp_path, capsys):
+    # CPython keeps freed tuples on a free list per size, up to 2,000
+    # each, until a full collection.  A tuple built from a generator is
+    # allocated at one size and resized, so freeing it adds to a free
+    # list that no allocation of its final size drains: a det building
+    # its n row tuples that way parks them there.  The run starts from
+    # empty free lists (a full collection empties them) with automatic
+    # collection off.
+    gen = SplitMix64(14)
+    paths = []
+    for i in range(200):
+        m = random_integer_matrix(14, 9, gen.split())
+        paths.append(write(tmp_path, f"m{i}.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n"))
+    argv = ["--scalar", "integer", "--method", "bareiss"]
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for i, path in enumerate(paths):
+            if i == 20:
+                warm = tracemalloc.get_traced_memory()[0]
+            assert main(["det", path, *argv]) == EXIT_OK
+            capsys.readouterr()
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 16 * 1024
 
 
 def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):

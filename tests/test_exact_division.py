@@ -228,14 +228,22 @@ def test_rational_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatc
     _check_divide_back_error(monkeypatch, size, RATIONAL)
 
 
-def _check_divide_back_exit(tmp_path, capsys, monkeypatch, scalar):
+def _check_fault_exit(tmp_path, capsys, monkeypatch, argv, message):
     path = tmp_path / "m.txt"
     path.write_text("\n".join(" ".join(map(str, row)) for row in FAULT_MATRIX.to_rows()) + "\n")
     _off_by_one_at(monkeypatch, 6)
-    assert main(["det", str(path), "--scalar", scalar]) == EXIT_INTERNAL_ERROR
+    assert main(["det", str(path), *argv]) == EXIT_INTERNAL_ERROR
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: divide-back of the size-6 level, pivot (1, 2): non-exact")
+    assert err.startswith(f"internal error: {message}")
+
+
+def _check_divide_back_exit(tmp_path, capsys, monkeypatch, scalar):
+    # Only a traced det condenses undivided and divides back.
+    trace = tmp_path / "trace.json"
+    argv = ["--scalar", scalar, "--trace", str(trace)]
+    _check_fault_exit(tmp_path, capsys, monkeypatch, argv, "divide-back of the size-6 level, pivot (1, 2): non-exact")
+    assert not trace.exists()
 
 
 def test_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
@@ -244,6 +252,13 @@ def test_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monk
 
 def test_rational_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
     _check_divide_back_exit(tmp_path, capsys, monkeypatch, "rational")
+
+
+@pytest.mark.parametrize("scalar", ["integer", "rational"])
+def test_divided_level_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch, scalar):
+    # An untraced det runs divided condensation, whose level 2 is the
+    # first to divide the faulty level 1.
+    _check_fault_exit(tmp_path, capsys, monkeypatch, ["--scalar", scalar], "divided level 2:")
 
 
 # --- divided condensation divides each entry exactly -------------------------
