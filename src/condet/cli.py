@@ -18,7 +18,8 @@ prints nothing on stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
-and/or commas) or a JSON object ``{"rows": R, "cols": C, "entries":
+and/or commas, with an entry on each side of every comma) or a JSON
+object ``{"rows": R, "cols": C, "entries":
 [...texts...]}`` with entries in row-major order.
 """
 
@@ -82,6 +83,18 @@ class MatrixFileError(UsageError):
     """A matrix file that cannot be parsed; the message locates the problem."""
 
 
+# The builtin that reads a whole row of a kind, one call per cell.
+# On a cell with no "_" (which both builtins accept and no kind does),
+# int() accepts exactly the integer kind's text: an optional sign and
+# Unicode decimal digits, raising past the int/str digit limit where
+# the kind still reads the value.  float() accepts the float kind's
+# decimal text and also nan, inf and infinity, and it turns text past
+# the double range into inf: only a row of finite floats is kept.  A
+# row the builtin refuses, and every rational row, is parsed cell by
+# cell with kind.parse, which also locates a bad entry.
+_ROW_READERS = {INTEGER: int, FLOAT: float}
+
+
 def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
     """Parse matrix text (plain rows or the JSON object form)."""
     stripped = text.lstrip()
@@ -92,28 +105,49 @@ def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
             raise MatrixFileError(f"JSON matrix file: {exc}") from exc
         except RecursionError:
             raise MatrixFileError("JSON matrix file: nested too deeply to read") from None
-    rows: List[List] = []
+    read = _ROW_READERS.get(kind)
+    rows: List[tuple] = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        cells = line.replace(",", " ").split()
-        if not cells:
-            continue
+        if "," in line:
+            cells = []
+            for field in line.split(","):
+                entries = field.split()
+                if not entries:
+                    raise MatrixFileError(f"line {lineno}, entry {len(cells) + 1}: empty entry")
+                cells += entries
+        else:
+            cells = line.split()
+            if not cells:
+                continue
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise MatrixFileError(
                 f"line {lineno}: row has {len(cells)} entries, previous rows have {width}"
             )
-        row = []
-        for col, cell in enumerate(cells, start=1):
+        row = None
+        if read is not None and "_" not in line:
             try:
-                row.append(kind.parse(cell))
-            except ScalarParseError as exc:
-                raise MatrixFileError(f"line {lineno}, entry {col}: {exc}") from exc
-        rows.append(row)
+                row = [*map(read, cells)]
+            except ValueError:
+                pass
+            else:
+                if read is float and not all(map(math.isfinite, row)):
+                    row = None
+        if row is None:
+            row = []
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    row.append(kind.parse(cell))
+                except ScalarParseError as exc:
+                    raise MatrixFileError(f"line {lineno}, entry {col}: {exc}") from exc
+        # Built from a list, as in Matrix.__init__.
+        rows.append(tuple(row))
     if not rows:
         raise MatrixFileError("matrix file has no rows")
-    return Matrix(rows, kind)
+    # kind.parse and the row readers return what kind.check would.
+    return Matrix._trusted(rows, kind, width)
 
 
 def _read_text(path: str) -> str:
@@ -219,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # is, every scale being 1.
     scales = (1,) * n
     if kind is RATIONAL:
-        rows, scales = zip(*map(RATIONAL.integer_row, m.as_tuples()))
+        rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
         m = Matrix._trusted([tuple(row) for row in rows], INTEGER, n)
     scale = math.prod(scales)
 

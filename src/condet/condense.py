@@ -383,7 +383,9 @@ def det_condensation(
     rows = m.as_tuples()
     ring, scales = kind, None
     if kind is RATIONAL:
-        rows, scales = zip(*map(RATIONAL.integer_row, rows))
+        # Unpacked from a list: unpacking a map builds its argument
+        # tuple by resizing (see Matrix.__init__).
+        rows, scales = zip(*[RATIONAL.integer_row(row) for row in rows])
         ring, denominator = INTEGER, math.prod(scales)
     if divided:
         level = rows

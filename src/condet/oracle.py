@@ -193,7 +193,7 @@ def det_bareiss(
     if n == 0:
         return kind.one
     if kind is RATIONAL:
-        rows, scales = zip(*map(RATIONAL.integer_row, m.as_tuples()))
+        rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
         return Fraction(det_bareiss(Matrix._trusted(rows, INTEGER, n), ops), math.prod(scales))
     if ops is None:
         ops = OpCounts()

@@ -1,0 +1,99 @@
+"""Row parsing against cell-by-cell parsing, on edge cells.
+
+``parse_matrix_text`` reads a row of integer or float cells with one
+``int()`` or ``float()`` call per cell, and parses the row cell by cell
+with ``kind.parse`` only where that fails.  Each cell here is read both
+ways, alone and next to a plain cell, and must give equal values
+(floats compared by ``repr``) or the same located message.  The
+builtins' grammar is the interpreter's, so this runs on every supported
+Python, test tools or not:
+
+    PYTHONPATH=src:tests python -c 'import row_parity; row_parity.main()'
+"""
+
+import sys
+import unicodedata
+
+from condet import FLOAT, INTEGER, RATIONAL, ScalarParseError
+from condet.cli import MatrixFileError, parse_matrix_text
+
+EDGE_CELLS = [
+    # signs and plain forms
+    "0", "-0", "+0", "007", "+5", "-5", "+-5", "--5", "-", "+", "5-",
+    "1.5", "-0.0", ".5", "5.", "+.5", "-5.", ".", "1e3", "1E+3", "1e-3",
+    "1.e5", ".5e1", "e5", "1e", "1e+", "1/2", "-3/4", "1/0", "sqrt(2)",
+    "0x10", "0o7", "0b1", "1j", "0x1p3",
+    # underscores, which int() and float() accept and the kinds refuse
+    "1_000", "_1", "1_", "1__0", "1_0.5", "1.0_5", "1e1_0", "٣_٣",
+    # non-finite and out-of-range floats
+    "nan", "NaN", "-nan", "inf", "-inf", "+Inf", "infinity", "-Infinity",
+    "1e400", "-1e400", "1e-400", "1.7976931348623157e308", "1.8e308",
+    "4.9e-324", "2e-324",
+    # digits other than 0-9: Arabic-Indic, fullwidth, mathematical
+    # (decimal, so int() and the kinds' \d take them) and superscript,
+    # vulgar fraction and Roman numeral (neither takes them)
+    "٣", "١٢", "-٣", "٣.٥", "١e٣", "۴۲", "１２", "－１", "１.５",
+    "𝟏𝟐", "𝟘", "𝟙.𝟝", "²", "1²", "½", "Ⅻ", "١٫٥",
+    # past the int/str digit limit (4,300 digits from Python 3.11)
+    "9" * 5000, "-" + "1" * 5000, "0." + "1" * 5000, "1" * 5000 + "e-5000",
+]
+
+
+def numeric_characters():
+    """Every character Python calls numeric that is not ASCII."""
+    return [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isnumeric()]
+
+
+def _cellwise(kind, cells):
+    # What parsing the row cell by cell gives: values or a located message.
+    values = []
+    for col, cell in enumerate(cells, start=1):
+        try:
+            values.append(kind.parse(cell))
+        except ScalarParseError as exc:
+            return f"line 1, entry {col}: {exc}"
+    return values
+
+
+def _key(values):
+    # Floats by repr (-0.0 is not 0.0), other values by type and value:
+    # repr of an int past the digit limit raises.
+    if isinstance(values, str):
+        return values
+    return [repr(v) if isinstance(v, float) else (type(v), v) for v in values]
+
+
+def differences(kinds=(INTEGER, FLOAT, RATIONAL), cells=None):
+    """``(kind, row, by row, cell by cell)`` for every row on which the
+    two ways disagree."""
+    if cells is None:
+        cells = EDGE_CELLS + numeric_characters()
+    found = []
+    for kind in kinds:
+        for cell in cells:
+            for row in ([cell], ["1", cell], [cell, "1"]):
+                try:
+                    got = list(parse_matrix_text(" ".join(row) + "\n", kind).row(1))
+                except MatrixFileError as exc:
+                    got = str(exc)
+                want = _cellwise(kind, row)
+                if _key(got) != _key(want):
+                    found.append((kind.name, row, got, want))
+    return found
+
+
+def _show(values):
+    if isinstance(values, str):
+        return repr(values)
+    return "[" + ", ".join(
+        f"<{v.bit_length()}-bit int>" if isinstance(v, int) and v.bit_length() > 1000 else repr(v)
+        for v in values
+    ) + "]"
+
+
+def main():
+    found = differences()
+    for kind, row, got, want in found[:20]:
+        print(f"{kind} {row!r:.200}: by row {_show(got):.200}, cell by cell {_show(want):.200}")
+    print(f"{len(found)} rows differ on Python {sys.version.split()[0]}, Unicode {unicodedata.unidata_version}")
+    sys.exit(1 if found else 0)

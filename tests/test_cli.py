@@ -11,8 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condet import (
+    FLOAT,
     INTEGER,
     RATIONAL,
     Matrix,
@@ -35,6 +38,7 @@ from condet.cli import (
     main,
     parse_matrix_text,
 )
+import row_parity
 from conftest import DOCS, FIXTURES, GOLDEN_PATH
 
 
@@ -136,6 +140,62 @@ def test_deeply_nested_json_matrix_file_is_user_error(tmp_path, capsys):
 def test_parse_empty_file():
     with pytest.raises(MatrixFileError, match="no rows"):
         parse_matrix_text("   \n", INTEGER)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("1,,2\n3,,4\n", "line 1, entry 2"),
+        ("1 2\n3, ,4\n", "line 2, entry 2"),
+        ("1, 2,\n3, 4\n", "line 1, entry 3"),
+        ("1 2\n3 4 ,\n", "line 2, entry 3"),
+        (",1, 2\n3, 4\n", "line 1, entry 1"),
+        ("1 2\n,\n3 4\n", "line 2, entry 1"),
+    ],
+)
+def test_empty_entry_is_located_user_error(tmp_path, capsys, text, where):
+    # A blank between two commas, or before or after one, is an entry
+    # left out, not a separator: reading past it would give a smaller
+    # matrix (1,,2 / 3,,4 read as the 2x2 with det -2).
+    for scalar in ("integer", "float", "rational"):
+        assert main(["det", write(tmp_path, "m.txt", text), "--scalar", scalar]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: empty entry\n"
+
+
+def test_row_readers_match_cellwise_parse():
+    # Integer and float rows are read with int() and float() whole; on
+    # every edge cell, and every numeric character, the values and the
+    # located messages are those of kind.parse cell by cell.
+    assert not row_parity.differences()
+    # The readers take the rows the kinds take, not some other grammar.
+    assert parse_matrix_text("١٢ 𝟏 -0\n", INTEGER).row(1) == (12, 1, 0)
+    assert list(map(repr, parse_matrix_text("-0 .5 5. 1e-400\n", FLOAT).row(1))) == ["-0.0", "0.5", "5.0", "0.0"]
+    for text, message in (
+        ("1 1_0\n", "line 1, entry 2: not an integer scalar: '1_0'"),
+        ("1 ²\n", "line 1, entry 2: not an integer scalar: '²'"),
+        ("0x10 1\n", "line 1, entry 1: not an integer scalar: '0x10'"),
+        ("1 1e3\n", "line 1, entry 2: not an integer scalar (fractional text): '1e3'"),
+    ):
+        with pytest.raises(MatrixFileError) as info:
+            parse_matrix_text(text, INTEGER)
+        assert str(info.value) == message
+    for text, message in (
+        ("1 nan\n", "line 1, entry 2: not a float scalar: 'nan'"),
+        ("infinity 1\n", "line 1, entry 1: not a float scalar: 'infinity'"),
+        ("1 1e400\n", "line 1, entry 2: float out of range: '1e400'"),
+        ("1_0.5 1\n", "line 1, entry 1: not a float scalar: '1_0.5'"),
+    ):
+        with pytest.raises(MatrixFileError) as info:
+            parse_matrix_text(text, FLOAT)
+        assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-._eE/xnaifty٣１𝟏²", min_size=1, max_size=8))
+def test_row_readers_match_cellwise_parse_on_random_cells(cell):
+    assert not row_parity.differences(cells=[cell])
 
 
 # --- det -------------------------------------------------------------------
@@ -270,29 +330,36 @@ def test_det_leaves_no_row_tuples_behind(tmp_path, capsys):
     # each, until a full collection.  A tuple built from a generator is
     # allocated at one size and resized, so freeing it adds to a free
     # list that no allocation of its final size drains: a det building
-    # its n row tuples that way parks them there.  The run starts from
+    # its n row tuples that way parks them there.  Each run starts from
     # empty free lists (a full collection empties them) with automatic
-    # collection off.
+    # collection off.  The runs cover every row parser (int() and
+    # float() rows, rational cell by cell) and the divided default as
+    # well as Bareiss.
     gen = SplitMix64(14)
     paths = []
     for i in range(200):
         m = random_integer_matrix(14, 9, gen.split())
         paths.append(write(tmp_path, f"m{i}.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n"))
-    argv = ["--scalar", "integer", "--method", "bareiss"]
-    gc.collect()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        for i, path in enumerate(paths):
-            if i == 20:
-                warm = tracemalloc.get_traced_memory()[0]
-            assert main(["det", path, *argv]) == EXIT_OK
-            capsys.readouterr()
-        grown = tracemalloc.get_traced_memory()[0] - warm
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert grown < 16 * 1024
+    for argv in (
+        ["--scalar", "integer", "--method", "bareiss"],
+        ["--scalar", "integer"],
+        ["--scalar", "float"],
+        ["--scalar", "rational"],
+    ):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for i, path in enumerate(paths):
+                if i == 20:
+                    warm = tracemalloc.get_traced_memory()[0]
+                assert main(["det", path, *argv]) == EXIT_OK
+                capsys.readouterr()
+            grown = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < 16 * 1024, argv
 
 
 def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
