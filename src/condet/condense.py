@@ -18,14 +18,15 @@ consequences drive the determinant driver ``det_condensation``:
 * repeated condensation shrinks the matrix one size per level, and a
   single division by the pivot power per level recovers det(A).
 
-Undivided, entry bits roughly double per level.  ``det_condensation(m,
-record_trace=False, divided=True)`` divides every entry of each new level exactly by the
-pivot of the step before instead (Sylvester's identity, as in Bareiss,
-Math. Comp. 22, 1968, and Dodgson, Proc. R. Soc. 15, 1866): entry
-(r, c) of level t is then the minor of A on rows 1..t and t+1+r and on
-the columns of the t pivots so far plus the source column of c, in
-increasing order and with no sign, so entries stay below the Hadamard
-bound and the last 1x1 level is det(A) itself.
+Undivided, entry bits roughly double per level.
+``det_condensation(m, record_trace=False, divided=True)`` instead
+divides every entry of each new level exactly by the pivot of the step
+before (Sylvester's identity, as in Bareiss, Math. Comp. 22, 1968, and
+Dodgson, Proc. R. Soc. 15, 1866), in the same pass of the kernel that
+computes it: entry (r, c) of level t is then the minor of A on rows
+1..t and t+1+r and on the columns of the t pivots so far plus the
+source column of c, in increasing order and with no sign, so entries
+stay below the Hadamard bound and the last 1x1 level is det(A) itself.
 
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
@@ -97,7 +98,7 @@ class PivotStrategy(enum.Enum):
     MAX_MAGNITUDE = "max-magnitude"
 
 
-def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
+def _condense_rows(src: Sequence[Sequence], k: int, l: int, divisor: Optional[int] = None) -> List[tuple]:
     """Condense the rows ``src`` at the 0-based pivot (k, l): the one
     place the pivot-anchored 2x2 determinants are computed.
 
@@ -119,18 +120,50 @@ def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
     columns swapped); each swap negates one whole row or column of the
     condensed matrix, which multiplies its determinant by the same
     (-1)**(k+l).  The two signs cancel.
+
+    With an integer ``divisor`` (the pivot of an earlier level, in
+    ``_divided_levels``) each entry is divided exactly as it is
+    computed, in the same pass; a nonzero remainder raises
+    ``ExactDivisionError`` naming the bit lengths of the undivided
+    entry and of the divisor.
     """
     pivot_row = src[k]
     data = []
+    if divisor is None:
+        for r, row in enumerate(src):
+            if r == k:
+                continue
+            top, bottom = (row, pivot_row) if r < k else (pivot_row, row)
+            top_l, bottom_l = top[l], bottom[l]
+            left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
+            right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
+            data.append(tuple(left + right))
+        return data
+    divide = _divmod_for(divisor)  # the divisor is fixed for the call
     for r, row in enumerate(src):
         if r == k:
             continue
         top, bottom = (row, pivot_row) if r < k else (pivot_row, row)
         top_l, bottom_l = top[l], bottom[l]
-        left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
-        right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
-        data.append(tuple(left + right))
+        out = []
+        for t, b in zip(top[:l], bottom[:l]):
+            q, rem = divide(t * bottom_l - top_l * b, divisor)
+            if rem:
+                raise _not_a_multiple(t * bottom_l - top_l * b, divisor)
+            out.append(q)
+        for t, b in zip(top[l + 1 :], bottom[l + 1 :]):
+            q, rem = divide(top_l * b - t * bottom_l, divisor)
+            if rem:
+                raise _not_a_multiple(top_l * b - t * bottom_l, divisor)
+            out.append(q)
+        data.append(tuple(out))
     return data
+
+
+def _not_a_multiple(entry: int, divisor: int) -> ExactDivisionError:
+    return ExactDivisionError(
+        f"a {entry.bit_length()}-bit entry is not a multiple of the {divisor.bit_length()}-bit pivot"
+    )
 
 
 def condense_at_11(m: Matrix) -> CondensationStep:
@@ -277,11 +310,13 @@ def _divided_levels(
     no such pivot and does no division.  Yields ``(l, level)`` for
     t = 1, 2, ...  The last level yielded is 1x1 and its entry is
     det(rows), unless the first row of a level is all zero: then
-    det(rows) = 0 and nothing more is yielded.  Integer divisions are
-    exact, and a nonzero remainder raises ``ExactDivisionError`` naming
-    the level and the pivot divided by.  Where a float level comes out
-    non-finite, it is condensed again with its pivot row divided by the
-    pivot first, as ``det_bareiss`` does entry by entry.
+    det(rows) = 0 and nothing more is yielded.  Integer levels pass
+    the pivot to the kernel, which divides each entry exactly as it
+    computes it, so a level is built in one pass; a nonzero remainder
+    raises ``ExactDivisionError`` naming the level and the pivot
+    divided by.  Float levels divide after the kernel: where one comes
+    out non-finite, it is condensed again with its pivot row divided by
+    the pivot first, as ``det_bareiss`` does entry by entry.
     """
     prev = None
     level = 0
@@ -292,7 +327,10 @@ def _divided_levels(
             return
         level += 1
         size = len(rows) - 1
-        src, rows = rows, _condense_rows(rows, 0, l - 1)
+        try:
+            src, rows = rows, _condense_rows(rows, 0, l - 1, None if ring is FLOAT else prev)
+        except ExactDivisionError as exc:
+            raise ExactDivisionError(f"divided level {level}: {exc} (1, {prev_l}) of level {level - 2}") from exc
         ops.multiplications += 2 * size * size
         ops.subtractions += size * size
         if prev is not None:
@@ -307,21 +345,6 @@ def _divided_levels(
                     ops.multiplications += 2 * size * size
                     ops.subtractions += size * size
                     ops.divisions += size + 1
-            else:
-                divide = _divmod_for(prev)  # prev is fixed for the level
-                quotients = []
-                for row in rows:
-                    out = []
-                    for v in row:
-                        q, rem = divide(v, prev)
-                        if rem:
-                            raise ExactDivisionError(
-                                f"divided level {level}: a {v.bit_length()}-bit entry is not a multiple"
-                                f" of the {prev.bit_length()}-bit pivot (1, {prev_l}) of level {level - 2}"
-                            )
-                        out.append(q)
-                    quotients.append(tuple(out))
-                rows = quotients
         prev, prev_l = row1[l - 1], l
         yield l, rows
 

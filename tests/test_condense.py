@@ -621,13 +621,31 @@ def test_divided_level_entries_are_minors_modulo_a_prime(n):
 @given(data=st.data())
 def test_divided_condensation_matches_bareiss(kind, data):
     # Zero-heavy, with a(1,1) = 0, so that pivots lie past column 1.
-    n = data.draw(st.integers(2, 8))
+    # Row k (0-based, 2 <= k <= n-2) may be zero, a copy of a row above
+    # it or the sum of two rows above it: the first row of level k is
+    # then a row of minors on rows 0..k, all zero, and the divided
+    # levels stop before the 1x1 level.
+    n = data.draw(st.integers(2, 24))
     rows = [[data.draw(KIND_ENTRIES[kind]) for _ in range(n)] for _ in range(n)]
     rows[0][0] = kind.zero
+    defect = data.draw(st.sampled_from(["none", "zero", "duplicate", "sum"])) if n >= 4 else "none"
+    if defect != "none":
+        k = data.draw(st.integers(2, n - 2))
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        rows[k] = {
+            "zero": [kind.zero] * n,
+            "duplicate": list(rows[i]),
+            "sum": [a + b for a, b in zip(rows[i], rows[j])],
+        }[defect]
     m = Matrix(rows, kind)
     expected = det_bareiss(m)
+    full_levels = sum(s * s for s in range(1, n))
     for strategy in PivotStrategy:
-        assert det_condensation(m, strategy, record_trace=False, divided=True).value == expected
+        result = det_condensation(m, strategy, record_trace=False, divided=True)
+        assert result.value == expected
+        if defect != "none":
+            assert expected == 0
+            assert result.op_counts.subtractions < full_levels, "the levels did not stop early"
 
 
 def test_divided_condensation_records_no_trace():

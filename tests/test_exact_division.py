@@ -4,6 +4,7 @@ that uses it: ``IntegerKind.exact_div`` sends divisors longer than
 division, which must agree with the builtin ``divmod`` everywhere."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -173,20 +174,33 @@ def _off_by_one_at(monkeypatch, size):
     """Make the condensation of the size-``size`` level come out with
     entry (1, 1) off by one; returns the list the faulty rows land in,
     as an integer matrix (the driver condenses integer rows for the
-    integer and the rational kind alike)."""
+    integer and the rational kind alike).  A divided level divides each
+    entry as the kernel computes it, so there the first numerator is
+    made one too large before the kernel divides it, and the list
+    holds the source rows of that level instead."""
     inner = condense_module._condense_rows
+    divmod_for = condense_module._divmod_for
     faulty = []
+    bumps = []  # what the next division adds to its numerator, once
 
-    def condense_rows(src, k, l):
-        out = inner(src, k, l)
-        if len(src) == size and not faulty:
-            rows = [list(row) for row in out]
-            rows[0][0] += 1
-            out = [tuple(row) for row in rows]
-            faulty.append(Matrix(rows, INTEGER))
-        return out
+    def condense_rows(src, k, l, divisor=None):
+        if len(src) != size or faulty:
+            return inner(src, k, l, divisor)
+        if divisor is not None:
+            faulty.append(Matrix(src, INTEGER))
+            bumps.append(1)
+            return inner(src, k, l, divisor)
+        rows = [list(row) for row in inner(src, k, l)]
+        rows[0][0] += 1
+        faulty.append(Matrix(rows, INTEGER))
+        return [tuple(row) for row in rows]
+
+    def off_by_one_divmod_for(b):
+        divide = divmod_for(b)
+        return lambda a, b: divide(a + (bumps.pop() if bumps else 0), b)
 
     monkeypatch.setattr(condense_module, "_condense_rows", condense_rows)
+    monkeypatch.setattr(condense_module, "_divmod_for", off_by_one_divmod_for)
     return faulty
 
 
@@ -278,3 +292,28 @@ def test_divided_level_error_names_level_and_pivot(monkeypatch, kind, size, mess
     _off_by_one_at(monkeypatch, size)
     with pytest.raises(ExactDivisionError, match=f"^{message}$"):
         det_condensation(m, record_trace=False, divided=True)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_divided_condensation_divides_recursively_past_the_cutoff(monkeypatch, n):
+    # Entries near 2**7000: level 2 divides by an entry of A and every
+    # later level by a 2x2 minor or more, all past _RECURSIVE_DIV_BITS,
+    # so each of the s^2 entries of levels 2..n-1 is divided by the
+    # recursive division, called from the kernel itself.
+    rng = random.Random(7000 + n)
+    m = Matrix([[rng.choice((-1, 1)) * rng.randrange(2**6999, 2**7000) for _ in range(n)] for _ in range(n)], INTEGER)
+    divisors = []
+    inner = scalars_module._divmod_recursive
+    kernel = condense_module._condense_rows.__code__
+
+    def spy(a, b):
+        if sys._getframe(1).f_code is kernel:  # not the recursion's own calls
+            divisors.append(b.bit_length())
+        return inner(a, b)
+
+    monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
+    value = det_condensation(m, record_trace=False, divided=True).value
+    assert len(divisors) == sum(s * s for s in range(1, n - 1))
+    assert min(divisors) > CUT
+    monkeypatch.undo()
+    assert value == det_bareiss(m)
