@@ -22,11 +22,15 @@ Undivided, entry bits roughly double per level.
 ``det_condensation(m, record_trace=False, divided=True)`` instead
 divides every entry of each new level exactly by the pivot of the step
 before (Sylvester's identity, as in Bareiss, Math. Comp. 22, 1968, and
-Dodgson, Proc. R. Soc. 15, 1866), in the same pass of the kernel that
-computes it: entry (r, c) of level t is then the minor of A on rows
-1..t and t+1+r and on the columns of the t pivots so far plus the
-source column of c, in increasing order and with no sign, so entries
-stay below the Hadamard bound and the last 1x1 level is det(A) itself.
+Dodgson, Proc. R. Soc. 15, 1866): entry (r, c) of level t is then the
+minor of A on rows 1..t and t+1+r and on the columns of the t pivots
+so far plus the source column of c, in increasing order and with no
+sign, so entries stay below the Hadamard bound and the last 1x1 level
+is det(A) itself.  Integer rows, which integer and rational ``det``
+run, go down two levels per pass in ``_condense_twice``: Bareiss's
+two-step method, which builds each entry from a bordered 3x3 minor
+with one exact division.  Float levels go down one per pass through
+``_condense_rows``.
 
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
@@ -38,6 +42,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -98,9 +103,10 @@ class PivotStrategy(enum.Enum):
     MAX_MAGNITUDE = "max-magnitude"
 
 
-def _condense_rows(src: Sequence[Sequence], k: int, l: int, divisor: Optional[int] = None) -> List[tuple]:
+def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
     """Condense the rows ``src`` at the 0-based pivot (k, l): the one
-    place the pivot-anchored 2x2 determinants are computed.
+    place the pivot-anchored 2x2 determinants of the undivided identity
+    are computed.
 
     Each source row r != k is paired with the pivot row in source
     order, ``(top, bottom) = (row_r, pivot_row)`` above the pivot and
@@ -120,49 +126,128 @@ def _condense_rows(src: Sequence[Sequence], k: int, l: int, divisor: Optional[in
     columns swapped); each swap negates one whole row or column of the
     condensed matrix, which multiplies its determinant by the same
     (-1)**(k+l).  The two signs cancel.
-
-    With an integer ``divisor`` (the pivot of an earlier level, in
-    ``_divided_levels``) each entry is divided exactly as it is
-    computed, in the same pass; a nonzero remainder raises
-    ``ExactDivisionError`` naming the bit lengths of the undivided
-    entry and of the divisor.
     """
     pivot_row = src[k]
     data = []
-    if divisor is None:
-        for r, row in enumerate(src):
-            if r == k:
-                continue
-            top, bottom = (row, pivot_row) if r < k else (pivot_row, row)
-            top_l, bottom_l = top[l], bottom[l]
-            left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
-            right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
-            data.append(tuple(left + right))
-        return data
-    divide = _divmod_for(divisor)  # the divisor is fixed for the call
     for r, row in enumerate(src):
         if r == k:
             continue
         top, bottom = (row, pivot_row) if r < k else (pivot_row, row)
         top_l, bottom_l = top[l], bottom[l]
-        out = []
-        for t, b in zip(top[:l], bottom[:l]):
-            q, rem = divide(t * bottom_l - top_l * b, divisor)
-            if rem:
-                raise _not_a_multiple(t * bottom_l - top_l * b, divisor)
-            out.append(q)
-        for t, b in zip(top[l + 1 :], bottom[l + 1 :]):
-            q, rem = divide(top_l * b - t * bottom_l, divisor)
-            if rem:
-                raise _not_a_multiple(top_l * b - t * bottom_l, divisor)
-            out.append(q)
-        data.append(tuple(out))
+        left = [t * bottom_l - top_l * b for t, b in zip(top[:l], bottom[:l])]
+        right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
+        data.append(tuple(left + right))
     return data
 
 
-def _not_a_multiple(entry: int, divisor: int) -> ExactDivisionError:
+def _condense_twice(
+    src: Sequence[Sequence[int]],
+    l: int,
+    strategy: PivotStrategy,
+    divisor: Optional[int],
+    level: int,
+    column: Optional[int],
+) -> Tuple[List[int], Optional[int], Optional[List[tuple]]]:
+    """Two Sylvester-divided levels of the integer rows ``src`` (level
+    ``level``, size s) in one pass: Bareiss's two-step method (Math.
+    Comp. 22, 1968).  ``l`` is the 0-based pivot column in row 1 of
+    ``src`` and ``divisor`` D the pivot of level ``level - 1``, found at
+    column ``column`` of its row 1, or None for level 0, which divides
+    nothing.
+
+    With X0, X1 the first two rows of ``src``, p = X0[l] and q = X1[l],
+    row 1 of level ``level + 1`` is the kernel's one-step row,
+    ``(X0[c]*q - p*X1[c]) / D`` left of l and ``(p*X1[c] - X0[c]*q) / D``
+    right of it.  Its pivot, picked by ``strategy`` at column m, is cc,
+    and u < v are the source columns of l and m.  Each later row R
+    gives two coefficients and an entry of level ``level + 2`` at every
+    other column c:
+
+        a = (X1[u]*R[v] - X1[v]*R[u]) / D
+        b = (X0[u]*R[v] - X0[v]*R[u]) / D
+        entry = +-(X0[c]*a - X1[c]*b + R[c]*cc) / D,  minus iff u < c < v
+
+    Why: by Sylvester's identity a 2x2 minor of ``src`` on columns in
+    increasing order is D times a minor of A, and a 3x3 one D**2 times
+    a minor of A.  cc, a and b are the 2x2 minors on columns u, v of
+    rows (1, 2), (2, R) and (1, R) over D, and expanding the 3x3 minor
+    on rows 1, 2, R and the sorted columns {u, v, c} along column c
+    gives D times the bracket, with the minus of c's middle place.  So
+    the entry is that 3x3 minor over D**2, the same minor of A that two
+    one-step levels reach; their division by p cancels.  An entry costs
+    3 multiplications, 2 additions and 1 division, where two one-step
+    levels cost 4, 2 and 2.
+
+    Each division is exact and tested inline; a nonzero remainder
+    raises ``ExactDivisionError`` naming the level the numerator
+    belongs to (``level + 1`` for row 1 and the coefficients), its bit
+    length and the pivot divided by.  Returns ``(row, m, rows)``: row 1
+    of level ``level + 1``, its 1-based pivot column and the rows of
+    level ``level + 2``; m and rows are None where the pass stops at
+    row 1, for s = 2 (row 1 is then the 1x1 level) or an all-zero row 1.
+    """
+    x0, x1 = src[0], src[1]
+    p, q = x0[l], x1[l]
+    if divisor is None:
+        row = [t * q - p * b for t, b in zip(x0[:l], x1[:l])]
+        row += [p * b - t * q for t, b in zip(x0[l + 1 :], x1[l + 1 :])]
+    else:
+        divide = _divmod_for(divisor)  # the divisor is fixed for the pass
+        row = []
+        for t, b in zip(x0[:l], x1[:l]):
+            e, rem = divide(t * q - p * b, divisor)
+            if rem:
+                raise _not_a_multiple(t * q - p * b, divisor, level + 1, column, level - 1)
+            row.append(e)
+        for t, b in zip(x0[l + 1 :], x1[l + 1 :]):
+            e, rem = divide(p * b - t * q, divisor)
+            if rem:
+                raise _not_a_multiple(p * b - t * q, divisor, level + 1, column, level - 1)
+            row.append(e)
+    m = select_pivot(row, strategy) if len(src) > 2 else None
+    if m is None:
+        return row, None, None
+    cc = row[m - 1]
+    j = m - (m <= l)  # column m - 1 of row 1 is column m - 1 or m of src
+    u, v = (l, j) if l < j else (j, l)
+    x0u, x0v, x1u, x1v = x0[u], x0[v], x1[u], x1[v]
+    # Every column but u and v, with the sign of its place folded in.
+    middle = slice(u + 1, v)
+    y0 = [*x0[:u], *map(operator.neg, x0[middle]), *x0[v + 1 :]]
+    y1 = [*x1[:u], *map(operator.neg, x1[middle]), *x1[v + 1 :]]
+    ks = [cc] * u + [-cc] * (v - u - 1) + [cc] * (len(x0) - v - 1)
+    rows = []
+    if divisor is None:
+        for r in src[2:]:
+            ru, rv = r[u], r[v]
+            a = x1u * rv - x1v * ru
+            b = x0u * rv - x0v * ru
+            others = r[:u] + r[middle] + r[v + 1 :]
+            rows.append(tuple([s * a - t * b + w * k for s, t, k, w in zip(y0, y1, ks, others)]))
+        return row, m, rows
+    for r in src[2:]:
+        ru, rv = r[u], r[v]
+        a, rem = divide(x1u * rv - x1v * ru, divisor)
+        if rem:
+            raise _not_a_multiple(x1u * rv - x1v * ru, divisor, level + 1, column, level - 1)
+        b, rem = divide(x0u * rv - x0v * ru, divisor)
+        if rem:
+            raise _not_a_multiple(x0u * rv - x0v * ru, divisor, level + 1, column, level - 1)
+        others = r[:u] + r[middle] + r[v + 1 :]
+        out = []
+        for s, t, k, w in zip(y0, y1, ks, others):
+            e, rem = divide(s * a - t * b + w * k, divisor)
+            if rem:
+                raise _not_a_multiple(s * a - t * b + w * k, divisor, level + 2, column, level - 1)
+            out.append(e)
+        rows.append(tuple(out))
+    return row, m, rows
+
+
+def _not_a_multiple(entry: int, divisor: int, level: int, column: int, source: int) -> ExactDivisionError:
     return ExactDivisionError(
-        f"a {entry.bit_length()}-bit entry is not a multiple of the {divisor.bit_length()}-bit pivot"
+        f"divided level {level}: a {entry.bit_length()}-bit entry is not a multiple of the "
+        f"{divisor.bit_length()}-bit pivot (1, {column}) of level {source}"
     )
 
 
@@ -300,53 +385,81 @@ def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple],
 
 def _divided_levels(
     rows: Sequence[Sequence], strategy: PivotStrategy, ring: ScalarKind, ops: OpCounts
-) -> Iterator[Tuple[int, List[tuple]]]:
+) -> Iterator[Tuple[Tuple[int, ...], Optional[List], List[tuple]]]:
     """Sylvester-divided condensation of the square integer or float
-    ``rows``, one level at a time.
+    ``rows``, one pass at a time.
 
-    Level t is ``_condense_rows`` of level t-1 (level 0 being ``rows``)
-    at the pivot (1, l) picked in its first row by ``strategy``, with
-    every entry divided by the pivot picked in level t-2; level 1 has
-    no such pivot and does no division.  Yields ``(l, level)`` for
-    t = 1, 2, ...  The last level yielded is 1x1 and its entry is
-    det(rows), unless the first row of a level is all zero: then
-    det(rows) = 0 and nothing more is yielded.  Integer levels pass
-    the pivot to the kernel, which divides each entry exactly as it
-    computes it, so a level is built in one pass; a nonzero remainder
-    raises ``ExactDivisionError`` naming the level and the pivot
-    divided by.  Float levels divide after the kernel: where one comes
-    out non-finite, it is condensed again with its pivot row divided by
-    the pivot first, as ``det_bareiss`` does entry by entry.
+    Level t (level 0 being ``rows``) is condensed at the pivot (1, l)
+    picked in its first row by ``strategy``; entry (r, c) of level t is
+    the minor of ``rows`` on rows 1..t and t+1+r and on the columns of
+    the t pivots so far plus the source column of c, in increasing
+    order and with no sign.  Each pass yields ``(pivots, row, level)``:
+    the 1-based pivot columns it picked, one per level it went down,
+    row 1 of the level between (None for a one-level pass) and the
+    level it built.  The last level yielded is 1x1 and its entry is
+    det(rows), unless a first row is all zero: then det(rows) = 0 and
+    nothing more is yielded.
+
+    Integer rows run ``_condense_twice``, which goes down two levels per
+    pass, dividing exactly by the pivot of the level before its source;
+    a size-2 level ends with its one 2x2 minor over that pivot, and
+    level 0 divides by nothing.  A nonzero remainder raises
+    ``ExactDivisionError`` naming the level and the pivot divided by.
+    Float levels go down one level per pass: level t is
+    ``_condense_rows`` of level t-1, divided by the pivot of level t-2
+    after the kernel.  Where one comes out non-finite, it is condensed
+    again with its pivot row divided by the pivot first, as
+    ``det_bareiss`` does entry by entry.
     """
-    prev = None
+    prev = prev_l = None
     level = 0
     while len(rows) > 1:
         row1 = rows[0]
         l = select_pivot(row1, strategy)
         if l is None:
             return
-        level += 1
-        size = len(rows) - 1
-        try:
-            src, rows = rows, _condense_rows(rows, 0, l - 1, None if ring is FLOAT else prev)
-        except ExactDivisionError as exc:
-            raise ExactDivisionError(f"divided level {level}: {exc} (1, {prev_l}) of level {level - 2}") from exc
+        s = len(rows)
+        if ring is not FLOAT:
+            row, m, rows = _condense_twice(rows, l - 1, strategy, prev, level, prev_l)
+            divides = prev is not None
+            # Row 1 of the level between: s - 1 entries of 2 products,
+            # 1 subtraction and 1 division each.
+            ops.multiplications += 2 * (s - 1)
+            ops.subtractions += s - 1
+            ops.divisions += divides * (s - 1)
+            if s == 2:
+                yield (l,), None, [tuple(row)]
+                return
+            if m is None:
+                return
+            # Per later row, 2 coefficients like the entries of row 1;
+            # then (s-2)**2 entries of 3 products, 2 additions (counted
+            # as subtractions) and 1 division each.
+            t = s - 2
+            ops.multiplications += 4 * t + 3 * t * t
+            ops.subtractions += 2 * t + 2 * t * t
+            ops.divisions += divides * (2 * t + t * t)
+            prev, prev_l = row[m - 1], m
+            level += 2
+            yield (l, m), row, rows
+            continue
+        size = s - 1
+        src, rows = rows, _condense_rows(rows, 0, l - 1)
         ops.multiplications += 2 * size * size
         ops.subtractions += size * size
         if prev is not None:
             ops.divisions += size * size
-            if ring is FLOAT:
-                rows = [tuple([v / prev for v in row]) for row in rows]
-                if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-                    # A product of two minors left the double range, though
-                    # the level need not: the 2x2 minors are linear in the
-                    # pivot row, so divide it first and condense again.
-                    rows = _condense_rows([tuple([v / prev for v in row1]), *src[1:]], 0, l - 1)
-                    ops.multiplications += 2 * size * size
-                    ops.subtractions += size * size
-                    ops.divisions += size + 1
-        prev, prev_l = row1[l - 1], l
-        yield l, rows
+            rows = [tuple([v / prev for v in row]) for row in rows]
+            if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+                # A product of two minors left the double range, though
+                # the level need not: the 2x2 minors are linear in the
+                # pivot row, so divide it first and condense again.
+                rows = _condense_rows([tuple([v / prev for v in row1]), *src[1:]], 0, l - 1)
+                ops.multiplications += 2 * size * size
+                ops.subtractions += size * size
+                ops.divisions += size + 1
+        prev = row1[l - 1]
+        yield (l,), None, rows
 
 
 def det_condensation(
@@ -386,7 +499,8 @@ def det_condensation(
 
     ``divided=True`` runs ``_divided_levels`` instead, down to the 1x1
     level that is det(A): no divide-back, no sign, and entries that are
-    minors of A.  A rational matrix runs on its integer rows with no
+    minors of A; the additions of its integer passes count as
+    subtractions.  A rational matrix runs on its integer rows with no
     per-level gcd, the result being ``Fraction(det(I_0), product of
     the scales)``.  Divided levels are not the condensed matrices of
     the identity above, so there is no trace to record: ``divided=True``
@@ -412,7 +526,7 @@ def det_condensation(
         ring, denominator = INTEGER, math.prod(scales)
     if divided:
         level = rows
-        for _, level in _divided_levels(rows, strategy, ring, ops):
+        for *_, level in _divided_levels(rows, strategy, ring, ops):
             pass
         value = level[0][0] if len(level) == 1 else ring.zero
         return DetResult(value if scales is None else Fraction(value, denominator), (), ops)

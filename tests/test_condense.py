@@ -557,27 +557,37 @@ def check_divided_levels_are_minors(a, strategy, minor_det, reduce=lambda v: v, 
     integer rows ``a`` and assert that entry (r, c) of level t, reduced
     by ``reduce``, is ``minor_det`` of the minor of ``a`` on rows 1..t
     and t+1+r and on the columns of the t pivots so far plus the source
-    column of c, in increasing order, with no sign.  Also asserts each
-    level's entry bits within ``hadamard_bit_bound(a)`` when ``a`` has
-    no zero row.  ``entries(size)`` picks the cells to check (default:
-    all).  Returns how many levels pivoted past column 1."""
+    column of c, in increasing order, with no sign.  A pass that goes
+    down two levels also yields row 1 of the level between, and every
+    entry of that row is checked.  Also asserts the entry bits of each
+    level and row within ``hadamard_bit_bound(a)`` when ``a`` has no
+    zero row.  ``entries(size)`` picks the cells to check of each built
+    level (default: all).  Returns how many levels pivoted past column 1."""
     bound = hadamard_bit_bound(Matrix(a, INTEGER)) if all(any(row) for row in a) else None
     cols = list(range(len(a)))  # source column of each column of the level
     pivots = []
     moved = 0
-    for t, (l, level) in enumerate(_divided_levels(a, strategy, INTEGER, OpCounts()), start=1):
-        moved += l > 1
-        pivots.append(cols.pop(l - 1))
+    t = 0
+
+    def check(t, level, cells):
         if bound is not None:
             # A minor is at most the product of its rows' norms.
             assert max(bit_length(v) for row in level for v in row) <= bound, f"level {t}"
-        size = len(level)
-        cells = [(r, c) for r in range(size) for c in range(size)] if entries is None else entries(size)
         for r, c in cells:
             rows = list(range(t)) + [t + r]
             columns = sorted(pivots + [cols[c]])
             minor = minor_det([[a[i][j] for j in columns] for i in rows])
             assert reduce(level[r][c]) == minor, f"level {t}, entry ({r + 1},{c + 1})"
+
+    for pass_pivots, row, level in _divided_levels(a, strategy, INTEGER, OpCounts()):
+        for i, l in enumerate(pass_pivots):
+            if i:  # row 1 of the level between the two of this pass
+                check(t, [row], [(0, c) for c in range(len(row))])
+            t += 1
+            moved += l > 1
+            pivots.append(cols.pop(l - 1))
+        size = len(level)
+        check(t, level, [(r, c) for r in range(size) for c in range(size)] if entries is None else entries(size))
     return moved
 
 
@@ -616,6 +626,25 @@ def test_divided_level_entries_are_minors_modulo_a_prime(n):
     assert moved > 0
 
 
+def divided_op_counts(n):
+    """Op counts of a divided integer run that reaches its 1x1 level.
+
+    A pass on a size-s level builds row 1 of the level below (s - 1
+    entries of 2 products, 1 subtraction and 1 division), two
+    coefficients per later row (the same again, 2(s - 2) of them) and
+    (s - 2)**2 entries of 3 products, 2 additions and 1 division: per
+    pass 3s^2 - 6s + 2 products, (2s - 3)(s - 1) subtractions and
+    s^2 - s - 1 divisions.  A size-2 level is row 1 alone, so the forms
+    hold there too.  Passes run on sizes n, n - 2, ... down to 2 or 3,
+    and the first divides by nothing."""
+    sizes = range(n, 1, -2)
+    return OpCounts(
+        sum(3 * s * s - 6 * s + 2 for s in sizes),
+        sum((2 * s - 3) * (s - 1) for s in sizes),
+        sum(s * s - s - 1 for s in sizes[1:]),
+    )
+
+
 @pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -639,13 +668,55 @@ def test_divided_condensation_matches_bareiss(kind, data):
         }[defect]
     m = Matrix(rows, kind)
     expected = det_bareiss(m)
-    full_levels = sum(s * s for s in range(1, n))
+    full_run = divided_op_counts(n).subtractions
     for strategy in PivotStrategy:
         result = det_condensation(m, strategy, record_trace=False, divided=True)
         assert result.value == expected
         if defect != "none":
             assert expected == 0
-            assert result.op_counts.subtractions < full_levels, "the levels did not stop early"
+            assert result.op_counts.subtractions < full_run, "the levels did not stop early"
+
+
+def mod_prime(v):
+    """An integer or a Fraction as an element of Z/PRIME."""
+    return v.numerator * pow(v.denominator, -1, PRIME) % PRIME
+
+
+@pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_divided_condensation_matches_det_modulo_a_prime(kind, data):
+    # det_mod eliminates over Z/PRIME with modular inverses: it shares no
+    # division code with divided condensation, where Bareiss shares
+    # _divmod_for.  A wrong answer D' passes only if PRIME divides
+    # D' - D.  Entries are drawn from a seeded generator, zero with a
+    # drawn chance, and one row may be zero, a copy of another row or the
+    # sum of two others, anywhere in the matrix.
+    n = data.draw(st.integers(1, 40))
+    rng = data.draw(st.randoms(use_true_random=False))
+    zeros = data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+
+    def entry():
+        if rng.random() < zeros:
+            return kind.zero
+        return rng.randint(-9, 9) if kind is INTEGER else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    defect = data.draw(st.sampled_from(["none", "zero", "duplicate", "sum"])) if n >= 3 else "none"
+    if defect != "none":
+        k, i, j = rng.sample(range(n), 3)
+        rows[k] = {
+            "zero": [kind.zero] * n,
+            "duplicate": list(rows[i]),
+            "sum": [a + b for a, b in zip(rows[i], rows[j])],
+        }[defect]
+    m = Matrix(rows, kind)
+    expected = det_mod([[mod_prime(v) for v in row] for row in rows], PRIME)
+    for strategy in PivotStrategy:
+        value = det_condensation(m, strategy, record_trace=False, divided=True).value
+        assert mod_prime(value) == expected, strategy
+        if defect != "none":
+            assert value == 0, strategy
 
 
 def test_divided_condensation_records_no_trace():
@@ -656,19 +727,17 @@ def test_divided_condensation_records_no_trace():
 
 
 def test_divided_condensation_counts_what_it_does():
-    # A level of s x s entries costs 2s^2 multiplications, s^2
-    # subtractions and s^2 divisions, but the first (s = n-1) divides
-    # by nothing.
+    # Odd n end on a 3x3 pass, even n on a size-2 level.  The values for
+    # n = 2..8 are spelled out as well as computed.
     rng = random.Random(1802)
+    pinned = {2: (2, 1, 0), 3: (11, 6, 0), 4: (28, 16, 1), 5: (58, 34, 5)}
+    pinned.update({6: (102, 61, 12), 7: (165, 100, 24), 8: (248, 152, 41)})
     for n in range(2, 9):
         m = random_int_matrix(rng, n)
         result = det_condensation(m, record_trace=False, divided=True)
         assert result.trace == ()
         assert result.value == det_bareiss(m)
-        squares = [s * s for s in range(1, n)]
-        assert result.op_counts.multiplications == 2 * sum(squares)
-        assert result.op_counts.subtractions == sum(squares)
-        assert result.op_counts.divisions == sum(squares[:-1])
+        assert result.op_counts == divided_op_counts(n) == OpCounts(*pinned[n]), n
 
 
 @pytest.mark.parametrize("n", range(10, 41, 5))

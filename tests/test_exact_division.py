@@ -170,36 +170,58 @@ def test_condensation_past_the_cutoff_matches_bareiss_and_closed_form_counts(str
 
 # --- divide-back errors carry their level ------------------------------------
 
-def _off_by_one_at(monkeypatch, size):
-    """Make the condensation of the size-``size`` level come out with
-    entry (1, 1) off by one; returns the list the faulty rows land in,
-    as an integer matrix (the driver condenses integer rows for the
-    integer and the rational kind alike).  A divided level divides each
-    entry as the kernel computes it, so there the first numerator is
-    made one too large before the kernel divides it, and the list
-    holds the source rows of that level instead."""
+def _off_by_one_at(monkeypatch, size, division=0):
+    """Make the condensation of the size-``size`` level come out one off;
+    returns the list the faulty rows land in, as an integer matrix (the
+    driver condenses integer rows for the integer and the rational kind
+    alike).
+
+    An undivided level, which a traced run condenses, gets entry (1, 1)
+    of its condensed matrix plus 1.  A divided pass divides each
+    numerator as the kernel computes it, so there numerator number
+    ``division`` (0-based, in the order the kernel divides them) of the
+    pass on the size-``size`` level is made one too large before it is
+    divided, and the list holds the source rows of that pass instead.
+    A pass that divides nothing (the first) is left as it is."""
     inner = condense_module._condense_rows
+    inner_twice = condense_module._condense_twice
     divmod_for = condense_module._divmod_for
     faulty = []
-    bumps = []  # what the next division adds to its numerator, once
+    countdown = []  # while the pass runs: divisions left before the faulty one
 
-    def condense_rows(src, k, l, divisor=None):
+    def condense_rows(src, k, l):
         if len(src) != size or faulty:
-            return inner(src, k, l, divisor)
-        if divisor is not None:
-            faulty.append(Matrix(src, INTEGER))
-            bumps.append(1)
-            return inner(src, k, l, divisor)
+            return inner(src, k, l)
         rows = [list(row) for row in inner(src, k, l)]
         rows[0][0] += 1
         faulty.append(Matrix(rows, INTEGER))
         return [tuple(row) for row in rows]
 
+    def condense_twice(src, *args):
+        if len(src) != size or faulty:
+            return inner_twice(src, *args)
+        faulty.append(Matrix(src, INTEGER))
+        countdown.append(division)
+        try:
+            return inner_twice(src, *args)
+        finally:
+            countdown.clear()
+
     def off_by_one_divmod_for(b):
         divide = divmod_for(b)
-        return lambda a, b: divide(a + (bumps.pop() if bumps else 0), b)
+
+        def bumped(a, b):
+            if countdown:
+                countdown[0] -= 1
+                if countdown[0] < 0:
+                    countdown.clear()
+                    a += 1
+            return divide(a, b)
+
+        return bumped
 
     monkeypatch.setattr(condense_module, "_condense_rows", condense_rows)
+    monkeypatch.setattr(condense_module, "_condense_twice", condense_twice)
     monkeypatch.setattr(condense_module, "_divmod_for", off_by_one_divmod_for)
     return faulty
 
@@ -242,14 +264,15 @@ def test_rational_divide_back_error_names_level_pivot_and_bit_lengths(monkeypatc
     _check_divide_back_error(monkeypatch, size, RATIONAL)
 
 
-def _check_fault_exit(tmp_path, capsys, monkeypatch, argv, message):
+def _check_fault_exit(tmp_path, capsys, monkeypatch, argv, message, size=6):
     path = tmp_path / "m.txt"
     path.write_text("\n".join(" ".join(map(str, row)) for row in FAULT_MATRIX.to_rows()) + "\n")
-    _off_by_one_at(monkeypatch, 6)
+    _off_by_one_at(monkeypatch, size)
     assert main(["det", str(path), *argv]) == EXIT_INTERNAL_ERROR
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"internal error: {message}")
+    return err
 
 
 def _check_divide_back_exit(tmp_path, capsys, monkeypatch, scalar):
@@ -268,43 +291,67 @@ def test_rational_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, cap
     _check_divide_back_exit(tmp_path, capsys, monkeypatch, "rational")
 
 
+# The first division of a run: row 1 of level 3, in the pass on level 2.
+# The rows of the fault matrix are integers, so its rational rows are
+# the same, and both kinds fail with the same message.
+FIRST_DIVISION = "divided level 3: a 16-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"
+
+
 @pytest.mark.parametrize("scalar", ["integer", "rational"])
 def test_divided_level_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch, scalar):
-    # An untraced det runs divided condensation, whose level 2 is the
-    # first to divide the faulty level 1.
-    _check_fault_exit(tmp_path, capsys, monkeypatch, ["--scalar", scalar], "divided level 2:")
+    # An untraced det runs divided condensation, whose second pass, on
+    # the size-4 level 2, is the first to divide.
+    err = _check_fault_exit(tmp_path, capsys, monkeypatch, ["--scalar", scalar], FIRST_DIVISION, size=4)
+    assert err == f"internal error: {FIRST_DIVISION}\n"
 
 
 # --- divided condensation divides each entry exactly -------------------------
 
+# Passes run on the levels of size 6 (level 0, which divides by
+# nothing), 4 (level 2) and 2 (level 4).  The pass on level 2 divides by
+# the pivot of level 1, in this order: row 1 of level 3 (divisions 0-2),
+# then per later row its two coefficients (3 and 4, 7 and 8) and its
+# entries of level 4 (5 and 6, 9 and 10).  The pass on level 4 divides
+# its one 2x2 minor by the pivot of level 3.  Magnitude pivots go
+# (6, 5), (3, 1), (1), so their first divisor sits past column 1.
+FIRST, MAX = PivotStrategy.FIRST_NONZERO, PivotStrategy.MAX_MAGNITUDE
+DIVIDED_FAULTS = [
+    (FIRST, 4, 0, FIRST_DIVISION),
+    (FIRST, 4, 3, "divided level 3: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
+    (FIRST, 4, 10, "divided level 4: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
+    (FIRST, 2, 0, "divided level 5: a 29-bit entry is not a multiple of the 11-bit pivot (1, 1) of level 3"),
+    (MAX, 4, 0, "divided level 3: a 21-bit entry is not a multiple of the 7-bit pivot (1, 5) of level 1"),
+    (MAX, 4, 10, "divided level 4: a 23-bit entry is not a multiple of the 7-bit pivot (1, 5) of level 1"),
+    (MAX, 2, 0, "divided level 5: a 32-bit entry is not a multiple of the 14-bit pivot (1, 1) of level 3"),
+]
+
+
 @pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
 @pytest.mark.parametrize(
-    "size, message",
-    [
-        # Level 1 (condensed from size 6) divides by nothing, so its
-        # fault shows when level 2 divides by the pivot (1, 2) of the input.
-        (6, r"divided level 2: a \d+-bit entry is not a multiple of the 3-bit pivot \(1, 2\) of level 0"),
-        (4, r"divided level 3: a \d+-bit entry is not a multiple of the \d+-bit pivot \(1, \d\) of level 1"),
-    ],
+    "strategy, size, division, message",
+    [pytest.param(*case, id=f"{case[0].value}-{case[1]}-{case[2]}") for case in DIVIDED_FAULTS],
 )
-def test_divided_level_error_names_level_and_pivot(monkeypatch, kind, size, message):
+def test_divided_level_error_names_level_and_pivot(monkeypatch, kind, strategy, size, division, message):
     m = Matrix(FAULT_MATRIX.to_rows(), kind)
-    _off_by_one_at(monkeypatch, size)
-    with pytest.raises(ExactDivisionError, match=f"^{message}$"):
-        det_condensation(m, record_trace=False, divided=True)
+    _off_by_one_at(monkeypatch, size, division)
+    with pytest.raises(ExactDivisionError) as exc_info:
+        det_condensation(m, strategy, record_trace=False, divided=True)
+    assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_divided_condensation_divides_recursively_past_the_cutoff(monkeypatch, n):
-    # Entries near 2**7000: level 2 divides by an entry of A and every
-    # later level by a 2x2 minor or more, all past _RECURSIVE_DIV_BITS,
-    # so each of the s^2 entries of levels 2..n-1 is divided by the
-    # recursive division, called from the kernel itself.
+    # Entries near 2**7000: every pass after the first divides by the
+    # row-1 pivot of the level before its source, a 2x2 minor of A or
+    # more, past _RECURSIVE_DIV_BITS.  A pass on a size-s level divides
+    # s - 1 entries of row 1 of the level below, two coefficients per
+    # later row and (s - 2)**2 entries: s**2 - s - 1 numerators, each
+    # through the recursive division, called from the kernel itself.
     rng = random.Random(7000 + n)
     m = Matrix([[rng.choice((-1, 1)) * rng.randrange(2**6999, 2**7000) for _ in range(n)] for _ in range(n)], INTEGER)
     divisors = []
     inner = scalars_module._divmod_recursive
-    kernel = condense_module._condense_rows.__code__
+    kernel = condense_module._condense_twice.__code__
 
     def spy(a, b):
         if sys._getframe(1).f_code is kernel:  # not the recursion's own calls
@@ -313,7 +360,7 @@ def test_divided_condensation_divides_recursively_past_the_cutoff(monkeypatch, n
 
     monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
     value = det_condensation(m, record_trace=False, divided=True).value
-    assert len(divisors) == sum(s * s for s in range(1, n - 1))
+    assert len(divisors) == sum(s * s - s - 1 for s in range(n - 2, 1, -2)) == {4: 1, 5: 5}[n]
     assert min(divisors) > CUT
     monkeypatch.undo()
     assert value == det_bareiss(m)
