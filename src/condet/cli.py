@@ -192,17 +192,16 @@ def cmd_det(args: argparse.Namespace) -> int:
         needed = " or ".join(k.name for k in method.kinds)
         raise UsageError(f"--method {args.method} needs --scalar {needed}")
     # Undivided entries roughly double their bits (a float its exponent)
-    # per level, so untraced condensation runs divided, whose levels are
-    # minors of the matrix and need no size cap.  A trace records
-    # undivided levels only, and so keeps the cap.
-    divided = args.method == "condense" and args.trace is None
-    limit = None if divided else method.size_limit
+    # per level, so untraced condensation (record_trace=False) runs
+    # divided, whose levels are minors of the matrix and need no size
+    # cap.  A trace records undivided levels only, and so keeps the cap.
+    limit = None if args.method == "condense" and args.trace is None else method.size_limit
     if limit is not None and m.rows > limit:
         hint = "--method bareiss has no size cap" if args.trace is None else "drop --trace, or use --method bareiss"
         raise UsageError(f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols} ({hint})")
     if args.method == "condense":
         strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
-        result = det_condensation(m, strategy, record_trace=args.trace is not None, divided=divided)
+        result = det_condensation(m, strategy, record_trace=args.trace is not None)
     else:
         result = method.run(m)
     if kind is FLOAT and not math.isfinite(result.value):

@@ -18,10 +18,11 @@ consequences drive the determinant driver ``det_condensation``:
 * repeated condensation shrinks the matrix one size per level, and a
   single division by the pivot power per level recovers det(A).
 
-Undivided, entry bits roughly double per level.
-``det_condensation(m, record_trace=False, divided=True)`` instead
-divides every entry of each new level exactly by the pivot of the step
-before (Sylvester's identity, as in Bareiss, Math. Comp. 22, 1968, and
+A traced run, which records every condensed matrix, keeps entries
+undivided, and their bits roughly double per level.  The untraced run,
+``det_condensation(m, record_trace=False)``, instead divides every
+entry of each new level exactly by the pivot of the step before
+(Sylvester's identity, as in Bareiss, Math. Comp. 22, 1968, and
 Dodgson, Proc. R. Soc. 15, 1866): entry (r, c) of level t is then the
 minor of A on rows 1..t and t+1+r and on the columns of the t pivots
 so far plus the source column of c, in increasing order and with no
@@ -330,15 +331,9 @@ def select_pivot(row1: Sequence, strategy: PivotStrategy) -> Optional[int]:
                 return idx + 1
         return None
     if strategy is PivotStrategy.MAX_MAGNITUDE:
-        best = None
-        best_mag = None
-        for idx, v in enumerate(row1):
-            if v == 0:
-                continue
-            mag = abs(v)
-            if best is None or mag > best_mag:
-                best, best_mag = idx + 1, mag
-        return best
+        mags = [*map(abs, row1)]
+        best = max(mags, default=0)
+        return mags.index(best) + 1 if best else None
     raise ValueError(f"unknown pivot strategy {strategy!r}")
 
 
@@ -466,12 +461,11 @@ def det_condensation(
     m: Matrix,
     strategy: PivotStrategy = PivotStrategy.FIRST_NONZERO,
     record_trace: bool = True,
-    *,
-    divided: bool = False,
 ) -> DetResult:
     """Determinant by repeated first-row condensation.
 
-    Each level picks a pivot in row 1 (``strategy``), condenses the
+    ``record_trace`` chooses the run.  The traced run (the default)
+    picks a pivot in row 1 of each level (``strategy``), condenses the
     current s x s matrix into (s-1) x (s-1), and records the step; a
     fully zero first row short-circuits the level to determinant zero
     (recorded as a :class:`ZeroRowExit`).  Once the recursion bottoms
@@ -497,21 +491,17 @@ def det_condensation(
     case and the pivot-power build-up; the scale and gcd bookkeeping of
     rational rows is representation, not counted.
 
-    ``divided=True`` runs ``_divided_levels`` instead, down to the 1x1
-    level that is det(A): no divide-back, no sign, and entries that are
-    minors of A; the additions of its integer passes count as
+    ``record_trace=False`` runs ``_divided_levels`` instead, down to the
+    1x1 level that is det(A): no divide-back, no sign, and entries that
+    are minors of A; the additions of its integer passes count as
     subtractions.  A rational matrix runs on its integer rows with no
     per-level gcd, the result being ``Fraction(det(I_0), product of
     the scales)``.  Divided levels are not the condensed matrices of
-    the identity above, so there is no trace to record: ``divided=True``
-    needs ``record_trace=False`` and raises ``ValueError`` otherwise.
+    the identity above, so the trace is empty.
     """
-    if divided and record_trace:
-        raise ValueError("det_condensation: divided levels record no trace; pass record_trace=False")
     n = _require_square(m, "det_condensation")
     kind = m.kind
     ops = OpCounts()
-    trace: List[TraceEntry] = []
     if n == 0:
         return DetResult(kind.one, (), ops)
     if n == 1:
@@ -524,12 +514,13 @@ def det_condensation(
         # tuple by resizing (see Matrix.__init__).
         rows, scales = zip(*[RATIONAL.integer_row(row) for row in rows])
         ring, denominator = INTEGER, math.prod(scales)
-    if divided:
+    if not record_trace:
         level = rows
         for *_, level in _divided_levels(rows, strategy, ring, ops):
             pass
         value = level[0][0] if len(level) == 1 else ring.zero
         return DetResult(value if scales is None else Fraction(value, denominator), (), ops)
+    trace: List[TraceEntry] = []
     pending: List[Tuple[Scalar, int, int, int]] = []
     while True:
         size = len(rows)
@@ -542,8 +533,7 @@ def det_condensation(
         row1 = rows[0]
         l = select_pivot(row1, strategy)
         if l is None:
-            if record_trace:
-                trace.append(ZeroRowExit(size))
+            trace.append(ZeroRowExit(size))
             value = ring.zero
             break
         pivot = row1[l - 1]
@@ -555,10 +545,8 @@ def det_condensation(
         else:
             pivot_value = Fraction(pivot, scales[0])
             condensed, scales, gcds = _reduce_rows(condensed, scales)
-            if record_trace:
-                view = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
-        if record_trace:
-            trace.append(CondensationStep(PivotSpec(1, l), pivot_value, Matrix._trusted(view, kind, size - 1)))
+            view = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
+        trace.append(CondensationStep(PivotSpec(1, l), pivot_value, Matrix._trusted(view, kind, size - 1)))
         pending.append((pivot, l, size, gcds))
         rows = condensed
 

@@ -576,7 +576,7 @@ def test_det_internal_divide_failure_maps_to_exit_3(tmp_path, capsys, monkeypatc
     import condet.cli as cli_module
     from condet.scalars import ExactDivisionError
 
-    def boom(m, strategy, record_trace, divided=False):
+    def boom(m, strategy, record_trace):
         raise ExactDivisionError("non-exact integer division: 7 / 2")
 
     monkeypatch.setattr(cli_module, "det_condensation", boom)
@@ -590,7 +590,7 @@ def test_det_internal_fault_exits_3_with_traceback(tmp_path, capsys, monkeypatch
     # only bad input exits 2; a library exception of any other kind is a fault
     import condet.cli as cli_module
 
-    def boom(m, strategy, record_trace, divided=False):
+    def boom(m, strategy, record_trace):
         raise error
 
     monkeypatch.setattr(cli_module, "det_condensation", boom)

@@ -146,7 +146,7 @@ def test_recursion_splits_long_divisions(monkeypatch):
 @pytest.mark.parametrize("strategy", list(PivotStrategy))
 def test_condensation_past_the_cutoff_matches_bareiss_and_closed_form_counts(strategy, monkeypatch):
     # The acceptance corpus stops at n = 10, far below the cutoff; from
-    # n = 16 the divide-back divisors are past it.
+    # n = 16 the divide-back divisors of a traced run are past it.
     recursive_calls = []
     inner = scalars_module._divmod_recursive
 
@@ -158,7 +158,7 @@ def test_condensation_past_the_cutoff_matches_bareiss_and_closed_form_counts(str
     master = SplitMix64(1518)
     for n in range(15, 19):
         m = random_integer_matrix(n, 9, master.split())
-        result = det_condensation(m, strategy, record_trace=False)
+        result = det_condensation(m, strategy, record_trace=True)
         assert result.value == det_bareiss(m)
         block_mults = sum(2 * (s - 1) ** 2 for s in range(3, n + 1)) + 2
         power_mults = sum(s - 3 for s in range(3, n + 1))
@@ -335,7 +335,7 @@ def test_divided_level_error_names_level_and_pivot(monkeypatch, kind, strategy, 
     m = Matrix(FAULT_MATRIX.to_rows(), kind)
     _off_by_one_at(monkeypatch, size, division)
     with pytest.raises(ExactDivisionError) as exc_info:
-        det_condensation(m, strategy, record_trace=False, divided=True)
+        det_condensation(m, strategy, record_trace=False)
     assert str(exc_info.value) == message
 
 
@@ -359,7 +359,7 @@ def test_divided_condensation_divides_recursively_past_the_cutoff(monkeypatch, n
         return inner(a, b)
 
     monkeypatch.setattr(scalars_module, "_divmod_recursive", spy)
-    value = det_condensation(m, record_trace=False, divided=True).value
+    value = det_condensation(m, record_trace=False).value
     assert len(divisors) == sum(s * s - s - 1 for s in range(n - 2, 1, -2)) == {4: 1, 5: 5}[n]
     assert min(divisors) > CUT
     monkeypatch.undo()

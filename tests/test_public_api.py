@@ -1,6 +1,7 @@
 """The package's public names: removing or adding one is deliberate."""
 
 import ast
+import inspect
 
 import condet
 from conftest import REPO_ROOT
@@ -77,3 +78,9 @@ def test_scalar_kinds_expose_only_their_own_members():
     for kind in (condet.RATIONAL, condet.INTEGER, condet.FLOAT):
         public = {name for name in dir(kind) if not name.startswith("_")}
         assert public == common | own[kind.name], kind
+
+
+def test_det_condensation_takes_one_switch_per_run():
+    # record_trace alone picks the traced undivided run or the divided
+    # one; a further parameter is a deliberate change.
+    assert tuple(inspect.signature(condet.det_condensation).parameters) == ("m", "strategy", "record_trace")

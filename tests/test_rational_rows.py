@@ -199,10 +199,10 @@ def check_against_reference(rows, strategy):
         assert repr(entry.condensed.to_rows()) == repr(condensed)
     assert repr(got.value) == repr(Fraction(want_value))
     assert got.op_counts == want_ops
+    # Untraced, the run is the divided one, with op counts of its own.
     untraced = det_condensation(m, strategy, record_trace=False)
     assert untraced.trace == ()
     assert repr(untraced.value) == repr(got.value)
-    assert untraced.op_counts == want_ops
     return got
 
 
