@@ -200,7 +200,11 @@ def cmd_det(args: argparse.Namespace) -> int:
         hint = "--method bareiss has no size cap" if args.trace is None else "drop --trace, or use --method bareiss"
         raise UsageError(f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols} ({hint})")
     if args.method == "condense":
-        strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
+        # An untraced float run pivots by magnitude: that is partial
+        # pivoting (on the transpose), where first-nonzero is none.  A
+        # trace keeps first-nonzero, as its pinned traces record.
+        default = PivotStrategy.MAX_MAGNITUDE if kind is FLOAT and args.trace is None else PivotStrategy.FIRST_NONZERO
+        strategy = PivotStrategy(args.pivot or default.value)
         result = det_condensation(m, strategy, record_trace=args.trace is not None)
     else:
         result = method.run(m)
@@ -401,7 +405,8 @@ def _shared_parser() -> argparse.ArgumentParser:
     det.add_argument(
         "--pivot",
         choices=tuple(s.value for s in PivotStrategy),
-        help="pivot strategy for --method condense (default: first-nonzero)",
+        help="pivot strategy for --method condense (default: max-magnitude for --scalar float"
+        " without --trace, else first-nonzero)",
     )
     det.add_argument(
         "--trace",

@@ -30,8 +30,8 @@ sign, so entries stay below the Hadamard bound and the last 1x1 level
 is det(A) itself.  Integer rows, which integer and rational ``det``
 run, go down two levels per pass in ``_condense_twice``: Bareiss's
 two-step method, which builds each entry from a bordered 3x3 minor
-with one exact division.  Float levels go down one per pass through
-``_condense_rows``.
+with one exact division, by 1 on the first pass as in Bareiss's first
+stage.  Float levels go down one per pass through ``_condense_rows``.
 
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
@@ -145,7 +145,7 @@ def _condense_twice(
     src: Sequence[Sequence[int]],
     l: int,
     strategy: PivotStrategy,
-    divisor: Optional[int],
+    divisor: int,
     level: int,
     column: Optional[int],
 ) -> Tuple[List[int], Optional[int], Optional[List[tuple]]]:
@@ -153,8 +153,8 @@ def _condense_twice(
     ``level``, size s) in one pass: Bareiss's two-step method (Math.
     Comp. 22, 1968).  ``l`` is the 0-based pivot column in row 1 of
     ``src`` and ``divisor`` D the pivot of level ``level - 1``, found at
-    column ``column`` of its row 1, or None for level 0, which divides
-    nothing.
+    column ``column`` of its row 1; level 0 has D = 1 and no column, as
+    Bareiss's first stage divides by a previous pivot of 1.
 
     With X0, X1 the first two rows of ``src``, p = X0[l] and q = X1[l],
     row 1 of level ``level + 1`` is the kernel's one-step row,
@@ -179,32 +179,29 @@ def _condense_twice(
     3 multiplications, 2 additions and 1 division, where two one-step
     levels cost 4, 2 and 2.
 
-    Each division is exact and tested inline; a nonzero remainder
-    raises ``ExactDivisionError`` naming the level the numerator
-    belongs to (``level + 1`` for row 1 and the coefficients), its bit
-    length and the pivot divided by.  Returns ``(row, m, rows)``: row 1
-    of level ``level + 1``, its 1-based pivot column and the rows of
-    level ``level + 2``; m and rows are None where the pass stops at
-    row 1, for s = 2 (row 1 is then the 1x1 level) or an all-zero row 1.
+    Each division, level 0's by 1 included, is exact and tested inline;
+    a nonzero remainder raises ``ExactDivisionError`` naming the level
+    the numerator belongs to (``level + 1`` for row 1 and the
+    coefficients), its bit length and the pivot divided by.  Returns
+    ``(row, m, rows)``: row 1 of level ``level + 1``, its 1-based pivot
+    column and the rows of level ``level + 2``; m and rows are None
+    where the pass stops at row 1, for s = 2 (row 1 is then the 1x1
+    level) or an all-zero row 1.
     """
     x0, x1 = src[0], src[1]
     p, q = x0[l], x1[l]
-    if divisor is None:
-        row = [t * q - p * b for t, b in zip(x0[:l], x1[:l])]
-        row += [p * b - t * q for t, b in zip(x0[l + 1 :], x1[l + 1 :])]
-    else:
-        divide = _divmod_for(divisor)  # the divisor is fixed for the pass
-        row = []
-        for t, b in zip(x0[:l], x1[:l]):
-            e, rem = divide(t * q - p * b, divisor)
-            if rem:
-                raise _not_a_multiple(t * q - p * b, divisor, level + 1, column, level - 1)
-            row.append(e)
-        for t, b in zip(x0[l + 1 :], x1[l + 1 :]):
-            e, rem = divide(p * b - t * q, divisor)
-            if rem:
-                raise _not_a_multiple(p * b - t * q, divisor, level + 1, column, level - 1)
-            row.append(e)
+    divide = _divmod_for(divisor)  # the divisor is fixed for the pass
+    row = []
+    for t, b in zip(x0[:l], x1[:l]):
+        e, rem = divide(t * q - p * b, divisor)
+        if rem:
+            raise _not_a_multiple(t * q - p * b, divisor, level + 1, column, level - 1)
+        row.append(e)
+    for t, b in zip(x0[l + 1 :], x1[l + 1 :]):
+        e, rem = divide(p * b - t * q, divisor)
+        if rem:
+            raise _not_a_multiple(p * b - t * q, divisor, level + 1, column, level - 1)
+        row.append(e)
     m = select_pivot(row, strategy) if len(src) > 2 else None
     if m is None:
         return row, None, None
@@ -218,14 +215,6 @@ def _condense_twice(
     y1 = [*x1[:u], *map(operator.neg, x1[middle]), *x1[v + 1 :]]
     ks = [cc] * u + [-cc] * (v - u - 1) + [cc] * (len(x0) - v - 1)
     rows = []
-    if divisor is None:
-        for r in src[2:]:
-            ru, rv = r[u], r[v]
-            a = x1u * rv - x1v * ru
-            b = x0u * rv - x0v * ru
-            others = r[:u] + r[middle] + r[v + 1 :]
-            rows.append(tuple([s * a - t * b + w * k for s, t, k, w in zip(y0, y1, ks, others)]))
-        return row, m, rows
     for r in src[2:]:
         ru, rv = r[u], r[v]
         a, rem = divide(x1u * rv - x1v * ru, divisor)
@@ -396,17 +385,20 @@ def _divided_levels(
     nothing more is yielded.
 
     Integer rows run ``_condense_twice``, which goes down two levels per
-    pass, dividing exactly by the pivot of the level before its source;
-    a size-2 level ends with its one 2x2 minor over that pivot, and
-    level 0 divides by nothing.  A nonzero remainder raises
-    ``ExactDivisionError`` naming the level and the pivot divided by.
+    pass, dividing exactly by the pivot of the level before its source,
+    or by 1 on level 0, as Bareiss's first stage does; a size-2 level
+    ends with its one 2x2 minor over that pivot.  Every division is
+    counted, and a nonzero remainder raises ``ExactDivisionError``
+    naming the level and the pivot divided by.
     Float levels go down one level per pass: level t is
     ``_condense_rows`` of level t-1, divided by the pivot of level t-2
     after the kernel.  Where one comes out non-finite, it is condensed
     again with its pivot row divided by the pivot first, as
     ``det_bareiss`` does entry by entry.
     """
-    prev = prev_l = None
+    # Integer passes divide level 0 by 1; float levels skip that division.
+    prev = None if ring is FLOAT else 1
+    prev_l = None
     level = 0
     while len(rows) > 1:
         row1 = rows[0]
@@ -416,12 +408,11 @@ def _divided_levels(
         s = len(rows)
         if ring is not FLOAT:
             row, m, rows = _condense_twice(rows, l - 1, strategy, prev, level, prev_l)
-            divides = prev is not None
             # Row 1 of the level between: s - 1 entries of 2 products,
             # 1 subtraction and 1 division each.
             ops.multiplications += 2 * (s - 1)
             ops.subtractions += s - 1
-            ops.divisions += divides * (s - 1)
+            ops.divisions += s - 1
             if s == 2:
                 yield (l,), None, [tuple(row)]
                 return
@@ -433,7 +424,7 @@ def _divided_levels(
             t = s - 2
             ops.multiplications += 4 * t + 3 * t * t
             ops.subtractions += 2 * t + 2 * t * t
-            ops.divisions += divides * (2 * t + t * t)
+            ops.divisions += 2 * t + t * t
             prev, prev_l = row[m - 1], m
             level += 2
             yield (l, m), row, rows
@@ -494,10 +485,11 @@ def det_condensation(
     ``record_trace=False`` runs ``_divided_levels`` instead, down to the
     1x1 level that is det(A): no divide-back, no sign, and entries that
     are minors of A; the additions of its integer passes count as
-    subtractions.  A rational matrix runs on its integer rows with no
-    per-level gcd, the result being ``Fraction(det(I_0), product of
-    the scales)``.  Divided levels are not the condensed matrices of
-    the identity above, so the trace is empty.
+    subtractions, and the first pass's divisions by 1 count too.  A
+    rational matrix runs on its integer rows with no per-level gcd, the
+    result being ``Fraction(det(I_0), product of the scales)``.  Divided
+    levels are not the condensed matrices of the identity above, so the
+    trace is empty.
     """
     n = _require_square(m, "det_condensation")
     kind = m.kind

@@ -638,12 +638,12 @@ def divided_op_counts(n):
     pass 3s^2 - 6s + 2 products, (2s - 3)(s - 1) subtractions and
     s^2 - s - 1 divisions.  A size-2 level is row 1 alone, so the forms
     hold there too.  Passes run on sizes n, n - 2, ... down to 2 or 3,
-    and the first divides by nothing."""
+    and the first divides by 1, as Bareiss's first stage does."""
     sizes = range(n, 1, -2)
     return OpCounts(
         sum(3 * s * s - 6 * s + 2 for s in sizes),
         sum((2 * s - 3) * (s - 1) for s in sizes),
-        sum(s * s - s - 1 for s in sizes[1:]),
+        sum(s * s - s - 1 for s in sizes),
     )
 
 
@@ -734,8 +734,8 @@ def test_divided_condensation_counts_what_it_does():
     # Odd n end on a 3x3 pass, even n on a size-2 level.  The values for
     # n = 2..8 are spelled out as well as computed.
     rng = random.Random(1802)
-    pinned = {2: (2, 1, 0), 3: (11, 6, 0), 4: (28, 16, 1), 5: (58, 34, 5)}
-    pinned.update({6: (102, 61, 12), 7: (165, 100, 24), 8: (248, 152, 41)})
+    pinned = {2: (2, 1, 1), 3: (11, 6, 5), 4: (28, 16, 12), 5: (58, 34, 24)}
+    pinned.update({6: (102, 61, 41), 7: (165, 100, 65), 8: (248, 152, 96)})
     for n in range(2, 9):
         m = random_int_matrix(rng, n)
         result = det_condensation(m, record_trace=False)

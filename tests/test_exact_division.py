@@ -182,7 +182,8 @@ def _off_by_one_at(monkeypatch, size, division=0):
     ``division`` (0-based, in the order the kernel divides them) of the
     pass on the size-``size`` level is made one too large before it is
     divided, and the list holds the source rows of that pass instead.
-    A pass that divides nothing (the first) is left as it is."""
+    The first pass divides by 1, which cannot fail, so a numerator
+    corrupted there surfaces in a later pass."""
     inner = condense_module._condense_rows
     inner_twice = condense_module._condense_twice
     divmod_for = condense_module._divmod_for
@@ -291,31 +292,44 @@ def test_rational_divide_back_error_exits_3_with_nothing_on_stdout(tmp_path, cap
     _check_divide_back_exit(tmp_path, capsys, monkeypatch, "rational")
 
 
-# The first division of a run: row 1 of level 3, in the pass on level 2.
-# The rows of the fault matrix are integers, so its rational rows are
-# the same, and both kinds fail with the same message.
+# The first division of a run that can fail: row 1 of level 3, in the
+# pass on level 2.  The rows of the fault matrix are integers, so its
+# rational rows are the same, and both kinds fail with the same message.
 FIRST_DIVISION = "divided level 3: a 16-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"
 
 
 @pytest.mark.parametrize("scalar", ["integer", "rational"])
 def test_divided_level_error_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch, scalar):
     # An untraced det runs divided condensation, whose second pass, on
-    # the size-4 level 2, is the first to divide.
+    # the size-4 level 2, is the first to divide by more than 1.
     err = _check_fault_exit(tmp_path, capsys, monkeypatch, ["--scalar", scalar], FIRST_DIVISION, size=4)
     assert err == f"internal error: {FIRST_DIVISION}\n"
 
 
 # --- divided condensation divides each entry exactly -------------------------
 
-# Passes run on the levels of size 6 (level 0, which divides by
-# nothing), 4 (level 2) and 2 (level 4).  The pass on level 2 divides by
-# the pivot of level 1, in this order: row 1 of level 3 (divisions 0-2),
-# then per later row its two coefficients (3 and 4, 7 and 8) and its
-# entries of level 4 (5 and 6, 9 and 10).  The pass on level 4 divides
-# its one 2x2 minor by the pivot of level 3.  Magnitude pivots go
-# (6, 5), (3, 1), (1), so their first divisor sits past column 1.
+# Passes run on the levels of size 6 (level 0, which divides by 1), 4
+# (level 2) and 2 (level 4).  The pass on level 2 divides by the pivot
+# of level 1, in this order: row 1 of level 3 (divisions 0-2), then per
+# later row its two coefficients (3 and 4, 7 and 8) and its entries of
+# level 4 (5 and 6, 9 and 10).  The pass on level 4 divides its one 2x2
+# minor by the pivot of level 3.  Magnitude pivots go (6, 5), (3, 1),
+# (1), so their first divisor sits past column 1.
+#
+# The pass on level 0 divides row 1 of level 1 (divisions 0-4), then per
+# later row two coefficients and four entries of level 2 (5 and 6, then
+# 7-10; 11 and 12, then 13-16; and so on).  Its division by 1 is always
+# exact, so a corrupted numerator is caught by the pass on level 2, at
+# level 3 or 4.  A row-1 entry other than the pivot (divisions 1-4 under
+# first-nonzero, 0-3 under max-magnitude) feeds no later level, so
+# corrupting it changes nothing.
 FIRST, MAX = PivotStrategy.FIRST_NONZERO, PivotStrategy.MAX_MAGNITUDE
 DIVIDED_FAULTS = [
+    (FIRST, 6, 5, "divided level 3: a 18-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
+    (FIRST, 6, 10, "divided level 3: a 16-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
+    (FIRST, 6, 17, "divided level 4: a 22-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
+    (MAX, 6, 5, "divided level 3: a 21-bit entry is not a multiple of the 7-bit pivot (1, 5) of level 1"),
+    (MAX, 6, 20, "divided level 4: a 25-bit entry is not a multiple of the 7-bit pivot (1, 5) of level 1"),
     (FIRST, 4, 0, FIRST_DIVISION),
     (FIRST, 4, 3, "divided level 3: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
     (FIRST, 4, 10, "divided level 4: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
@@ -341,12 +355,13 @@ def test_divided_level_error_names_level_and_pivot(monkeypatch, kind, strategy, 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_divided_condensation_divides_recursively_past_the_cutoff(monkeypatch, n):
-    # Entries near 2**7000: every pass after the first divides by the
-    # row-1 pivot of the level before its source, a 2x2 minor of A or
-    # more, past _RECURSIVE_DIV_BITS.  A pass on a size-s level divides
-    # s - 1 entries of row 1 of the level below, two coefficients per
-    # later row and (s - 2)**2 entries: s**2 - s - 1 numerators, each
-    # through the recursive division, called from the kernel itself.
+    # Entries near 2**7000: every pass after the first (which divides by
+    # 1, through the builtin) divides by the row-1 pivot of the level
+    # before its source, a 2x2 minor of A or more, past
+    # _RECURSIVE_DIV_BITS.  A pass on a size-s level divides s - 1
+    # entries of row 1 of the level below, two coefficients per later
+    # row and (s - 2)**2 entries: s**2 - s - 1 numerators, each through
+    # the recursive division, called from the kernel itself.
     rng = random.Random(7000 + n)
     m = Matrix([[rng.choice((-1, 1)) * rng.randrange(2**6999, 2**7000) for _ in range(n)] for _ in range(n)], INTEGER)
     divisors = []
