@@ -83,16 +83,24 @@ class MatrixFileError(UsageError):
     """A matrix file that cannot be parsed; the message locates the problem."""
 
 
-# The builtin that reads a whole row of a kind, one call per cell.
-# On a cell with no "_" (which both builtins accept and no kind does),
-# int() accepts exactly the integer kind's text: an optional sign and
-# Unicode decimal digits, raising past the int/str digit limit where
-# the kind still reads the value.  float() accepts the float kind's
+def _rational_cell(cell: str) -> Fraction:
+    num, slash, den = cell.partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+
+
+# The reader of one cell of a kind, called on every cell of a row.
+# On a cell with no "_" (which int() and float() accept and no kind
+# does), int() accepts exactly the integer kind's text: an optional sign
+# and Unicode decimal digits, raising past the int/str digit limit
+# where the kind still reads the value.  _rational_cell reads the
+# rational kind's p/q and integer text with int() on each side of the
+# slash, and raises ZeroDivisionError on a zero denominator; decimal
+# text such as 0.5 it refuses.  float() accepts the float kind's
 # decimal text and also nan, inf and infinity, and it turns text past
 # the double range into inf: only a row of finite floats is kept.  A
-# row the builtin refuses, and every rational row, is parsed cell by
-# cell with kind.parse, which also locates a bad entry.
-_ROW_READERS = {INTEGER: int, FLOAT: float}
+# row its reader refuses is parsed cell by cell with kind.parse, which
+# also locates a bad entry.
+_ROW_READERS = {INTEGER: int, FLOAT: float, RATIONAL: _rational_cell}
 
 
 def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
@@ -130,7 +138,7 @@ def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
         if read is not None and "_" not in line:
             try:
                 row = [*map(read, cells)]
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 pass
             else:
                 if read is float and not all(map(math.isfinite, row)):

@@ -25,17 +25,16 @@ column indices into the input rows instead of copying each minor, and
 works its 3x3 minors' three 2x2 minors inline.  Values and counts are
 those of the plain per-entry loops, floats bit for bit.
 
-Over rationals, ``det_bareiss`` eliminates on integer rows: each row
-is scaled once by the lcm of its denominators
+Over rationals, ``det_bareiss`` and ``det_cofactor`` run on integer
+rows: each row is scaled once by the lcm of its denominators
 (``RationalKind.integer_row``) and the integer determinant is divided
-by the product of the scales at the end.  Cofactor expansion stays on
-``Fraction`` arithmetic, and Gaussian elimination runs on canonical
-numerator/denominator pairs of plain ints, each entry reduced on its
-own with the same gcd splits as ``Fraction``.  Both hold every entry
-as its own rational in lowest terms, so two oracles share nothing
-with the row-scaling representation on purpose: a fault in the row
-scaling would show as a disagreement with them, not be repeated by
-them.
+by the product of the scales at the end.  Gaussian elimination runs on
+canonical numerator/denominator pairs of plain ints, each entry
+reduced on its own with the same gcd splits as ``Fraction``, so it
+holds every entry as its own rational in lowest terms and shares
+nothing with the row-scaling representation on purpose: a fault in
+the row scaling would show as a disagreement with it, not be repeated
+by it.
 
 The private ``_adjugate`` gives adj(m) of a nonsingular integer matrix
 by one fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
@@ -72,18 +71,25 @@ def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     """Determinant by recursive cofactor expansion along the first row.
 
     Exact for every scalar kind but factorial in the size, so sizes
-    above ``COFACTOR_SIZE_LIMIT`` are rejected.
+    above ``COFACTOR_SIZE_LIMIT`` are rejected.  A rational matrix is
+    expanded on its integer rows (row i is ``I[i] / scale_i``, as in
+    ``det_bareiss``) and det(m) is det(I) over the scales' product; a
+    zero entry has a zero numerator, so the same heads are skipped and
+    the counts are those of the ``Fraction`` expansion.
     """
     n = _require_square(m, "det_cofactor")
     if n > COFACTOR_SIZE_LIMIT:
         raise ValueError(f"cofactor expansion is limited to {COFACTOR_SIZE_LIMIT}x{COFACTOR_SIZE_LIMIT}, got {n}")
     kind = m.kind
+    if n == 0:
+        return kind.one
+    if kind is RATIONAL:
+        rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
+        return Fraction(det_cofactor(Matrix._trusted(rows, INTEGER, n), ops), math.prod(scales))
     if ops is None:
         ops = OpCounts()
     rows = m.as_tuples()
     zero = kind.zero
-    if n == 0:
-        return kind.one
     if n == 1:
         return rows[0][0]
     if n == 2:

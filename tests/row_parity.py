@@ -1,8 +1,10 @@
 """Row parsing against cell-by-cell parsing, on edge cells.
 
 ``parse_matrix_text`` reads a row of integer or float cells with one
-``int()`` or ``float()`` call per cell, and parses the row cell by cell
-with ``kind.parse`` only where that fails.  Each cell here is read both
+``int()`` or ``float()`` call per cell, and a row of rational cells
+with ``int()`` on each side of a cell's ``/`` (``cli._rational_cell``),
+and parses the row cell by cell with ``kind.parse`` only where that
+fails.  Each cell here is read both
 ways, alone and next to a plain cell, and must give equal values
 (floats compared by ``repr``) or the same located message.  The
 builtins' grammar is the interpreter's, so this runs on every supported
@@ -13,6 +15,7 @@ Python, test tools or not:
 
 import sys
 import unicodedata
+from fractions import Fraction
 
 from condet import FLOAT, INTEGER, RATIONAL, ScalarParseError
 from condet.cli import MatrixFileError, parse_matrix_text
@@ -36,6 +39,11 @@ EDGE_CELLS = [
     "𝟏𝟐", "𝟘", "𝟙.𝟝", "²", "1²", "½", "Ⅻ", "١٫٥",
     # past the int/str digit limit (4,300 digits from Python 3.11)
     "9" * 5000, "-" + "1" * 5000, "0." + "1" * 5000, "1" * 5000 + "e-5000",
+    # rational p/q: signs on either side, zero denominators, a slash too
+    # many or with a side missing, decimal sides, other decimal digits
+    # and sides past the digit limit
+    "1/-2", "+1/+2", "-0/5", "0/0", "1/+0", "1/2/3", "/2", "2/", "1//2",
+    "1/2.5", "1.5/2", "1e3/2", "٣/٤", "１/２", "9" * 5000 + "/7", "7/" + "9" * 5000,
 ]
 
 
@@ -82,13 +90,19 @@ def differences(kinds=(INTEGER, FLOAT, RATIONAL), cells=None):
     return found
 
 
+def _show_value(v):
+    # repr of an int past the digit limit raises, and so does a Fraction's.
+    if isinstance(v, int) and v.bit_length() > 1000:
+        return f"<{v.bit_length()}-bit int>"
+    if isinstance(v, Fraction) and max(abs(v.numerator), v.denominator).bit_length() > 1000:
+        return f"<{_show_value(v.numerator)}/{_show_value(v.denominator)}>"
+    return repr(v)
+
+
 def _show(values):
     if isinstance(values, str):
         return repr(values)
-    return "[" + ", ".join(
-        f"<{v.bit_length()}-bit int>" if isinstance(v, int) and v.bit_length() > 1000 else repr(v)
-        for v in values
-    ) + "]"
+    return "[" + ", ".join(map(_show_value, values)) + "]"
 
 
 def main():

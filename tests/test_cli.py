@@ -166,12 +166,24 @@ def test_empty_entry_is_located_user_error(tmp_path, capsys, text, where):
 
 
 def test_row_readers_match_cellwise_parse():
-    # Integer and float rows are read with int() and float() whole; on
+    # Integer, float and rational rows are read with int() and float()
+    # whole (rational cells with int() on each side of the slash); on
     # every edge cell, and every numeric character, the values and the
     # located messages are those of kind.parse cell by cell.
     assert not row_parity.differences()
     # The readers take the rows the kinds take, not some other grammar.
     assert parse_matrix_text("١٢ 𝟏 -0\n", INTEGER).row(1) == (12, 1, 0)
+    assert parse_matrix_text("1/-2 ٣/٤ 7 0.5\n", RATIONAL).row(1) == (
+        Fraction(-1, 2), Fraction(3, 4), Fraction(7), Fraction(1, 2),
+    )
+    for text, message in (
+        ("1 1/0\n", "line 1, entry 2: zero denominator in '1/0'"),
+        ("0/0 1\n", "line 1, entry 1: zero denominator in '0/0'"),
+        ("1 1/2/3\n", "line 1, entry 2: not a rational scalar: '1/2/3'"),
+    ):
+        with pytest.raises(MatrixFileError) as info:
+            parse_matrix_text(text, RATIONAL)
+        assert str(info.value) == message
     assert list(map(repr, parse_matrix_text("-0 .5 5. 1e-400\n", FLOAT).row(1))) == ["-0.0", "0.5", "5.0", "0.0"]
     for text, message in (
         ("1 1_0\n", "line 1, entry 2: not an integer scalar: '1_0'"),
@@ -333,9 +345,9 @@ def test_det_leaves_no_row_tuples_behind(tmp_path, capsys):
     # list that no allocation of its final size drains: a det building
     # its n row tuples that way parks them there.  Each run starts from
     # empty free lists (a full collection empties them) with automatic
-    # collection off.  The runs cover every row parser (int() and
-    # float() rows, rational cell by cell) and the divided default as
-    # well as Bareiss.
+    # collection off.  The runs cover every row reader (int(), float()
+    # and the rational cell reader) and the divided default as well as
+    # Bareiss.
     gen = SplitMix64(14)
     paths = []
     for i in range(200):

@@ -64,6 +64,9 @@ def test_cofactor_known_values():
     assert det_cofactor(m) == -3
     assert det_cofactor(Matrix([], INTEGER)) == 1
     assert det_cofactor(Matrix([[7]], INTEGER)) == 7
+    # A rational matrix expands on its integer rows, past the 0x0 case.
+    assert same_value(det_cofactor(Matrix([], RATIONAL)), Fraction(1))
+    assert same_value(det_cofactor(Matrix([[Fraction(-6, 8)]], RATIONAL)), Fraction(-3, 4))
 
 
 def test_cofactor_size_cap():
@@ -501,6 +504,22 @@ def test_gauss_never_scales_rows_to_integers(monkeypatch):
     value = det_gauss_rational(m)
     assert calls == []
     assert value == det_bareiss(m)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_rational_cofactor_expands_integer_rows(n):
+    # Rational cofactor expansion runs on the integer rows: its value is
+    # the Fraction elimination's, and its counts are those of expanding
+    # the integer rows, zero heads skipped at the same places.
+    rng = random.Random(320 + n)
+    rows = big_rat_rows(rng, n)
+    for i, j in rng.sample([(i, j) for i in range(n) for j in range(n)], n + 2):
+        rows[i][j] = Fraction(0)
+    m = Matrix(rows, RATIONAL)
+    value, ops = with_counts(det_cofactor, m)
+    assert same_value(value, det_gauss_rational(m))
+    integer_rows = Matrix([RATIONAL.integer_row(row)[0] for row in m.as_tuples()], INTEGER)
+    assert ops == with_counts(det_cofactor, integer_rows)[1]
 
 
 # --- a planted non-exact division --------------------------------------------
