@@ -10,11 +10,11 @@ Three subcommands:
 Exit codes: 0 success, 1 at least one identity failed to verify,
 2 bad input from a file, flag or config (the message says where),
 3 anything else: one line for a non-exact division, a method
-disagreement, a float determinant that came out nan or infinite, a
-float verify check out of the double range or a verify adjugate that
-fails its self-check, a traceback for any other fault.  Commands
-raise; ``main`` alone reports and picks the code.  A failed ``det``
-prints nothing on stdout and writes no trace.
+disagreement, a float determinant that came out nan or infinite or is
+past the double range, a float verify check out of the double range
+or a verify adjugate that fails its self-check, a traceback for any
+other fault.  Commands raise; ``main`` alone reports and picks the
+code.  A failed ``det`` prints nothing on stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -208,21 +208,22 @@ def cmd_det(args: argparse.Namespace) -> int:
         hint = "--method bareiss has no size cap" if args.trace is None else "drop --trace, or use --method bareiss"
         raise UsageError(f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols} ({hint})")
     if args.method == "condense":
-        # An untraced float run pivots by magnitude: that is partial
-        # pivoting (on the transpose), where first-nonzero is none.  A
-        # trace keeps first-nonzero, as its pinned traces record.
-        default = PivotStrategy.MAX_MAGNITUDE if kind is FLOAT and args.trace is None else PivotStrategy.FIRST_NONZERO
-        strategy = PivotStrategy(args.pivot or default.value)
-        result = det_condensation(m, strategy, record_trace=args.trace is not None)
+        strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
+        try:
+            result = det_condensation(m, strategy, record_trace=args.trace is not None)
+        except OverflowError as exc:  # an untraced float value past the double range
+            raise OverflowError(f"{exc}; use --scalar rational for an exact result") from None
     else:
         result = method.run(m)
     if kind is FLOAT and not math.isfinite(result.value):
         # A value left the double range (inf - inf is nan): there is no
         # answer to print.  Undivided condensation, which --trace runs,
-        # gets there by n = 10 on entries near 1.  Divided condensation
-        # and Bareiss keep entries near the size of minors and divide
-        # first where a product of two overflows, so inputs such as 1e200
-        # overflow them at the first level, before any division.
+        # gets there by n = 10 on entries near 1.  Bareiss keeps entries
+        # near the size of minors and divides first where a product of
+        # two overflows, so inputs such as 1e200 overflow it at the first
+        # level, before any division.  Untraced condensation is exact
+        # until its one last division, which raises OverflowError
+        # instead.
         alternative = "" if args.method == "bareiss" else ", or --method bareiss"
         raise FloatingPointError(
             f"the float determinant came out {result.value!r}; "
@@ -413,8 +414,8 @@ def _shared_parser() -> argparse.ArgumentParser:
     det.add_argument(
         "--pivot",
         choices=tuple(s.value for s in PivotStrategy),
-        help="pivot strategy for --method condense (default: max-magnitude for --scalar float"
-        " without --trace, else first-nonzero)",
+        help="pivot strategy for --method condense (default: first-nonzero; an untraced value"
+        " is exact before any rounding, so only a trace's levels differ)",
     )
     det.add_argument(
         "--trace",

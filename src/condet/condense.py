@@ -27,11 +27,13 @@ Dodgson, Proc. R. Soc. 15, 1866): entry (r, c) of level t is then the
 minor of A on rows 1..t and t+1+r and on the columns of the t pivots
 so far plus the source column of c, in increasing order and with no
 sign, so entries stay below the Hadamard bound and the last 1x1 level
-is det(A) itself.  Integer rows, which integer and rational ``det``
-run, go down two levels per pass in ``_condense_twice``: Bareiss's
-two-step method, which builds each entry from a bordered 3x3 minor
-with one exact division, by 1 on the first pass as in Bareiss's first
-stage.  Float levels go down one per pass through ``_condense_rows``.
+is det(A) itself.  It runs on integer rows, those of a rational or
+float matrix included (``RationalKind.integer_row``), and goes down
+two levels per pass in ``_condense_twice``: Bareiss's two-step method,
+which builds each entry from a bordered 3x3 minor with one exact
+division, by 1 on the first pass as in Bareiss's first stage.  So an
+untraced float determinant is exact until one final, correctly rounded
+division.
 
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
@@ -41,7 +43,6 @@ as a cross-check that never touches the condensation code above it.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -368,10 +369,10 @@ def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple],
 
 
 def _divided_levels(
-    rows: Sequence[Sequence], strategy: PivotStrategy, ring: ScalarKind, ops: OpCounts
-) -> Iterator[Tuple[Tuple[int, ...], Optional[List], List[tuple]]]:
-    """Sylvester-divided condensation of the square integer or float
-    ``rows``, one pass at a time.
+    rows: Sequence[Sequence[int]], strategy: PivotStrategy, ops: OpCounts
+) -> Iterator[Tuple[Tuple[int, ...], Optional[List[int]], List[tuple]]]:
+    """Sylvester-divided condensation of the square integer ``rows``,
+    two levels per pass.
 
     Level t (level 0 being ``rows``) is condensed at the pivot (1, l)
     picked in its first row by ``strategy``; entry (r, c) of level t is
@@ -379,73 +380,57 @@ def _divided_levels(
     the t pivots so far plus the source column of c, in increasing
     order and with no sign.  Each pass yields ``(pivots, row, level)``:
     the 1-based pivot columns it picked, one per level it went down,
-    row 1 of the level between (None for a one-level pass) and the
-    level it built.  The last level yielded is 1x1 and its entry is
-    det(rows), unless a first row is all zero: then det(rows) = 0 and
-    nothing more is yielded.
+    row 1 of the level between (None for the one-level pass of a
+    size-2 level) and the level it built.  The last level yielded is
+    1x1 and its entry is det(rows), unless a first row is all zero:
+    then det(rows) = 0 and nothing more is yielded.
 
-    Integer rows run ``_condense_twice``, which goes down two levels per
-    pass, dividing exactly by the pivot of the level before its source,
-    or by 1 on level 0, as Bareiss's first stage does; a size-2 level
-    ends with its one 2x2 minor over that pivot.  Every division is
-    counted, and a nonzero remainder raises ``ExactDivisionError``
-    naming the level and the pivot divided by.
-    Float levels go down one level per pass: level t is
-    ``_condense_rows`` of level t-1, divided by the pivot of level t-2
-    after the kernel.  Where one comes out non-finite, it is condensed
-    again with its pivot row divided by the pivot first, as
-    ``det_bareiss`` does entry by entry.
+    Each pass runs ``_condense_twice``, dividing exactly by the pivot
+    of the level before its source, or by 1 on level 0, as Bareiss's
+    first stage does; a size-2 level ends with its one 2x2 minor over
+    that pivot.  Every division is counted, and a nonzero remainder
+    raises ``ExactDivisionError`` naming the level and the pivot
+    divided by.
     """
-    # Integer passes divide level 0 by 1; float levels skip that division.
-    prev = None if ring is FLOAT else 1
-    prev_l = None
+    prev, prev_l = 1, None
     level = 0
     while len(rows) > 1:
-        row1 = rows[0]
-        l = select_pivot(row1, strategy)
+        l = select_pivot(rows[0], strategy)
         if l is None:
             return
         s = len(rows)
-        if ring is not FLOAT:
-            row, m, rows = _condense_twice(rows, l - 1, strategy, prev, level, prev_l)
-            # Row 1 of the level between: s - 1 entries of 2 products,
-            # 1 subtraction and 1 division each.
-            ops.multiplications += 2 * (s - 1)
-            ops.subtractions += s - 1
-            ops.divisions += s - 1
-            if s == 2:
-                yield (l,), None, [tuple(row)]
-                return
-            if m is None:
-                return
-            # Per later row, 2 coefficients like the entries of row 1;
-            # then (s-2)**2 entries of 3 products, 2 additions (counted
-            # as subtractions) and 1 division each.
-            t = s - 2
-            ops.multiplications += 4 * t + 3 * t * t
-            ops.subtractions += 2 * t + 2 * t * t
-            ops.divisions += 2 * t + t * t
-            prev, prev_l = row[m - 1], m
-            level += 2
-            yield (l, m), row, rows
-            continue
-        size = s - 1
-        src, rows = rows, _condense_rows(rows, 0, l - 1)
-        ops.multiplications += 2 * size * size
-        ops.subtractions += size * size
-        if prev is not None:
-            ops.divisions += size * size
-            rows = [tuple([v / prev for v in row]) for row in rows]
-            if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-                # A product of two minors left the double range, though
-                # the level need not: the 2x2 minors are linear in the
-                # pivot row, so divide it first and condense again.
-                rows = _condense_rows([tuple([v / prev for v in row1]), *src[1:]], 0, l - 1)
-                ops.multiplications += 2 * size * size
-                ops.subtractions += size * size
-                ops.divisions += size + 1
-        prev = row1[l - 1]
-        yield (l,), None, rows
+        row, m, rows = _condense_twice(rows, l - 1, strategy, prev, level, prev_l)
+        # Row 1 of the level between: s - 1 entries of 2 products,
+        # 1 subtraction and 1 division each.
+        ops.multiplications += 2 * (s - 1)
+        ops.subtractions += s - 1
+        ops.divisions += s - 1
+        if s == 2:
+            yield (l,), None, [tuple(row)]
+            return
+        if m is None:
+            return
+        # Per later row, 2 coefficients like the entries of row 1;
+        # then (s-2)**2 entries of 3 products, 2 additions (counted
+        # as subtractions) and 1 division each.
+        t = s - 2
+        ops.multiplications += 4 * t + 3 * t * t
+        ops.subtractions += 2 * t + 2 * t * t
+        ops.divisions += 2 * t + t * t
+        prev, prev_l = row[m - 1], m
+        level += 2
+        yield (l, m), row, rows
+
+
+def _nearest_double(numerator: int, denominator: int) -> float:
+    # int / int is correctly rounded in CPython, underflow included.
+    try:
+        return numerator / denominator
+    except OverflowError:
+        magnitude = round(math.log10(abs(numerator)) - math.log10(denominator))
+        raise OverflowError(
+            f"the float determinant has magnitude near 1e{magnitude}, past the double range (up to 1.8e308)"
+        ) from None
 
 
 def det_condensation(
@@ -484,12 +469,15 @@ def det_condensation(
 
     ``record_trace=False`` runs ``_divided_levels`` instead, down to the
     1x1 level that is det(A): no divide-back, no sign, and entries that
-    are minors of A; the additions of its integer passes count as
-    subtractions, and the first pass's divisions by 1 count too.  A
-    rational matrix runs on its integer rows with no per-level gcd, the
-    result being ``Fraction(det(I_0), product of the scales)``.  Divided
-    levels are not the condensed matrices of the identity above, so the
-    trace is empty.
+    are minors of A; the additions of its passes count as subtractions,
+    and the first pass's divisions by 1 count too.  A rational or float
+    matrix (a double is m * 2**e) runs on its integer rows with no
+    per-level gcd.  A rational result is ``Fraction(det(I_0), product
+    of the scales)``, a float one their int/int quotient, which is
+    correctly rounded: the double nearest the exact determinant, 0.0 or
+    a subnormal on underflow, and ``OverflowError`` naming the double
+    range past it.  Divided levels are not the condensed matrices of
+    the identity above, so the trace is empty.
     """
     n = _require_square(m, "det_condensation")
     kind = m.kind
@@ -501,16 +489,18 @@ def det_condensation(
 
     rows = m.as_tuples()
     ring, scales = kind, None
-    if kind is RATIONAL:
+    if kind is RATIONAL or (kind is FLOAT and not record_trace):
         # Unpacked from a list: unpacking a map builds its argument
         # tuple by resizing (see Matrix.__init__).
         rows, scales = zip(*[RATIONAL.integer_row(row) for row in rows])
         ring, denominator = INTEGER, math.prod(scales)
     if not record_trace:
         level = rows
-        for *_, level in _divided_levels(rows, strategy, ring, ops):
+        for *_, level in _divided_levels(rows, strategy, ops):
             pass
-        value = level[0][0] if len(level) == 1 else ring.zero
+        value = level[0][0] if len(level) == 1 else 0
+        if kind is FLOAT:
+            return DetResult(_nearest_double(value, denominator), (), ops)
         return DetResult(value if scales is None else Fraction(value, denominator), (), ops)
     trace: List[TraceEntry] = []
     pending: List[Tuple[Scalar, int, int, int]] = []

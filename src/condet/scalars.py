@@ -6,8 +6,9 @@ own version of: text parsing, canonical formatting, the entry check
 and the constants zero and one.  Arithmetic, zero tests (``== 0``,
 exact for every kind) and magnitude comparisons (built-in ``abs``) use
 the values' native operators.  The remainder-checked division of
-condensation and Bareiss runs on integers, rational matrices as integer
-rows (``RationalKind.integer_row``), so it is ``IntegerKind.exact_div``.
+condensation and Bareiss runs on integers, rational matrices (and
+float ones in untraced condensation) as integer rows
+(``RationalKind.integer_row``), so it is ``IntegerKind.exact_div``.
 
 Integers of any length format and parse, including those past
 Python's int/str conversion limit (``sys.get_int_max_str_digits()``),
@@ -273,10 +274,10 @@ class RationalKind(ScalarKind):
             return Fraction(value)
         raise TypeError(f"rational entries must be Fraction or int, got {value!r}")
 
-    def integer_row(self, row: Sequence[Fraction]) -> Tuple[List[int], int]:
-        """A rational row as an integer row over one denominator:
-        ``(nums, scale)`` with ``row[j] == Fraction(nums[j], scale)``,
-        ``scale`` being the lcm of the row's denominators.
+    def integer_row(self, row: Sequence[Union[Fraction, float]]) -> Tuple[List[int], int]:
+        """A rational or float row as an integer row over one
+        denominator: ``(nums, scale)`` with ``row[j] == Fraction(nums[j],
+        scale)``, ``scale`` being the lcm of the row's denominators.
 
         Exact work on a rational matrix runs on these plain ints.
         Scaling row i by scale_i scales every minor that uses row i by
@@ -284,10 +285,15 @@ class RationalKind(ScalarKind):
         by scale_i * scale_k and a full determinant by the product of
         all the scales.  One ``Fraction`` per result then replaces a
         gcd normalisation per product, difference and division.
+
+        Each value is read by ``as_integer_ratio()``, which ``Fraction``,
+        ``int`` and ``float`` all have.  A finite double is m * 2**e, so
+        a float row's denominators are powers of two and its scale is
+        the largest of them: untraced float ``det`` runs on these rows.
         """
-        dens = [v.denominator for v in row]
-        scale = math.lcm(*dens)
-        return [v.numerator * (scale // d) for v, d in zip(row, dens)], scale
+        pairs = [v.as_integer_ratio() for v in row]
+        scale = math.lcm(*[d for _, d in pairs])
+        return [n * (scale // d) for n, d in pairs], scale
 
 
 class IntegerKind(ScalarKind):

@@ -396,43 +396,49 @@ def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
     assert abs(Fraction(capsys.readouterr().out.strip()) - exact) <= Fraction(1, 10**9) * abs(exact)
 
 
-def test_det_float_default_pivots_by_magnitude_unless_traced(tmp_path, capsys):
-    # Its determinant is 2 (199999999999999999997/10**20 exactly).  At
-    # the first-nonzero pivot 1e-20 every 2x2 minor of the first level
-    # rounds to -1, so that level is singular and the run reads 0.0.
-    text = "1e-20 1 1\n1 1 2\n1 2 1\n"
-    path = write(tmp_path, "m.txt", text)
-    assert main(["det", path, "--scalar", "float"]) == EXIT_OK
-    assert capsys.readouterr().out == "2.0\n"
-    # An explicit --pivot is obeyed.
-    m = parse_matrix_text(text, FLOAT)
-    for strategy in PivotStrategy:
-        assert main(["det", path, "--scalar", "float", "--pivot", strategy.value]) == EXIT_OK
-        expected = det_condensation(m, strategy, record_trace=False).value
-        assert capsys.readouterr().out == f"{expected!r}\n"
-    # A trace keeps first-nonzero, as the pinned float trace records.
+def test_det_float_default_pivot_is_first_nonzero_and_cannot_change_the_value(tmp_path, capsys):
+    # Its determinant is 2 (199999999999999999997/10**20 exactly).  An
+    # untraced run is exact until its last division, so it prints 2.0
+    # under either pivot, the default first-nonzero included, where
+    # undivided float levels at the pivot 1e-20 would read 0.0.
+    path = write(tmp_path, "m.txt", "1e-20 1 1\n1 1 2\n1 2 1\n")
+    for argv in ([], *(["--pivot", strategy.value] for strategy in PivotStrategy)):
+        assert main(["det", path, "--scalar", "float", *argv]) == EXIT_OK
+        assert capsys.readouterr().out == "2.0\n", argv
+    # A trace records the first-nonzero pivot (1, 1).
     trace = tmp_path / "trace.json"
     assert main(["det", path, "--scalar", "float", "--trace", str(trace)]) == EXIT_OK
     capsys.readouterr()
     assert json.loads(trace.read_text())["steps"][0]["pivot"] == [1, 1]
 
 
+def test_det_float_prints_the_correctly_rounded_determinant(tmp_path, capsys):
+    # The exact product of these doubles is just below 1, though a
+    # product of the first two underflows to 0.0.
+    path = write(tmp_path, "diag.txt", "1e-200 0 0 0\n0 1e-200 0 0\n0 0 1e200 0\n0 0 0 1e200\n")
+    assert main(["det", path, "--scalar", "float"]) == EXIT_OK
+    assert capsys.readouterr().out == "0.9999999999999999\n"
+    assert main(["det", str(GOLDEN_PATH), "--scalar", "float"]) == EXIT_OK
+    assert capsys.readouterr().out == "74389.14702357294\n"
+
+
 @pytest.mark.parametrize("n", [5, 10, 20])
 def test_det_float_default_is_accurate_across_twelve_decades(tmp_path, capsys, n):
     # Entries +-10**U(-6, 6).  The reference is the exact determinant of
-    # the doubles themselves, Bareiss on the Fraction of each entry.
-    # Without pivoting (first-nonzero) 3, 18 and 25 of the 50 at n = 5,
-    # 10 and 20 miss 1e-9, by up to 8.8e-5; by magnitude the worst is
-    # 5.9e-14.
+    # the doubles themselves, Bareiss on the Fraction of each entry,
+    # rounded once.  Untraced float det is exact until its last
+    # division, so no pivot choice is needed.  With float levels,
+    # first-nonzero missed 1e-9 on 3, 18 and 25 of the 50 at n = 5, 10
+    # and 20, and pivoting by magnitude missed the correctly rounded
+    # value on 42, 42 and 49 of them, by up to 2.7e-13.
     rng = random.Random(2400 + n)
     path = tmp_path / "m.txt"
     for _ in range(50):
         rows = [[rng.choice((-1, 1)) * 10 ** rng.uniform(-6, 6) for _ in range(n)] for _ in range(n)]
         path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
         assert main(["det", str(path), "--scalar", "float"]) == EXIT_OK
-        value = Fraction(capsys.readouterr().out.strip())
         exact = det_bareiss(Matrix([[Fraction(v) for v in row] for row in rows], RATIONAL))
-        assert abs(value - exact) <= Fraction(1, 10**9) * abs(exact)
+        assert capsys.readouterr().out == f"{float(exact)!r}\n"
 
 
 def test_cli_methods_pair_each_method_flag_with_one_bench_method():
@@ -602,18 +608,25 @@ def test_det_non_finite_float_is_internal_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "method, hint",
     [
-        ("condense", "use --scalar rational for an exact result, or --method bareiss\n"),
+        ("condense", "use --scalar rational for an exact result\n"),
         ("cofactor", "use --scalar rational for an exact result, or --method bareiss\n"),
         ("bareiss", "use --scalar rational for an exact result\n"),
     ],
 )
 def test_det_non_finite_float_hint_names_another_method(tmp_path, capsys, method, hint):
-    # every method's products overflow to inf - inf = nan here
+    # The determinant is about -3e401.  Cofactor expansion's and
+    # Bareiss's products overflow to inf - inf = nan; untraced
+    # condensation is exact until its last division, which names the
+    # double range.
     path = write(tmp_path, "m.txt", "1e200 2e200 3\n4e200 5e200 6\n7 8 10\n")
     assert main(["det", path, "--scalar", "float", "--method", method]) == EXIT_INTERNAL_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"internal error: the float determinant came out nan; {hint}"
+    if method == "condense":
+        head = "the float determinant has magnitude near 1e401, past the double range (up to 1.8e308)"
+    else:
+        head = "the float determinant came out nan"
+    assert captured.err == f"internal error: {head}; {hint}"
 
 
 def test_det_float_bareiss_survives_an_overflowing_product(tmp_path, capsys):

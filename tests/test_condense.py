@@ -1,12 +1,13 @@
 """Condensation steps, the pivot-power determinant identities, the
 Dodgson minor identity, and the condensation determinant driver."""
 
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condet import (
@@ -581,7 +582,7 @@ def check_divided_levels_are_minors(a, strategy, minor_det, reduce=lambda v: v, 
             minor = minor_det([[a[i][j] for j in columns] for i in rows])
             assert reduce(level[r][c]) == minor, f"level {t}, entry ({r + 1},{c + 1})"
 
-    for pass_pivots, row, level in _divided_levels(a, strategy, INTEGER, OpCounts()):
+    for pass_pivots, row, level in _divided_levels(a, strategy, OpCounts()):
         for i, l in enumerate(pass_pivots):
             if i:  # row 1 of the level between the two of this pass
                 check(t, [row], [(0, c) for c in range(len(row))])
@@ -747,32 +748,53 @@ def test_divided_condensation_counts_what_it_does():
 @pytest.mark.parametrize("n", range(10, 41, 5))
 def test_divided_float_condensation_is_accurate_past_n_9(n):
     # One-decimal entries in [-9, 9]; the reference is the exact
-    # determinant of the doubles themselves.
+    # determinant of the doubles themselves, rounded once.
     rng = random.Random(1803 + n)
     rows = [[round(rng.uniform(-9, 9), 1) for _ in range(n)] for _ in range(n)]
     exact = det_bareiss(Matrix([[Fraction(v) for v in row] for row in rows], RATIONAL))
     m = Matrix(rows, FLOAT)
     for strategy in PivotStrategy:
         value = det_condensation(m, strategy, record_trace=False).value
-        assert abs(Fraction(value) - exact) <= Fraction(1, 10**9) * abs(exact), strategy
+        assert repr(value) == repr(float(exact)), strategy
 
 
-def test_divided_float_condensation_divides_first_where_a_product_overflows():
-    # Entries near 1e20 at n = 10: the 8x8 minors of level 7 are near
-    # 1e168, so the products that build levels 8 and 9 leave the double
-    # range, though det(A), near 1e210, does not.  Those levels are
-    # condensed again with the pivot row divided first: s + 1 divisions
-    # and a second round of 2s^2 multiplications and s^2 subtractions.
-    n = 10
-    rng = random.Random(1805)
-    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-    exact = det_bareiss(Matrix(ints, INTEGER)) * 10**(20 * n)
-    m = Matrix([[v * 1e20 for v in row] for row in ints], FLOAT)
-    plain = 2 * sum(s * s for s in range(1, n))
+def float_rows(n, center):
+    """n x n rows of doubles +-m * 2**e, m a 53-bit odd integer and e
+    within 200 of ``center``, one entry in five zero."""
+    entry = st.builds(
+        lambda sign, m, e: sign * math.ldexp(m, center + e),
+        st.sampled_from((-1, 1, -1, 1, 0)),
+        st.integers(2**52, 2**53 - 1).map(lambda m: m | 1),
+        st.integers(-200, 200),
+    )
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# Entries near 1e20 at n = 10: the minors near the end are near 1e168,
+# so their products leave the double range, though det(A), near 1e210,
+# does not.
+WIDE_ROWS = [[v * 1e20 for v in row] for row in random_int_matrix(random.Random(1805), 10).to_rows()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.tuples(st.integers(1, 6), st.integers(-400, 300)).flatmap(lambda nc: float_rows(*nc)))
+@example(rows=WIDE_ROWS)
+@example(rows=[[math.ldexp(2**53 - 1, -590), 1.0], [0.0, math.ldexp(2**52 + 1, -540)]])  # a subnormal det
+def test_untraced_float_det_is_the_correctly_rounded_exact_value(rows):
+    # The reference is the exact determinant of the doubles, rounded
+    # once by float(): bit for bit, signed zeros and subnormals included,
+    # or an OverflowError past the double range.
+    exact = det_bareiss(Matrix([[Fraction(v) for v in row] for row in rows], RATIONAL))
+    m = Matrix(rows, FLOAT)
+    try:
+        want = float(exact)
+    except OverflowError:
+        for strategy in PivotStrategy:
+            with pytest.raises(OverflowError, match=r"past the double range \(up to 1\.8e308\)$"):
+                det_condensation(m, strategy, record_trace=False)
+        return
     for strategy in PivotStrategy:
-        result = det_condensation(m, strategy, record_trace=False)
-        assert abs(Fraction(result.value) - exact) <= Fraction(1, 10**9) * abs(exact), strategy
-        assert result.op_counts.multiplications > plain, strategy
+        assert repr(det_condensation(m, strategy, record_trace=False).value) == repr(want), strategy
 
 
 # --- trace serialization ---------------------------------------------------
