@@ -10,11 +10,11 @@ Three subcommands:
 Exit codes: 0 success, 1 at least one identity failed to verify,
 2 bad input from a file, flag or config (the message says where),
 3 anything else: one line for a non-exact division, a method
-disagreement, a float determinant that came out nan or infinite or is
-past the double range, a float verify check out of the double range
-or a verify adjugate that fails its self-check, a traceback for any
-other fault.  Commands raise; ``main`` alone reports and picks the
-code.  A failed ``det`` prints nothing on stdout and writes no trace.
+disagreement, a float determinant past the double range (or, traced,
+one that came out nan or infinite) or a verify adjugate that fails its
+self-check, a traceback for any other fault.  Commands raise; ``main``
+alone reports and picks the code.  A failed ``det`` prints nothing on
+stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -63,8 +63,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-VERIFY_REL_TOL = 1e-9
 
 # verify costs O(n**5): a Bareiss call on the condensed matrix at each
 # of up to n*n pivots.  A random 32x32 with entries in [-9, 9] takes
@@ -178,14 +176,6 @@ def load_matrix(path: str, kind: ScalarKind) -> Matrix:
     return parse_matrix_text(_read_text(path), kind)
 
 
-def _residual_passes(residual, reference, kind: ScalarKind) -> bool:
-    # Exact kinds demand residual zero; floats get a relative test
-    # against the reference magnitude (floored at one).
-    if kind is FLOAT:
-        return abs(residual) <= VERIFY_REL_TOL * max(1.0, abs(reference))
-    return residual == kind.zero
-
-
 def cmd_det(args: argparse.Namespace) -> int:
     kind = KINDS[args.scalar]
     m = load_matrix(args.file, kind)
@@ -207,27 +197,23 @@ def cmd_det(args: argparse.Namespace) -> int:
     if limit is not None and m.rows > limit:
         hint = "--method bareiss has no size cap" if args.trace is None else "drop --trace, or use --method bareiss"
         raise UsageError(f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols} ({hint})")
-    if args.method == "condense":
-        strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
-        try:
+    try:
+        if args.method == "condense":
+            strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
             result = det_condensation(m, strategy, record_trace=args.trace is not None)
-        except OverflowError as exc:  # an untraced float value past the double range
-            raise OverflowError(f"{exc}; use --scalar rational for an exact result") from None
-    else:
-        result = method.run(m)
+        else:
+            result = method.run(m)
+    except OverflowError as exc:  # an exact float value past the double range
+        raise OverflowError(f"{exc}; use --scalar rational for an exact result") from None
     if kind is FLOAT and not math.isfinite(result.value):
-        # A value left the double range (inf - inf is nan): there is no
-        # answer to print.  Undivided condensation, which --trace runs,
-        # gets there by n = 10 on entries near 1.  Bareiss keeps entries
-        # near the size of minors and divides first where a product of
-        # two overflows, so inputs such as 1e200 overflow it at the first
-        # level, before any division.  Untraced condensation is exact
-        # until its one last division, which raises OverflowError
-        # instead.
-        alternative = "" if args.method == "bareiss" else ", or --method bareiss"
+        # Traced condensation alone runs on floats, undivided, and a
+        # value can leave the double range on the way (inf - inf is
+        # nan): by n = 10 on entries near 1.  There is no answer to
+        # print.  Every other float run is exact until its one last
+        # division, which raises OverflowError instead.
         raise FloatingPointError(
             f"the float determinant came out {result.value!r}; "
-            f"use --scalar rational for an exact result{alternative}"
+            "use --scalar rational for an exact result, or --method bareiss"
         )
     if args.trace is not None:
         _write_text(args.trace, json.dumps(trace_document(m, result), indent=2) + "\n")
@@ -249,10 +235,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             " (det --method bareiss has no size cap)"
         )
 
-    # A rational matrix is checked on its integer rows, converted once:
-    # row i of m is I[i] / scales[i] (``RationalKind.integer_row``), and
-    # every determinant below runs on I.  Both identities are homogeneous
-    # in each row, so each residual of m is the residual of I divided by
+    # A rational or float matrix is checked on its integer rows,
+    # converted once (a double is m * 2**e): row i of m is I[i] /
+    # scales[i] (``RationalKind.integer_row``), and every determinant
+    # below runs on I.  Both identities are homogeneous in each row,
+    # so each residual of m is the residual of I divided by
     # an exact positive integer.  With S the product of the scales, a
     # minor of m is the same minor of I over the scales of its rows; a
     # condensed row of rows r and k carries s_r * s_k, so det(condensed
@@ -260,11 +247,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the condensation identity at (k,l) divides by s_k**(n-2) * S.
     # Both Dodgson products leave rows k and l out once each, so the
     # pair (k,l) divides by S*S / (s_k*s_l).  Residuals turn back into
-    # ``Fraction``s only in ``report``; the references are used by the
-    # float test alone.  An integer or float matrix is checked as it
-    # is, every scale being 1.
+    # ``Fraction``s only in ``report``, and every kind passes on an
+    # exact zero residual.  An integer matrix is checked as it is,
+    # every scale being 1.
     scales = (1,) * n
-    if kind is RATIONAL:
+    if kind is not INTEGER:
         rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
         m = Matrix._trusted([tuple(row) for row in rows], INTEGER, n)
     scale = math.prod(scales)
@@ -272,12 +259,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Every determinant below other than the condensed ones is a minor
     # of m: det(m), the n*n one-removed and the C(n,2) two-removed
     # minors.  The memo lives for this run only and computes each once,
-    # by Bareiss on the minor.  On exact input with det(m) != 0, one
-    # fraction-free elimination gives all n*n one-removed minors as the
-    # entries of adj(m): det M({k},{l}) is (-1)**(k+l) times entry (l,k).
-    # Float residuals depend on the order of operations, and on a
+    # by Bareiss on the minor.  With det(m) != 0, one fraction-free
+    # elimination gives all n*n one-removed minors as the entries of
+    # adj(m): det M({k},{l}) is (-1)**(k+l) times entry (l,k).  On a
     # singular m that elimination stops at a column with no pivot, so
-    # both keep a Bareiss call per one-removed minor.  Either way the
+    # each one-removed minor keeps a Bareiss call.  Either way the
     # minors share no code with condensation.  No minor is read from
     # adj(m) before the one-removed minors, read through ``minor``
     # itself, pass a Laplace expansion along each row i with the entries
@@ -289,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bareiss_minor = functools.cache(lambda rows, cols: det_bareiss(remove_rows_cols(m, rows, cols)))
     det_full = bareiss_minor((), ())
     minor = bareiss_minor
-    if m.kind is INTEGER and det_full != 0:
+    if det_full != 0:
         adj = _adjugate(m)
 
         def minor(rows, cols):
@@ -310,35 +296,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     checked = 0
 
-    def report(label: str, residual, reference, factor: int) -> None:
+    def report(label: str, residual: int, factor: int) -> None:
         nonlocal failures, checked
-        if kind is RATIONAL:
-            residual = Fraction(residual, factor)
-        # A residual is its reference minus a term, so an infinite
-        # reference shows here too, as an infinite or nan residual.
-        if kind is FLOAT and not math.isfinite(residual):
-            raise FloatingPointError(
-                f"{label}: the float check left the double range "
-                f"(residual {residual!r}); use --scalar rational for an exact check"
-            )
         checked += 1
-        ok = _residual_passes(residual, reference, kind)
+        ok = residual == 0
         if not ok:
             failures += 1
-        print(f"{'PASS' if ok else 'FAIL'} {label} residual={kind.format(residual)}")
+        if kind is not INTEGER:
+            residual = Fraction(residual, factor)
+        # A float residual prints as its double, rounded once.
+        text = kind.format(float(residual) if kind is FLOAT else residual)
+        print(f"{'PASS' if ok else 'FAIL'} {label} residual={text}")
 
     def report_condensation(step) -> None:
         # a(k,l)**(n-2) * det(A) = det(condensed at (k,l)).
         k, l = step.pivot
-        label = f"condense-identity pivot=({k},{l})"
-        try:
-            lhs = step.pivot_value ** (n - 2) * det_full
-        except OverflowError:  # float ** int raises where float * float gives inf
-            raise FloatingPointError(
-                f"{label}: the float check left the double range "
-                f"(a({k},{l})**{n - 2} overflows); use --scalar rational for an exact check"
-            ) from None
-        report(label, lhs - det_bareiss(step.condensed), lhs, scales[k - 1] ** (n - 2) * scale)
+        residual = step.pivot_value ** (n - 2) * det_full - det_bareiss(step.condensed)
+        report(f"condense-identity pivot=({k},{l})", residual, scales[k - 1] ** (n - 2) * scale)
 
     # The corner pivot, then every position with a nonzero pivot.
     report_condensation(condense_at_11(m))
@@ -351,9 +325,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             residual = dodgson_identity_residual(m, k, l, minor)
-            reference = det_full * minor((k, l), (k, l))
             factor = scale * scale // (scales[k - 1] * scales[l - 1])
-            report(f"dodgson-identity rows/cols=({k},{l})", residual, reference, factor)
+            report(f"dodgson-identity rows/cols=({k},{l})", residual, factor)
 
     status = "ok" if failures == 0 else "FAILED"
     print(f"verify {status}: {checked - failures}/{checked} identities hold")

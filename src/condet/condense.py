@@ -53,7 +53,8 @@ from .matrix import (
 )
 from .oracle import det_bareiss
 from .scalars import (
-    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo
+    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo,
+    _nearest_double,
 )
 
 __all__ = [
@@ -420,17 +421,6 @@ def _divided_levels(
         prev, prev_l = row[m - 1], m
         level += 2
         yield (l, m), row, rows
-
-
-def _nearest_double(numerator: int, denominator: int) -> float:
-    # int / int is correctly rounded in CPython, underflow included.
-    try:
-        return numerator / denominator
-    except OverflowError:
-        magnitude = round(math.log10(abs(numerator)) - math.log10(denominator))
-        raise OverflowError(
-            f"the float determinant has magnitude near 1e{magnitude}, past the double range (up to 1.8e308)"
-        ) from None
 
 
 def det_condensation(

@@ -15,20 +15,22 @@ scalar multiplications, subtractions and divisions it actually
 performs (pivot searches and swaps are comparisons, not counted).
 
 The inner loops pay for arithmetic, not for bookkeeping.  Bareiss
-and Gauss add each stage's counts in one step; only the float
-divide-first fallback adds its extra ones per entry.  An exact stage
-divides every entry by the same previous pivot, so ``_exact_stage``
-picks the integer division once per stage and tests each remainder
-inline.
+and Gauss add each stage's counts in one step.  A stage divides every
+entry by the same previous pivot, so ``_exact_stage`` picks the
+integer division once per stage and tests each remainder inline.
 Cofactor expansion recurses over a row index and a tuple of kept
 column indices into the input rows instead of copying each minor, and
 works its 3x3 minors' three 2x2 minors inline.  Values and counts are
-those of the plain per-entry loops, floats bit for bit.
+those of the plain per-entry loops.
 
-Over rationals, ``det_bareiss`` and ``det_cofactor`` run on integer
-rows: each row is scaled once by the lcm of its denominators
-(``RationalKind.integer_row``) and the integer determinant is divided
-by the product of the scales at the end.  Gaussian elimination runs on
+``det_bareiss`` and ``det_cofactor`` run on integers only.  A rational
+or float matrix (a finite double is m * 2**e) becomes integer rows
+once: each row is scaled by the lcm of its denominators
+(``RationalKind.integer_row``), and the integer determinant over the
+product of the scales is a ``Fraction``, or for floats the double
+nearest it, rounded once (``_nearest_double``).  So float results are
+the correctly rounded determinants of the doubles, with no float
+arithmetic on the way.  Gaussian elimination runs on
 canonical numerator/denominator pairs of plain ints, each entry
 reduced on its own with the same gcd splits as ``Fraction``, so it
 holds every entry as its own rational in lowest terms and shares
@@ -41,7 +43,7 @@ by one fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
 1968), in O(n^3): entry (l, k) is (-1)**(k+l) times the minor with row
 k and column l removed, so ``verify`` reads all n*n one-removed minors
 from it instead of running n*n eliminations of size n-1.  It counts no
-operations.  Exact ``det_bareiss`` and ``_adjugate`` run the same
+operations.  ``det_bareiss`` and ``_adjugate`` run the same
 stage, ``_exact_stage``, on different rows and columns (the rows below
 the pivot and n columns, every other row and 2n columns), and pick
 their pivots by the same ``_pivot_row``.  Neither forms a condensed
@@ -55,7 +57,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .matrix import Matrix, _require_square
-from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, _divmod_for, bit_length
+from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _divmod_for, _nearest_double, bit_length
 
 __all__ = [
     "det_cofactor",
@@ -67,29 +69,37 @@ __all__ = [
 COFACTOR_SIZE_LIMIT = 10
 
 
+def _on_integer_rows(det, m: Matrix, ops: Optional[OpCounts]) -> Scalar:
+    # det(m) of a rational or float m by ``det`` on its integer rows:
+    # row i is I[i] / scale_i, so det(m) is det(I) over the scales'
+    # product, a Fraction or the double nearest it.
+    rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
+    value, scale = det(Matrix._trusted(rows, INTEGER, len(rows)), ops), math.prod(scales)
+    return Fraction(value, scale) if m.kind is RATIONAL else _nearest_double(value, scale)
+
+
 def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     """Determinant by recursive cofactor expansion along the first row.
 
-    Exact for every scalar kind but factorial in the size, so sizes
-    above ``COFACTOR_SIZE_LIMIT`` are rejected.  A rational matrix is
-    expanded on its integer rows (row i is ``I[i] / scale_i``, as in
-    ``det_bareiss``) and det(m) is det(I) over the scales' product; a
-    zero entry has a zero numerator, so the same heads are skipped and
-    the counts are those of the ``Fraction`` expansion.
+    Exact, but factorial in the size, so sizes above
+    ``COFACTOR_SIZE_LIMIT`` are rejected.  A rational or float matrix
+    is expanded on its integer rows (row i is ``I[i] / scale_i``, as in
+    ``det_bareiss``) and det(m) is det(I) over the scales' product: a
+    ``Fraction``, or the nearest double, which raises ``OverflowError``
+    past the double range.  A zero entry has a zero numerator, so the
+    same heads are skipped and the counts are those of the expansion on
+    the entries themselves.
     """
     n = _require_square(m, "det_cofactor")
     if n > COFACTOR_SIZE_LIMIT:
         raise ValueError(f"cofactor expansion is limited to {COFACTOR_SIZE_LIMIT}x{COFACTOR_SIZE_LIMIT}, got {n}")
-    kind = m.kind
     if n == 0:
-        return kind.one
-    if kind is RATIONAL:
-        rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
-        return Fraction(det_cofactor(Matrix._trusted(rows, INTEGER, n), ops), math.prod(scales))
+        return m.kind.one
+    if m.kind is not INTEGER:
+        return _on_integer_rows(det_cofactor, m, ops)
     if ops is None:
         ops = OpCounts()
     rows = m.as_tuples()
-    zero = kind.zero
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -101,22 +111,22 @@ def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
         # The minor of rows r.. and the columns in cols (at least 3),
         # indexed into the original rows rather than copied.
         top = rows[r]
-        total = zero
+        total = 0
         terms = 0
         if len(cols) == 3:
             # The three 2x2 minors inline, each as a*d - b*c, signs +, -, +.
             a, b = rows[r + 1], rows[r + 2]
             c0, c1, c2 = cols
             head = top[c0]
-            if head != zero:
+            if head != 0:
                 total = total + head * (a[c1] * b[c2] - a[c2] * b[c1])
                 terms += 1
             head = top[c1]
-            if head != zero:
+            if head != 0:
                 total = total - head * (a[c0] * b[c2] - a[c2] * b[c0])
                 terms += 1
             head = top[c2]
-            if head != zero:
+            if head != 0:
                 total = total + head * (a[c0] * b[c1] - a[c1] * b[c0])
                 terms += 1
             ops.multiplications += 3 * terms
@@ -124,7 +134,7 @@ def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
             return total
         for j, c in enumerate(cols):
             head = top[c]
-            if head == zero:
+            if head == 0:
                 continue  # a zero coefficient contributes nothing
             term = head * expand(r + 1, cols[:j] + cols[j + 1 :])
             terms += 1
@@ -175,18 +185,14 @@ def det_bareiss(
 ) -> Scalar:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    A rational matrix becomes integer rows at the door (row i is
-    ``I[i] / scale_i``) and det(m) is det(I) over the scales' product,
-    so elimination runs on integers or floats: each division by
-    the previous pivot is exact, and a nonzero remainder raises
+    Elimination runs on integers: a rational or float matrix becomes
+    integer rows at the door (row i is ``I[i] / scale_i``), and det(m)
+    is det(I) over the scales' product, a ``Fraction`` or the nearest
+    double (``OverflowError`` past the double range).  Each division
+    by the previous pivot is exact, and a nonzero remainder raises
     ``ExactDivisionError`` through ``IntegerKind.exact_div`` (a stage
-    that raises adds none of its counts).  Row pivoting
-    picks the largest magnitude in the column, flipping the sign per
-    swap, so the routine is also usable on
-    floats.  Where a float product ``a*piv - lead*b`` leaves the double
-    range, that entry is recomputed as ``a*(piv/prev) - (lead/prev)*b``
-    (two more multiplications, one more subtraction, and two divisions
-    in place of one); every other entry is the plain fraction-free one.
+    that raises adds none of its counts).  Row pivoting picks the
+    largest magnitude in the column, flipping the sign per swap.
 
     When ``stage_bits`` is given (integer matrices only) the maximum
     entry bit length of the working grid is appended after each
@@ -198,40 +204,22 @@ def det_bareiss(
         raise ValueError("stage_bits tracking needs integer entries")
     if n == 0:
         return kind.one
-    if kind is RATIONAL:
-        rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
-        return Fraction(det_bareiss(Matrix._trusted(rows, INTEGER, n), ops), math.prod(scales))
+    if kind is not INTEGER:
+        return _on_integer_rows(det_bareiss, m, ops)
     if ops is None:
         ops = OpCounts()
     grid = [list(row) for row in m.as_tuples()]
     sign = 1
-    prev = kind.one
+    prev = 1
     for k in range(n - 1):
         r = _pivot_row(grid, k, k, n)
         if r is None:
-            return kind.zero
+            return 0
         if r != k:
             grid[k], grid[r] = grid[r], grid[k]
             sign = -sign
-        row_k = grid[k]
-        piv = row_k[k]
-        if kind is FLOAT:
-            for i in range(k + 1, n):
-                row_i = grid[i]
-                lead = row_i[k]
-                for j in range(k + 1, n):
-                    num = row_i[j] * piv - lead * row_k[j]
-                    if not math.isfinite(num):
-                        # The fraction-free product left the double range,
-                        # though the entry need not: divide first.
-                        row_i[j] = row_i[j] * (piv / prev) - (lead / prev) * row_k[j]
-                        ops.multiplications += 2
-                        ops.subtractions += 1
-                        ops.divisions += 1
-                    else:
-                        row_i[j] = num / prev
-        else:
-            _exact_stage(grid, k, range(k + 1, n), n, prev)
+        piv = grid[k][k]
+        _exact_stage(grid, k, range(k + 1, n), n, prev)
         size = n - k - 1
         ops.multiplications += 2 * size * size
         ops.subtractions += size * size

@@ -6,9 +6,11 @@ own version of: text parsing, canonical formatting, the entry check
 and the constants zero and one.  Arithmetic, zero tests (``== 0``,
 exact for every kind) and magnitude comparisons (built-in ``abs``) use
 the values' native operators.  The remainder-checked division of
-condensation and Bareiss runs on integers, rational matrices (and
-float ones in untraced condensation) as integer rows
+condensation and Bareiss runs on integers, rational and float
+matrices included: those run as integer rows
 (``RationalKind.integer_row``), so it is ``IntegerKind.exact_div``.
+Every float result but a traced condensation's is exact until one
+division, ``_nearest_double``, which rounds it once.
 
 Integers of any length format and parse, including those past
 Python's int/str conversion limit (``sys.get_int_max_str_digits()``),
@@ -289,7 +291,8 @@ class RationalKind(ScalarKind):
         Each value is read by ``as_integer_ratio()``, which ``Fraction``,
         ``int`` and ``float`` all have.  A finite double is m * 2**e, so
         a float row's denominators are powers of two and its scale is
-        the largest of them: untraced float ``det`` runs on these rows.
+        the largest of them: every untraced float determinant runs on
+        these rows.
         """
         pairs = [v.as_integer_ratio() for v in row]
         scale = math.lcm(*[d for _, d in pairs])
@@ -392,6 +395,20 @@ INTEGER = IntegerKind()
 FLOAT = FloatKind()
 
 KINDS = {kind.name: kind for kind in (RATIONAL, INTEGER, FLOAT)}
+
+
+def _nearest_double(numerator: int, denominator: int) -> float:
+    """The float determinant numerator / denominator of integer rows,
+    rounded once: CPython's int / int is correctly rounded, underflow
+    included.  Past the double range it raises ``OverflowError`` naming
+    that range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        magnitude = round(math.log10(abs(numerator)) - math.log10(denominator))
+        raise OverflowError(
+            f"the float determinant has magnitude near 1e{magnitude}, past the double range (up to 1.8e308)"
+        ) from None
 
 
 def bit_length(value: int) -> int:

@@ -178,28 +178,31 @@ def test_multiplicativity():
 
 
 def test_float_bareiss_matches_exact_result():
+    # Float Bareiss and cofactor expansion run on the integer rows of
+    # the doubles and round once: each prints the double nearest the
+    # exact determinant of the Fraction entries, with the counts of
+    # the integer rows.
     rng = random.Random(307)
-    from condet import FLOAT
-
+    cases = []
     for _ in range(40):
         n = rng.randint(2, 6)
-        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        exact = det_bareiss(Matrix(ints, INTEGER))
-        approx = det_bareiss(Matrix([[float(v) for v in row] for row in ints], FLOAT))
-        assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
-
-
-def test_float_bareiss_divides_first_where_the_product_overflows():
-    # The second stage multiplies two entries near 1e156 (about 1e311,
-    # past the double range), although the determinant is -3e155.
-    from condet import FLOAT
-
-    m = Matrix([[1, 2, 3], [4, 5, 6], [7e155, 8e155, 1e156]], FLOAT)
-    ops = OpCounts()
-    value = det_bareiss(m, ops)
-    assert abs(value - -3e155) <= 1e-12 * 3e155
-    # five entry updates, one of them recomputed as a*(piv/prev) - (lead/prev)*b
-    assert ops == OpCounts(multiplications=12, subtractions=6, divisions=6)
+        cases.append([[float(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+    # Products of entries near 1e156 are about 1e311, past the double
+    # range, though the determinant is -3e155; the last matrix's rows
+    # have different power-of-two scales.
+    cases.append([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7e155, 8e155, 1e156]])
+    cases.append([[0.5, 0.25, 3.0], [1e-3, 5.0, 0.125], [7.0, 1.5, 1e-300]])
+    for rows in cases:
+        m = Matrix(rows, FLOAT)
+        exact = det_gauss_rational(Matrix([[Fraction(v) for v in row] for row in rows], RATIONAL))
+        integer_rows = Matrix([RATIONAL.integer_row(row)[0] for row in rows], INTEGER)
+        for det in (det_bareiss, det_cofactor):
+            value, ops = with_counts(det, m)
+            assert same_value(value, float(exact))
+            assert ops == with_counts(det, integer_rows)[1]
+    # stage 1 updates four entries, stage 2 one, as on integer rows
+    ops = with_counts(det_bareiss, Matrix(cases[40], FLOAT))[1]
+    assert ops == OpCounts(multiplications=10, subtractions=5, divisions=5)
 
 
 def test_op_counting_is_optional_and_additive():
@@ -215,18 +218,27 @@ def test_op_counting_is_optional_and_additive():
 # --- the per-entry loops as reference -----------------------------------------
 #
 # det_cofactor and det_bareiss as they stood at b7b4a6d, bodies verbatim
-# but for the float division, a plain num / prev: cofactor copies
-# every minor, and Bareiss counts and divides entry by entry, exact kinds
-# through INTEGER.exact_div.  det_gauss_rational as it stood at 9a7c9e7,
-# verbatim: Fraction arithmetic, counted entry by entry.  The oracles
-# must match them exactly: value (floats by repr), OpCounts and stage
-# bits.
+# but for floats: cofactor copies every minor, and Bareiss counts and
+# divides entry by entry through INTEGER.exact_div.  A float matrix is
+# worked on as the Fraction of each entry and the result rounded once,
+# which raises OverflowError past the double range.  det_gauss_rational
+# as it stood at 9a7c9e7, verbatim: Fraction arithmetic, counted entry
+# by entry.  The oracles must match them exactly: value (floats by
+# repr), OpCounts and stage bits.
+
+
+def on_fraction_entries(reference, m: Matrix, ops: Optional[OpCounts]) -> float:
+    exact = Matrix([[Fraction(v) for v in row] for row in m.as_tuples()], RATIONAL, cols=m.cols)
+    return float(reference(exact, ops))
+
 
 def reference_det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     n = _require_square(m, "det_cofactor")
     if n > COFACTOR_SIZE_LIMIT:
         raise ValueError(f"cofactor expansion is limited to {COFACTOR_SIZE_LIMIT}x{COFACTOR_SIZE_LIMIT}, got {n}")
     kind = m.kind
+    if kind is FLOAT:
+        return on_fraction_entries(reference_det_cofactor, m, ops)
     if ops is None:
         ops = OpCounts()
 
@@ -266,6 +278,8 @@ def reference_det_bareiss(
         raise ValueError("stage_bits tracking needs integer entries")
     if n == 0:
         return kind.one
+    if kind is FLOAT:
+        return on_fraction_entries(reference_det_bareiss, m, ops)
     if ops is None:
         ops = OpCounts()
     # Rationals eliminate on integer rows: det(m) is the integer
@@ -275,7 +289,6 @@ def reference_det_bareiss(
         rows, scales = zip(*map(RATIONAL.integer_row, rows))
         ring, scale = INTEGER, math.prod(scales)
     grid = [list(row) for row in rows]
-    floats = kind is FLOAT
     sign = 1
     prev = ring.one
     for k in range(n - 1):
@@ -295,17 +308,7 @@ def reference_det_bareiss(
                 ops.multiplications += 2
                 ops.subtractions += 1
                 ops.divisions += 1
-                if floats and not math.isfinite(num):
-                    # The fraction-free product left the double range,
-                    # though the entry need not: divide first.
-                    row_i[j] = row_i[j] * (piv / prev) - (lead / prev) * row_k[j]
-                    ops.multiplications += 2
-                    ops.subtractions += 1
-                    ops.divisions += 1
-                elif floats:
-                    row_i[j] = num / prev
-                else:
-                    row_i[j] = INTEGER.exact_div(num, prev)
+                row_i[j] = INTEGER.exact_div(num, prev)
         prev = piv
         if stage_bits is not None:
             stage_bits.append(
@@ -354,8 +357,8 @@ def reference_det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> S
 ENTRIES = {
     INTEGER: st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)),
     RATIONAL: st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
-    # huge magnitudes reach the divide-first fallback, and past it
-    # inf and nan, which must come out the same too
+    # huge magnitudes take determinants past the double range, where
+    # both must raise OverflowError
     FLOAT: st.one_of(
         st.integers(-9, 9).map(float),
         st.floats(allow_nan=False, allow_infinity=False),
@@ -392,7 +395,10 @@ def same_value(a, b):
 
 def with_counts(det, m, **kwargs):
     ops = OpCounts()
-    return det(m, ops, **kwargs), ops
+    try:
+        return det(m, ops, **kwargs), ops
+    except OverflowError:  # a float determinant past the double range
+        return OverflowError, None
 
 
 @settings(max_examples=300, deadline=None)
