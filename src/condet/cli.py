@@ -10,11 +10,10 @@ Three subcommands:
 Exit codes: 0 success, 1 at least one identity failed to verify,
 2 bad input from a file, flag or config (the message says where),
 3 anything else: one line for a non-exact division, a method
-disagreement, a float determinant past the double range (or, traced,
-one that came out nan or infinite) or a verify adjugate that fails its
-self-check, a traceback for any other fault.  Commands raise; ``main``
-alone reports and picks the code.  A failed ``det`` prints nothing on
-stdout and writes no trace.
+disagreement, a float determinant or trace entry past the double
+range or a verify adjugate that fails its self-check, a traceback for
+any other fault.  Commands raise; ``main`` alone reports and picks the
+code.  A failed ``det`` prints nothing on stdout and writes no trace.
 
 Matrix files come in two shapes, picked apart automatically:
 plain text with one row per line (entries separated by whitespace
@@ -189,10 +188,9 @@ def cmd_det(args: argparse.Namespace) -> int:
     if kind not in method.kinds:
         needed = " or ".join(k.name for k in method.kinds)
         raise UsageError(f"--method {args.method} needs --scalar {needed}")
-    # Undivided entries roughly double their bits (a float its exponent)
-    # per level, so untraced condensation (record_trace=False) runs
-    # divided, whose levels are minors of the matrix and need no size
-    # cap.  A trace records undivided levels only, and so keeps the cap.
+    # Undivided entries roughly double their bits per level, so untraced
+    # condensation (record_trace=False) runs divided, whose levels are
+    # minors of the matrix and need no size cap.  A trace records undivided levels only, and so keeps the cap.
     limit = None if args.method == "condense" and args.trace is None else method.size_limit
     if limit is not None and m.rows > limit:
         hint = "--method bareiss has no size cap" if args.trace is None else "drop --trace, or use --method bareiss"
@@ -203,20 +201,11 @@ def cmd_det(args: argparse.Namespace) -> int:
             result = det_condensation(m, strategy, record_trace=args.trace is not None)
         else:
             result = method.run(m)
-    except OverflowError as exc:  # an exact float value past the double range
+        trace = None if args.trace is None else json.dumps(trace_document(m, result), indent=2) + "\n"
+    except OverflowError as exc:  # a float value or trace scalar past the double range
         raise OverflowError(f"{exc}; use --scalar rational for an exact result") from None
-    if kind is FLOAT and not math.isfinite(result.value):
-        # Traced condensation alone runs on floats, undivided, and a
-        # value can leave the double range on the way (inf - inf is
-        # nan): by n = 10 on entries near 1.  There is no answer to
-        # print.  Every other float run is exact until its one last
-        # division, which raises OverflowError instead.
-        raise FloatingPointError(
-            f"the float determinant came out {result.value!r}; "
-            "use --scalar rational for an exact result, or --method bareiss"
-        )
-    if args.trace is not None:
-        _write_text(args.trace, json.dumps(trace_document(m, result), indent=2) + "\n")
+    if trace is not None:
+        _write_text(args.trace, trace)
     print(kind.format(result.value))
     return EXIT_OK
 

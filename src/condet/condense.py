@@ -18,8 +18,10 @@ consequences drive the determinant driver ``det_condensation``:
 * repeated condensation shrinks the matrix one size per level, and a
   single division by the pivot power per level recovers det(A).
 
-A traced run, which records every condensed matrix, keeps entries
-undivided, and their bits roughly double per level.  The untraced run,
+Both runs work on integer rows, those of a rational or float matrix
+included (``RationalKind.integer_row``).  A traced run, which records
+every condensed matrix, keeps entries undivided, and their bits roughly
+double per level.  The untraced run,
 ``det_condensation(m, record_trace=False)``, instead divides every
 entry of each new level exactly by the pivot of the step before
 (Sylvester's identity, as in Bareiss, Math. Comp. 22, 1968, and
@@ -27,13 +29,12 @@ Dodgson, Proc. R. Soc. 15, 1866): entry (r, c) of level t is then the
 minor of A on rows 1..t and t+1+r and on the columns of the t pivots
 so far plus the source column of c, in increasing order and with no
 sign, so entries stay below the Hadamard bound and the last 1x1 level
-is det(A) itself.  It runs on integer rows, those of a rational or
-float matrix included (``RationalKind.integer_row``), and goes down
-two levels per pass in ``_condense_twice``: Bareiss's two-step method,
-which builds each entry from a bordered 3x3 minor with one exact
-division, by 1 on the first pass as in Bareiss's first stage.  So an
-untraced float determinant is exact until one final, correctly rounded
-division.
+is det(A) itself.  It goes down two levels per pass in
+``_condense_twice``: Bareiss's two-step method, which builds each entry
+from a bordered 3x3 minor with one exact division, by 1 on the first
+pass as in Bareiss's first stage.  So a float determinant, traced or
+not, is exact until one final, correctly rounded division, and a float
+trace records each scalar of its exact levels rounded once.
 
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
@@ -43,6 +44,7 @@ as a cross-check that never touches the condensation code above it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -328,23 +330,25 @@ def select_pivot(row1: Sequence, strategy: PivotStrategy) -> Optional[int]:
     raise ValueError(f"unknown pivot strategy {strategy!r}")
 
 
-def _divide_back(kind: ScalarKind, value: Scalar, pivot: Scalar, size: int, ops: OpCounts) -> Scalar:
-    # Undo one level: det(A) = det(condensed) / pivot**(size-2).
-    # Exact kinds build the pivot power explicitly (size-3 extra
-    # multiplications) and divide once, keeping the division exact.
-    # Floats divide repeatedly instead, which avoids inflating
-    # intermediate magnitudes.
-    if kind is FLOAT:
-        for _ in range(size - 2):
-            value /= pivot
-            ops.divisions += 1
-        return value
+def _divide_back(value: int, pivot: int, size: int, ops: OpCounts) -> int:
+    # Undo one level: det(A) = det(condensed) / pivot**(size-2), with the
+    # pivot power built explicitly (size-3 extra multiplications) and
+    # divided once, exactly.
     power = pivot
     for _ in range(size - 3):
         power = power * pivot
         ops.multiplications += 1
     ops.divisions += 1
     return INTEGER.exact_div(value, power)
+
+
+def _double(numerator: int, denominator: int) -> float:
+    # numerator / denominator (> 0) rounded once, as IEEE rounding does
+    # it: +-inf past the double range, where int / int raises instead.
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
 
 
 def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple], List[int], int]:
@@ -439,35 +443,36 @@ def det_condensation(
     level order, so all condensation happens on undivided entries.
     Sizes 0..2 use the closed forms directly and leave an empty trace.
 
-    A rational matrix is turned into integer rows once
-    (``RationalKind.integer_row``: row i is ``I[i] / scale_i``), and
-    every level runs on ints.  ``_reduce_rows`` divides each condensed
-    row and its scale s by g = gcd(s, entries...), which keeps the rows
-    exactly the integer rows of the level's reduced ``Fraction``
-    matrix: entry c_j / s has denominator s / gcd(c_j, s), and the lcm
-    of those is s / g.  With G the product of a level's row gcds and
-    p its integer pivot, det(I) = det(I_next) * G / p**(s-2) is an
-    exact integer division, and det(A) = Fraction(det(I_0), product of
-    the input scales).  ``Fraction`` values are built only for trace
-    steps and the result.  Row scales are positive, so both pivot
-    strategies pick the same column on the integer row.
+    A rational or float matrix is turned into integer rows once
+    (``RationalKind.integer_row``: row i is ``I[i] / scale_i``, and a
+    double is m * 2**e), and every level runs on ints.  Traced,
+    ``_reduce_rows`` divides each condensed row and its scale s by g =
+    gcd(s, entries...), which keeps the rows exactly the integer rows of
+    the level's reduced ``Fraction`` matrix: entry c_j / s has
+    denominator s / gcd(c_j, s), and the lcm of those is s / g.  With G
+    the product of a level's row gcds and p its integer pivot, det(I) =
+    det(I_next) * G / p**(s-2) is an exact integer division.  Row
+    scales are positive, so both pivot strategies pick the same column
+    on the integer row, for a float matrix the same as for the
+    ``Fraction`` values of its doubles.
+
+    A rational result is ``Fraction(det(I_0), product of the input
+    scales)``, a float one their int / int quotient, rounded once (0.0
+    or a subnormal on underflow), and ``OverflowError`` naming the
+    double range past it.  Trace steps hold ``Fraction``s, or int / int
+    rounded once and +-inf past the range, so a trace never raises.
 
     Operation counts tally the scalar multiplications, subtractions and
     divisions actually performed, including the closed-form 2x2 base
     case and the pivot-power build-up; the scale and gcd bookkeeping of
-    rational rows is representation, not counted.
+    integer rows is representation, not counted.
 
     ``record_trace=False`` runs ``_divided_levels`` instead, down to the
-    1x1 level that is det(A): no divide-back, no sign, and entries that
-    are minors of A; the additions of its passes count as subtractions,
-    and the first pass's divisions by 1 count too.  A rational or float
-    matrix (a double is m * 2**e) runs on its integer rows with no
-    per-level gcd.  A rational result is ``Fraction(det(I_0), product
-    of the scales)``, a float one their int/int quotient, which is
-    correctly rounded: the double nearest the exact determinant, 0.0 or
-    a subnormal on underflow, and ``OverflowError`` naming the double
-    range past it.  Divided levels are not the condensed matrices of
-    the identity above, so the trace is empty.
+    1x1 level that is det(A): no divide-back, no sign, no per-level gcd,
+    and entries that are minors of A; the additions of its passes count
+    as subtractions, and the first pass's divisions by 1 count too.
+    Divided levels are not the condensed matrices of the identity above,
+    so the trace is empty.
     """
     n = _require_square(m, "det_condensation")
     kind = m.kind
@@ -478,22 +483,22 @@ def det_condensation(
         return DetResult(m.get(1, 1), (), ops)
 
     rows = m.as_tuples()
-    ring, scales = kind, None
-    if kind is RATIONAL or (kind is FLOAT and not record_trace):
+    scales = None
+    if kind is not INTEGER:
         # Unpacked from a list: unpacking a map builds its argument
         # tuple by resizing (see Matrix.__init__).
         rows, scales = zip(*[RATIONAL.integer_row(row) for row in rows])
-        ring, denominator = INTEGER, math.prod(scales)
+        denominator = math.prod(scales)
+        # The kind's value of int / int: exact, or a double rounded once.
+        scalar, total = (Fraction, Fraction) if kind is RATIONAL else (_double, _nearest_double)
     if not record_trace:
         level = rows
         for *_, level in _divided_levels(rows, strategy, ops):
             pass
         value = level[0][0] if len(level) == 1 else 0
-        if kind is FLOAT:
-            return DetResult(_nearest_double(value, denominator), (), ops)
-        return DetResult(value if scales is None else Fraction(value, denominator), (), ops)
+        return DetResult(value if scales is None else total(value, denominator), (), ops)
     trace: List[TraceEntry] = []
-    pending: List[Tuple[Scalar, int, int, int]] = []
+    pending: List[Tuple[int, int, int, int]] = []
     while True:
         size = len(rows)
         if size == 2:
@@ -506,7 +511,7 @@ def det_condensation(
         l = select_pivot(row1, strategy)
         if l is None:
             trace.append(ZeroRowExit(size))
-            value = ring.zero
+            value = 0
             break
         pivot = row1[l - 1]
         condensed = _condense_rows(rows, 0, l - 1)
@@ -515,21 +520,19 @@ def det_condensation(
         if scales is None:
             pivot_value, view, gcds = pivot, condensed, 1
         else:
-            pivot_value = Fraction(pivot, scales[0])
+            pivot_value = scalar(pivot, scales[0])
             condensed, scales, gcds = _reduce_rows(condensed, scales)
-            view = [tuple([Fraction(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
+            view = [tuple([scalar(v, scale) for v in row]) for row, scale in zip(condensed, scales)]
         trace.append(CondensationStep(PivotSpec(1, l), pivot_value, Matrix._trusted(view, kind, size - 1)))
         pending.append((pivot, l, size, gcds))
         rows = condensed
 
     for pivot, l, size, gcds in reversed(pending):
         try:
-            value = _divide_back(ring, value * gcds, pivot, size, ops)
+            value = _divide_back(value * gcds, pivot, size, ops)
         except ExactDivisionError as exc:
             raise ExactDivisionError(f"divide-back of the size-{size} level, pivot (1, {l}): {exc}") from exc
-    if scales is not None:
-        value = Fraction(value, denominator)
-    return DetResult(value, tuple(trace), ops)
+    return DetResult(value if scales is None else total(value, denominator), tuple(trace), ops)
 
 
 TRACE_FORMAT = "condensation-trace/1"
@@ -539,13 +542,18 @@ def trace_document(m: Matrix, result: DetResult) -> dict:
     """JSON-ready document for one run: source matrix, per-level steps
     (pivot position, pivot value text, the format's constant ``"sign":
     1``, condensed entries in row-major order) and the final value, all
-    scalars as canonical text."""
+    scalars as canonical text.  A float step with a pivot value or entry
+    past the double range (+-inf, which the format cannot read back)
+    raises ``OverflowError`` naming the step."""
     kind = m.kind
     steps: List[dict] = []
-    for entry in result.trace:
+    for number, entry in enumerate(result.trace, start=1):
         if isinstance(entry, ZeroRowExit):
             steps.append({"kind": "zero-row", "size": entry.size})
         else:
+            values = itertools.chain([entry.pivot_value], *entry.condensed.as_tuples())
+            if kind is FLOAT and not all(map(math.isfinite, values)):
+                raise OverflowError(f"trace step {number}: an entry is past the double range (up to 1.8e308)")
             steps.append(
                 {
                     "kind": "condense",

@@ -9,8 +9,8 @@ the values' native operators.  The remainder-checked division of
 condensation and Bareiss runs on integers, rational and float
 matrices included: those run as integer rows
 (``RationalKind.integer_row``), so it is ``IntegerKind.exact_div``.
-Every float result but a traced condensation's is exact until one
-division, ``_nearest_double``, which rounds it once.
+Every float result is exact until one division, ``_nearest_double``,
+which rounds it once.
 
 Integers of any length format and parse, including those past
 Python's int/str conversion limit (``sys.get_int_max_str_digits()``),
@@ -291,8 +291,8 @@ class RationalKind(ScalarKind):
         Each value is read by ``as_integer_ratio()``, which ``Fraction``,
         ``int`` and ``float`` all have.  A finite double is m * 2**e, so
         a float row's denominators are powers of two and its scale is
-        the largest of them: every untraced float determinant runs on
-        these rows.
+        the largest of them: every float determinant runs on these
+        rows.
         """
         pairs = [v.as_integer_ratio() for v in row]
         scale = math.lcm(*[d for _, d in pairs])
@@ -359,7 +359,7 @@ def _parse_plain_float(text: str) -> float:
 
 
 class FloatKind(ScalarKind):
-    """IEEE doubles.  Comparisons stay exact; tolerances live in callers."""
+    """IEEE doubles.  Comparisons stay exact; determinants run on integer rows."""
 
     name = "float"
     zero = 0.0

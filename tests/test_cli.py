@@ -376,10 +376,9 @@ def test_det_leaves_no_row_tuples_behind(tmp_path, capsys):
 
 
 def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
-    # The matrix of test_det_non_finite_float_is_internal_error: traced,
-    # the float default condenses undivided and comes out nan; untraced
-    # it divides, under either pivot strategy.  The exact value is
-    # -346185508.
+    # The matrix of test_det_float_trace_prints_the_exact_10x10_determinant:
+    # untraced, the float default divides, under either pivot strategy.
+    # The exact value is -346185508.
     gen = SplitMix64(11)
     gen.split()
     m = random_integer_matrix(10, 9, gen.split())
@@ -397,10 +396,10 @@ def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
 
 
 def test_det_float_default_pivot_is_first_nonzero_and_cannot_change_the_value(tmp_path, capsys):
-    # Its determinant is 2 (199999999999999999997/10**20 exactly).  An
-    # untraced run is exact until its last division, so it prints 2.0
-    # under either pivot, the default first-nonzero included, where
-    # undivided float levels at the pivot 1e-20 would read 0.0.
+    # Its determinant is 2 (199999999999999999997/10**20 exactly).  A
+    # run is exact until its last division, so it prints 2.0 under
+    # either pivot, traced or not, the default first-nonzero included,
+    # where undivided float levels at the pivot 1e-20 would read 0.0.
     path = write(tmp_path, "m.txt", "1e-20 1 1\n1 1 2\n1 2 1\n")
     for argv in ([], *(["--pivot", strategy.value] for strategy in PivotStrategy)):
         assert main(["det", path, "--scalar", "float", *argv]) == EXIT_OK
@@ -408,7 +407,7 @@ def test_det_float_default_pivot_is_first_nonzero_and_cannot_change_the_value(tm
     # A trace records the first-nonzero pivot (1, 1).
     trace = tmp_path / "trace.json"
     assert main(["det", path, "--scalar", "float", "--trace", str(trace)]) == EXIT_OK
-    capsys.readouterr()
+    assert capsys.readouterr().out == "2.0\n"
     assert json.loads(trace.read_text())["steps"][0]["pivot"] == [1, 1]
 
 
@@ -423,6 +422,20 @@ def test_det_float_prints_the_correctly_rounded_determinant(tmp_path, capsys):
         assert capsys.readouterr().out == "0.9999999999999999\n", method
         assert main(["det", str(GOLDEN_PATH), "--scalar", "float", "--method", method]) == EXIT_OK
         assert capsys.readouterr().out == "74389.14702357294\n", method
+    # So does a traced run, on the same integer rows, under either
+    # pivot.  The diagonal's step-2 pivot is exactly 1e-400, which its
+    # trace records as the IEEE rounding 0.0; the trace reads back.
+    trace = tmp_path / "trace.json"
+    for strategy in PivotStrategy:
+        traced = ["--scalar", "float", "--pivot", strategy.value, "--trace", str(trace)]
+        assert main(["det", str(GOLDEN_PATH), *traced]) == EXIT_OK
+        assert capsys.readouterr().out == "74389.14702357294\n", strategy
+        assert main(["det", path, *traced]) == EXIT_OK
+        assert capsys.readouterr().out == "0.9999999999999999\n", strategy
+        doc = json.loads(trace.read_text())
+        assert doc["steps"][1]["pivot_value"] == "0.0"
+        m, value, steps = trace_from_document(doc)
+        assert value == 0.9999999999999999 and steps == det_condensation(m, strategy).trace
 
 
 @pytest.mark.parametrize("n", [5, 10, 20])
@@ -590,22 +603,64 @@ def test_det_trace_past_int_str_limit(tmp_path, capsys, scalar):
     assert RATIONAL.format(value) == printed
 
 
-def test_det_non_finite_float_is_internal_error(tmp_path, capsys):
-    # undivided float condensation overflows at n = 10 and prints nan;
-    # the exact determinant of this matrix is -346185508
+def test_det_float_trace_prints_the_exact_10x10_determinant(tmp_path, capsys):
+    # Undivided levels of this matrix in float arithmetic leave the
+    # double range (inf - inf is nan).  A float trace runs on the
+    # integer rows of the doubles and rounds each recorded scalar once,
+    # so it prints the exact determinant, -346185508, and its trace
+    # reads back.
     gen = SplitMix64(11)
     gen.split()
     m = random_integer_matrix(10, 9, gen.split())
     path = write(tmp_path, "m.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
     trace = tmp_path / "trace.json"
+    assert main(["det", path, "--scalar", "float", "--trace", str(trace)]) == EXIT_OK
+    assert capsys.readouterr().out == "-346185508.0\n"
+    source, value, steps = trace_from_document(json.loads(trace.read_text()))
+    assert value == -346185508.0
+    assert steps == det_condensation(source).trace
+
+
+def test_det_float_trace_of_unit_random_12x12_is_correctly_rounded(tmp_path, capsys):
+    # Entries random.Random(12004).uniform(-1, 1), row-major, written
+    # with repr.  In float arithmetic its undivided levels underflow to
+    # an all-zero row at level 10.
+    rng = random.Random(12004)
+    rows = [" ".join(repr(rng.uniform(-1, 1)) for _ in range(12)) for _ in range(12)]
+    path = write(tmp_path, "m.txt", "\n".join(rows) + "\n")
+    for strategy in PivotStrategy:
+        argv = ["det", path, "--scalar", "float", "--pivot", strategy.value]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "1.1104439719428716\n"
+        assert main([*argv, "--trace", str(tmp_path / "trace.json")]) == EXIT_OK
+        assert capsys.readouterr().out == "1.1104439719428716\n"
+
+
+def test_det_float_trace_past_the_double_range_is_internal_error(tmp_path, capsys):
+    # Entries randint(-36, 36) / 4 from random.Random(1616): the value,
+    # about -2.6e17, is in range, but the undivided entries of step 9
+    # are not, and a trace cannot record inf.
+    rng = random.Random(1616)
+    rows = [" ".join(repr(rng.randint(-36, 36) / 4) for _ in range(16)) for _ in range(16)]
+    path = write(tmp_path, "m.txt", "\n".join(rows) + "\n")
+    trace = tmp_path / "trace.json"
     assert main(["det", path, "--scalar", "float", "--trace", str(trace)]) == EXIT_INTERNAL_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "nan" in captured.err
-    assert "--scalar rational" in captured.err and "--method bareiss" in captured.err
+    assert captured.err == (
+        "internal error: trace step 9: an entry is past the double range (up to 1.8e308);"
+        " use --scalar rational for an exact result\n"
+    )
     assert not trace.exists()
-    assert main(["det", path, "--scalar", "rational"]) == EXIT_OK
-    assert capsys.readouterr().out == "-346185508\n"
+    # A value past the range gives the same line traced as untraced.
+    path = write(tmp_path, "big.txt", "1e308 1e308\n-1e308 1e308\n")
+    head = "internal error: the float determinant has magnitude near 1e616, past the double range (up to 1.8e308)"
+    for argv in ([], ["--trace", str(trace)]):
+        assert main(["det", path, "--scalar", "float", *argv]) == EXIT_INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{head}; use --scalar rational for an exact result\n"
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize(
