@@ -482,8 +482,6 @@ def test_det_condensation_op_counts_integer():
     # multiplications, plus s-3 pivot-power multiplications and one
     # division; plus the closed-form 2x2 base (2 mults, 1 sub).
     # Max-magnitude pivots land past column 1, so both strategies run.
-    # A float run is the rational run on the same values, so its counts
-    # are the same.
     rng = random.Random(414)
     for strategy in PivotStrategy:
         for n in range(3, 9):
@@ -497,9 +495,20 @@ def test_det_condensation_op_counts_integer():
             assert result.op_counts.multiplications == expected_mults
             assert result.op_counts.subtractions == expected_subs
             assert result.op_counts.divisions == n - 2
-            halves = [[v / 2 for v in row] for row in m.as_tuples()]
+
+
+def test_det_condensation_op_counts_float_divides_per_level():
+    # A float run is the rational run on the same values, rounded once:
+    # one division per level, as over an exact kind, and the same counts.
+    rng = random.Random(415)
+    for strategy in PivotStrategy:
+        for n in range(3, 9):
+            halves = [[v / 2 for v in row] for row in random_int_matrix(rng, n).as_tuples()]
             rational = det_condensation(Matrix([[Fraction(v) for v in row] for row in halves], RATIONAL), strategy)
-            assert det_condensation(Matrix(halves, FLOAT), strategy).op_counts == rational.op_counts
+            result = det_condensation(Matrix(halves, FLOAT), strategy)
+            assert result.op_counts == rational.op_counts
+            if not any(isinstance(s, ZeroRowExit) for s in result.trace):
+                assert result.op_counts.divisions == n - 2
 
 
 def test_det_condensation_levels_divide_at_return():
