@@ -25,12 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .condense import CondensationStep, DetResult, det_condensation
 from .matrix import Matrix, _field, _is_json, _json_object, _require_square
-from .oracle import (
-    COFACTOR_SIZE_LIMIT,
-    det_bareiss,
-    det_cofactor,
-    det_gauss_rational,
-)
+from .oracle import _WORK_BUDGET, _work, det_bareiss, det_cofactor, det_gauss_rational
 from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, ScalarKind, _echo, bit_length
 
 __all__ = [
@@ -144,45 +139,18 @@ def random_rational_matrix(
 
 class Method(NamedTuple):
     """One determinant method: its ``condet det --method`` spelling,
-    how to run it, the scalar kinds it accepts, its size cap (None for
-    no cap) and its cost per n x n matrix in bench work units (see
-    ``_BENCH_WORK_LIMIT``)."""
+    how to run it and the scalar kinds it accepts.  What a run may cost
+    is estimated by its key in ``METHODS`` (``oracle._work``)."""
 
     cli_name: str
     run: Callable[[Matrix], DetResult]
     kinds: Tuple[ScalarKind, ...] = (RATIONAL, INTEGER, FLOAT)
-    size_limit: Optional[int] = None
-    cost: Callable[[int], int] = lambda n: n**3
 
 
 def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetResult:
     ops = OpCounts()
     return DetResult(det(m, ops), (), ops)
 
-
-# Undivided condensation roughly doubles its entry bits per level: n=20
-# takes about 1 s (0.8-1.2 s over nine runs on a 2-CPU host) and n=24
-# did not finish in 10 minutes.  The cap holds for bench configs and
-# for `condet det --method condense --trace`, the one det run that
-# condenses undivided (untraced det runs divided condensation, whose
-# entries are minors of the matrix); the library function
-# det_condensation itself takes any size.
-CONDENSATION_SIZE_LIMIT = 20
-
-# A bench config may ask for at most this much work, counted as
-# trials_per_size times the sum, over its methods and sizes, of each
-# method's cost per matrix (``Method.cost``).  A unit is about 0.2 us
-# on a 2-CPU host under CPython 3.11, so the limit is some 20 s:
-# - Bareiss costs n**3: 44 ms at n = 60 (0.2 us a unit);
-# - rational Gauss costs 5 * n**3, since its gcds make it about five
-#   times slower than Bareiss: 218 ms at n = 60 (0.2 us a unit);
-# - cofactor expansion costs n!: 759 ms at n = 10 (0.21 us a unit);
-# - undivided condensation costs n**3 * 2**max(0, n-10), since its
-#   entry bits, and so its time, double per level: 15 ms at n = 16,
-#   393 ms at n = 19 and 1.24 s at n = 20 (0.06-0.15 us a unit).
-# Bareiss alone at sizes 4..64 and 20 trials each stays inside (8.7e7);
-# rational Gauss alone on that config does not (4.3e8).
-_BENCH_WORK_LIMIT = 10**8
 
 # The largest entry_bound a bench config may ask for: the span 2**32 + 1
 # keeps the modulo bias of SplitMix64.int_in near 2**-32 (and far from
@@ -194,25 +162,10 @@ _ENTRY_BOUND_LIMIT = 2**31
 # up in this module's globals at call time, so patching the module
 # attribute (for tracing or in tests) reaches every caller.
 METHODS: Dict[str, Method] = {
-    "condensation": Method(
-        "condense",
-        lambda m: det_condensation(m),
-        size_limit=CONDENSATION_SIZE_LIMIT,
-        cost=lambda n: n**3 * 2 ** max(0, n - 10),
-    ),
-    "cofactor": Method(
-        "cofactor",
-        lambda m: _oracle_result(det_cofactor, m),
-        size_limit=COFACTOR_SIZE_LIMIT,
-        cost=math.factorial,
-    ),
+    "condensation": Method("condense", lambda m: det_condensation(m)),
+    "cofactor": Method("cofactor", lambda m: _oracle_result(det_cofactor, m)),
     "bareiss": Method("bareiss", lambda m: _oracle_result(det_bareiss, m)),
-    "gauss-rational": Method(
-        "gauss",
-        lambda m: _oracle_result(det_gauss_rational, m),
-        kinds=(RATIONAL,),
-        cost=lambda n: 5 * n**3,
-    ),
+    "gauss-rational": Method("gauss", lambda m: _oracle_result(det_gauss_rational, m), kinds=(RATIONAL,)),
 }
 
 BENCH_METHODS = tuple(METHODS)
@@ -252,17 +205,12 @@ class BenchConfig(_BenchConfigFields):
         for name in methods:
             if name not in METHODS:
                 raise ValueError(f"unknown method {_echo(name)}; known: {', '.join(BENCH_METHODS)}")
-            limit = METHODS[name].size_limit
-            too_big = [n for n in sizes if limit is not None and n > limit]
-            if too_big:
-                raise ValueError(f"{name} method is limited to size {limit}, config asks for {too_big}")
-        # Charged once the size caps hold, so that n! stays small.
-        work = trials_per_size * sum(METHODS[name].cost(n) for name in methods for n in sizes)
-        if work > _BENCH_WORK_LIMIT:
-            raise ValueError(
-                f"config asks for trials_per_size * sum of method costs = {work}, "
-                f"over the bench work limit of {_BENCH_WORK_LIMIT}"
-            )
+        # A trial runs every method at every size, each run with some 64
+        # units (about 8 us) of bookkeeping besides its determinant.
+        per_trial = sum(64 + _work(name, n, entry_bound.bit_length()) for name in methods for n in sizes)
+        if trials_per_size > _WORK_BUDGET / per_trial:
+            raise ValueError(f"config asks for {trials_per_size} trials of an estimated {per_trial:.3g}"
+                             f" work units each, over the budget of {_WORK_BUDGET:.0e}")
         return super().__new__(cls, sizes, trials_per_size, entry_bound, seed, methods)
 
     @classmethod

@@ -8,7 +8,9 @@ Three subcommands:
 * ``condet bench [CONFIG]`` - run the seeded bench and emit the report.
 
 Exit codes: 0 success, 1 at least one identity failed to verify,
-2 bad input from a file, flag or config (the message says where),
+2 bad input from a file, flag or config (the message says where), or
+a run past a budget of ``oracle``'s cost model: checked before any
+determinant, and before each traced level is condensed,
 3 anything else: one line for a non-exact division, a method
 disagreement, a float determinant or trace entry past the double
 range or a verify adjugate that fails its self-check, a traceback for
@@ -53,7 +55,9 @@ from .condense import (
 from .matrix import Matrix, PivotSpec, matrix_from_doc, remove_rows_cols
 # det_cofactor and det_gauss_rational run through METHODS; they stay
 # importable from this module alongside det_bareiss and det_condensation.
-from .oracle import _adjugate, det_bareiss, det_cofactor, det_gauss_rational
+from .oracle import (
+    _WORK_BUDGET, _OverBudget, _adjugate, _integer_matrix, _work, det_bareiss, det_cofactor, det_gauss_rational
+)
 from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ScalarKind, ScalarParseError
 
 __all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "UsageError", "MatrixFileError"]
@@ -62,11 +66,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USER_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-# verify costs O(n**5): a Bareiss call on the condensed matrix at each
-# of up to n*n pivots.  A random 32x32 with entries in [-9, 9] takes
-# about 7 s on a 2-CPU host.
-_VERIFY_SIZE_LIMIT = 32
 
 # Each ``--method`` spelling to its ``METHODS`` key, the name messages use.
 _CLI_METHODS = {method.cli_name: name for name, method in METHODS.items()}
@@ -175,6 +174,16 @@ def load_matrix(path: str, kind: ScalarKind) -> Matrix:
     return parse_matrix_text(_read_text(path), kind)
 
 
+def _check_work(what: str, method: str, m: Matrix) -> None:
+    rows, n = m.as_tuples(), m.rows
+    bits = max(max(map(max, rows), default=0), -min(map(min, rows), default=0)).bit_length()
+    work = _work(method, n, bits)
+    if work > _WORK_BUDGET:
+        hint = " (use --method bareiss)" if method in ("cofactor", "gauss-rational") else ""
+        raise UsageError(f"{what} of a {n}x{n} matrix of {bits}-bit integer rows needs an estimated"
+                         f" {work:.3g} work units, over the budget of {_WORK_BUDGET:.0e}{hint}")
+
+
 def cmd_det(args: argparse.Namespace) -> int:
     kind = KINDS[args.scalar]
     m = load_matrix(args.file, kind)
@@ -188,25 +197,28 @@ def cmd_det(args: argparse.Namespace) -> int:
     if kind not in method.kinds:
         needed = " or ".join(k.name for k in method.kinds)
         raise UsageError(f"--method {args.method} needs --scalar {needed}")
-    # Undivided entries roughly double their bits per level, so untraced
-    # condensation (record_trace=False) runs divided, whose levels are
-    # minors of the matrix and need no size cap.  A trace records undivided levels only, and so keeps the cap.
-    limit = None if args.method == "condense" and args.trace is None else method.size_limit
-    if limit is not None and m.rows > limit:
-        hint = "--method bareiss has no size cap" if args.trace is None else "drop --trace, or use --method bareiss"
-        raise UsageError(f"{name} is limited to {limit}x{limit}, got {m.rows}x{m.cols} ({hint})")
+    strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
+    trace = None
     try:
-        if args.method == "condense":
-            strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
-            result = det_condensation(m, strategy, record_trace=args.trace is not None)
+        if args.trace is not None:  # undivided: each level is weighed as it is built
+            result = det_condensation(m, strategy)
+            value, trace = result.value, json.dumps(trace_document(m, result), indent=2) + "\n"
         else:
-            result = method.run(m)
-        trace = None if args.trace is None else json.dumps(trace_document(m, result), indent=2) + "\n"
+            # Converted once, for the estimate and the run; untraced
+            # condensation divides, so it costs what Bareiss costs.
+            im, _, back = _integer_matrix(m)
+            _check_work(name, "bareiss" if name == "condensation" else name, im)
+            if name == "condensation":
+                value = back(det_condensation(im, strategy, record_trace=False).value)
+            else:  # Gauss on its own rationals, with no row scaling
+                value = method.run(m).value if name == "gauss-rational" else back(method.run(im).value)
+    except _OverBudget as exc:
+        raise UsageError(f"{exc} (drop --trace, or use --method bareiss)") from None
     except OverflowError as exc:  # a float value or trace scalar past the double range
         raise OverflowError(f"{exc}; use --scalar rational for an exact result") from None
     if trace is not None:
         _write_text(args.trace, trace)
-    print(kind.format(result.value))
+    print(kind.format(value))
     return EXIT_OK
 
 
@@ -218,11 +230,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = m.rows
     if n < 3:
         raise UsageError(f"verify needs size >= 3, got {n}")
-    if n > _VERIFY_SIZE_LIMIT:
-        raise UsageError(
-            f"verify is limited to {_VERIFY_SIZE_LIMIT}x{_VERIFY_SIZE_LIMIT}, got {n}x{n}"
-            " (det --method bareiss has no size cap)"
-        )
 
     # A rational or float matrix is checked on its integer rows,
     # converted once (a double is m * 2**e): row i of m is I[i] /
@@ -239,11 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # ``Fraction``s only in ``report``, and every kind passes on an
     # exact zero residual.  An integer matrix is checked as it is,
     # every scale being 1.
-    scales = (1,) * n
-    if kind is not INTEGER:
-        rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
-        m = Matrix._trusted([tuple(row) for row in rows], INTEGER, n)
+    m, scales, _ = _integer_matrix(m)
     scale = math.prod(scales)
+    _check_work("verify", "verify", m)
 
     # Every determinant below other than the condensed ones is a minor
     # of m: det(m), the n*n one-removed and the C(n,2) two-removed
@@ -340,7 +345,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # Appending nothing checks the path without truncating an old
         # report, so a path that cannot be written exits 2 before the run.
         _write_text(args.out, "", mode="a")
-    text = format_report(run_bench(cfg))
+    try:
+        text = format_report(run_bench(cfg))
+    except _OverBudget as exc:  # a condensation level of the corpus
+        raise UsageError(f"bench: {exc}") from None
     if args.out == "-":
         sys.stdout.write(text)
     else:

@@ -53,10 +53,9 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 from .matrix import (
     Matrix, PivotSpec, _field, _is_json, _json_object, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
 )
-from .oracle import det_bareiss
+from .oracle import _LEVEL_BUDGET, _OverBudget, _integer_matrix, det_bareiss
 from .scalars import (
-    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo,
-    _nearest_double,
+    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo
 )
 
 __all__ = [
@@ -442,6 +441,8 @@ def det_condensation(
     out at size 2 the pivot-power divisions are applied in reverse
     level order, so all condensation happens on undivided entries.
     Sizes 0..2 use the closed forms directly and leave an empty trace.
+    Bits about double a level, so one weighing more than ``_LEVEL_BUDGET``
+    (size**2 times the bits of row 1, at least 64) raises ``ValueError``.
 
     A rational or float matrix is turned into integer rows once
     (``RationalKind.integer_row``: row i is ``I[i] / scale_i``, and a
@@ -460,7 +461,7 @@ def det_condensation(
     scales)``, a float one their int / int quotient, rounded once (0.0
     or a subnormal on underflow), and ``OverflowError`` naming the
     double range past it.  Trace steps hold ``Fraction``s, or int / int
-    rounded once and +-inf past the range, so a trace never raises.
+    rounded once and +-inf past the range, so no recorded scalar raises.
 
     Operation counts tally the scalar multiplications, subtractions and
     divisions actually performed, including the closed-form 2x2 base
@@ -482,21 +483,14 @@ def det_condensation(
     if n == 1:
         return DetResult(m.get(1, 1), (), ops)
 
-    rows = m.as_tuples()
-    scales = None
-    if kind is not INTEGER:
-        # Unpacked from a list: unpacking a map builds its argument
-        # tuple by resizing (see Matrix.__init__).
-        rows, scales = zip(*[RATIONAL.integer_row(row) for row in rows])
-        denominator = math.prod(scales)
-        # The kind's value of int / int: exact, or a double rounded once.
-        scalar, total = (Fraction, Fraction) if kind is RATIONAL else (_double, _nearest_double)
+    im, scales, back = _integer_matrix(m)
+    rows = level = im.as_tuples()
+    # A recorded scalar int / int: exact, or a double rounded once.
+    scalar = Fraction if kind is RATIONAL else _double
     if not record_trace:
-        level = rows
         for *_, level in _divided_levels(rows, strategy, ops):
             pass
-        value = level[0][0] if len(level) == 1 else 0
-        return DetResult(value if scales is None else total(value, denominator), (), ops)
+        return DetResult(back(level[0][0] if len(level) == 1 else 0), (), ops)
     trace: List[TraceEntry] = []
     pending: List[Tuple[int, int, int, int]] = []
     while True:
@@ -513,11 +507,15 @@ def det_condensation(
             trace.append(ZeroRowExit(size))
             value = 0
             break
+        weight = size * size * max(64, max(map(abs, row1)).bit_length())
+        if weight > _LEVEL_BUDGET:
+            raise _OverBudget(f"traced condensation: level {len(trace)} ({size}x{size}) holds about"
+                              f" {weight:.3g} bit-entries, past the budget of {_LEVEL_BUDGET:.0e} a level")
         pivot = row1[l - 1]
         condensed = _condense_rows(rows, 0, l - 1)
         ops.multiplications += 2 * (size - 1) ** 2
         ops.subtractions += (size - 1) ** 2
-        if scales is None:
+        if kind is INTEGER:
             pivot_value, view, gcds = pivot, condensed, 1
         else:
             pivot_value = scalar(pivot, scales[0])
@@ -532,7 +530,7 @@ def det_condensation(
             value = _divide_back(value * gcds, pivot, size, ops)
         except ExactDivisionError as exc:
             raise ExactDivisionError(f"divide-back of the size-{size} level, pivot (1, {l}): {exc}") from exc
-    return DetResult(value if scales is None else total(value, denominator), tuple(trace), ops)
+    return DetResult(back(value), tuple(trace), ops)
 
 
 TRACE_FORMAT = "condensation-trace/1"

@@ -52,9 +52,10 @@ matrix, so a fault in condensation cannot be repeated by them.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .matrix import Matrix, _require_square
 from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _divmod_for, _nearest_double, bit_length
@@ -68,14 +69,57 @@ __all__ = [
 
 COFACTOR_SIZE_LIMIT = 10
 
+# The cost model, calibrated on a 2-CPU x86-64 host under CPython 3.11.7
+# (seeded matrices, entries in [-9, 9] unless noted; seconds, units):
+#   divided det / Bareiss, n = 200          1.9 / 2.8 s    2.1e7
+#     on doubles 2**U(-1000, 1000), n = 40  13 / 21 s      9.1e7
+#   Gauss, p/q, 1 <= |p|, q <= 9, n = 60    0.47 s         1.8e6
+#   cofactor, integer / doubles, n = 10     0.29 / 1.07 s  1.1e7
+#   verify, n = 32                          4.7 s          2.3e7
+#   undivided condensation, n = 20          0.55 s         1.2e7
+# So a unit is 0.03-0.26 us and the budget 10-25 s; 400x400 Bareiss is 5e8.
+# A traced level weighs size**2 times the bits of row 1, at least 64: the
+# peak is 9.6e5 over 150 integer 18x18s, 1.8e6 for a rational 19x19 traced
+# in 5 s, 2.5e6 for the rational 20x20 that takes 29 s (README has more).
+_WORK_BUDGET = 10**8
+_LEVEL_BUDGET = 2 * 10**6
 
-def _on_integer_rows(det, m: Matrix, ops: Optional[OpCounts]) -> Scalar:
-    # det(m) of a rational or float m by ``det`` on its integer rows:
-    # row i is I[i] / scale_i, so det(m) is det(I) over the scales'
-    # product, a Fraction or the double nearest it.
+
+class _OverBudget(ValueError):
+    """A traced level past ``_LEVEL_BUDGET``: bad input, not a fault."""
+
+
+def _level_cost(size: int, bits: float) -> float:
+    """Work units of a condensation level or elimination stage: size**2 products."""
+    return size * size * (1 + (bits / 128) ** 1.6)
+
+
+@functools.lru_cache(maxsize=256)  # det and bench repeat a few sizes and bit lengths
+def _work(method: str, n: int, bits: int) -> float:
+    """Estimated work of ``method`` (a ``bench.METHODS`` key, or
+    ``verify``) on n x n integer rows of at most ``bits`` bits.  Stage k
+    of Bareiss and level k of divided condensation hold k x k minors,
+    below the Hadamard bound; undivided level t holds about bits * 2**t."""
+    if n > 10**4:  # its first level alone holds 10**8 entries
+        return math.inf
+    if method == "cofactor":  # n! terms; 170! is the largest a double holds
+        return 3.0 * math.factorial(min(n, 170))
+    if method == "condensation":  # level 64 is past any budget
+        return sum(_level_cost(n - t, bits << t) for t in range(min(n - 2, 64)))
+    if method == "verify":  # n*n condensed matrices and n*n/2 Dodgson pairs
+        return 1.5 * n * n * _work("bareiss", n - 1, 2 * bits)
+    divided = sum(_level_cost(n - k, k * (bits + math.log2(k) / 2)) for k in range(1, n))
+    return 5 * divided if method == "gauss-rational" else divided
+
+
+def _integer_matrix(m: Matrix) -> Tuple[Matrix, Sequence[int], Callable[[int], Scalar]]:
+    # m as integer rows I, row i being I[i] / scales[i] (unpacked from a list, as Matrix.__init__
+    # does), and the map from det(I) to det(m): a Fraction or the nearest double over the scales.
+    if m.kind is INTEGER or not m.rows:
+        return m, (1,) * m.rows, lambda value: value
     rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
-    value, scale = det(Matrix._trusted(rows, INTEGER, len(rows)), ops), math.prod(scales)
-    return Fraction(value, scale) if m.kind is RATIONAL else _nearest_double(value, scale)
+    scale, back = math.prod(scales), Fraction if m.kind is RATIONAL else _nearest_double
+    return Matrix._trusted([*map(tuple, rows)], INTEGER, len(rows)), scales, lambda value: back(value, scale)
 
 
 def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
@@ -96,7 +140,8 @@ def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     if n == 0:
         return m.kind.one
     if m.kind is not INTEGER:
-        return _on_integer_rows(det_cofactor, m, ops)
+        im, _, back = _integer_matrix(m)
+        return back(det_cofactor(im, ops))
     if ops is None:
         ops = OpCounts()
     rows = m.as_tuples()
@@ -205,7 +250,8 @@ def det_bareiss(
     if n == 0:
         return kind.one
     if kind is not INTEGER:
-        return _on_integer_rows(det_bareiss, m, ops)
+        im, _, back = _integer_matrix(m)
+        return back(det_bareiss(im, ops))
     if ops is None:
         ops = OpCounts()
     grid = [list(row) for row in m.as_tuples()]

@@ -30,6 +30,7 @@ from condet import (
     run_bench,
 )
 import condet.bench as bench_module
+from condet.oracle import COFACTOR_SIZE_LIMIT, _level_cost, _work
 from condet.cli import EXIT_OK, main, parse_matrix_text
 from conftest import FIXTURES, REPO_ROOT
 
@@ -107,8 +108,8 @@ def test_config_validation():
         BenchConfig(sizes=(11,), trials_per_size=1, entry_bound=9, seed=1, methods=("cofactor",))
     with pytest.raises(ValueError):
         BenchConfig.from_dict({"sizes": [3]})
-    with pytest.raises(ValueError, match="condensation method is limited to size 20"):
-        BenchConfig(sizes=(20, 21), trials_per_size=1, entry_bound=9, seed=1, methods=("condensation",))
+    with pytest.raises(ValueError, match="over the budget of 1e[+]08"):
+        BenchConfig(sizes=(20, 22), trials_per_size=1, entry_bound=9, seed=1, methods=("condensation",))
 
 
 def test_config_replace_validates():
@@ -118,9 +119,9 @@ def test_config_replace_validates():
     assert cfg._replace(sizes=[3]).sizes == (3,)
     with pytest.raises(ValueError, match="matrix size must be >= 1"):
         cfg._replace(sizes=(0,))
-    # sizes 3..6 cost 3! + ... + 6! = 870 for cofactor, 432 each for
-    # condensation and Bareiss and 5 * 432 for rational Gauss
-    with pytest.raises(ValueError, match=r"sum of method costs = 3894000000000, over"):
+    per_trial = config_work({**cfg._asdict(), "trials_per_size": 1})
+    message = f"config asks for {10**9} trials of an estimated {per_trial:.3g} work units each"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, over the budget of 1e[+]08$"):
         cfg._replace(trials_per_size=10**9)
 
 
@@ -141,49 +142,59 @@ def test_config_entry_bound_is_capped():
 
 
 def test_config_work_is_bounded():
-    # trials_per_size times the summed method costs may reach 10**8, no further
+    # trials_per_size times the estimated work of a trial may reach 10**8, no further
     big = {"sizes": [100000], "trials_per_size": 10**12, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
-    message = f"config asks for trials_per_size * sum of method costs = {10**27}, over the bench work limit of {10**8}"
+    message = f"config asks for {10**12} trials of an estimated inf work units each, over the budget of 1e+08"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BenchConfig.from_dict(big)
-    with pytest.raises(ValueError, match=r"= 100000100, over"):
-        BenchConfig(sizes=(1, 100), trials_per_size=100, entry_bound=9, seed=1, methods=("bareiss",))
-    assert BenchConfig(sizes=(100,), trials_per_size=100, entry_bound=9, seed=1, methods=("bareiss",))
-    # a roadmap perf config: every size 4..64, a few trials
+    one = {**big, "sizes": [100], "trials_per_size": 1}
+    most = int(10**8 // config_work(one))
+    assert BenchConfig.from_dict({**one, "trials_per_size": most})
+    with pytest.raises(ValueError, match=f"^config asks for {most + 1} trials"):
+        BenchConfig.from_dict({**one, "trials_per_size": most + 1})
+    # Every run pays its bookkeeping, so a trial of 1x1s is not free.
+    with pytest.raises(ValueError, match="over the budget"):
+        BenchConfig(sizes=(1,), trials_per_size=10**7, entry_bound=9, seed=1, methods=("bareiss",))
+    # a roadmap perf config: every size 4..64, 20 trials
     assert BenchConfig(sizes=range(4, 65), trials_per_size=20, entry_bound=9, seed=1, methods=("bareiss",))
 
 
-def config_work(cfg) -> int:
-    methods = bench_module.METHODS
-    return cfg["trials_per_size"] * sum(methods[name].cost(n) for name in cfg["methods"] for n in cfg["sizes"])
+def config_work(cfg) -> float:
+    bits = cfg["entry_bound"].bit_length()
+    return cfg["trials_per_size"] * sum(64 + _work(name, n, bits) for name in cfg["methods"] for n in cfg["sizes"])
 
 
 def test_config_work_charges_each_method_its_own_cost():
-    methods = bench_module.METHODS
-    names = ("bareiss", "gauss-rational", "cofactor", "condensation")
-    assert [methods[name].cost(10) for name in names] == [1000, 5000, math.factorial(10), 1000]
-    assert methods["condensation"].cost(20) == 20**3 * 2**10
-    # Cofactor expansion at n = 10 takes about 0.6 s a matrix: some 17 h.
+    n, bits = 10, 4
+    bareiss = sum(_level_cost(n - k, k * (bits + math.log2(k) / 2)) for k in range(1, n))
+    assert _work("bareiss", n, bits) == bareiss
+    assert _work("gauss-rational", n, bits) == 5 * bareiss
+    assert _work("cofactor", n, bits) == 3 * math.factorial(n)
+    assert _work("condensation", n, bits) == sum(_level_cost(n - t, bits * 2**t) for t in range(n - 2))
+    assert _work("verify", n, bits) == 1.5 * n * n * _work("bareiss", n - 1, 2 * bits)
+    # More bits cost more; so does every size past cofactor's cap.
+    assert _work("bareiss", n, 64) > _work("bareiss", n, bits)
+    assert _work("cofactor", COFACTOR_SIZE_LIMIT + 1, 0) > 10**8 > _work("cofactor", COFACTOR_SIZE_LIMIT, 64)
+    # Cofactor expansion at n = 10 takes about 0.3-1 s a matrix: some 17 h.
     cofactor = {"sizes": [10], "trials_per_size": 100000, "entry_bound": 9, "seed": 1, "methods": ["cofactor"]}
-    with pytest.raises(ValueError, match=f"= {math.factorial(10) * 100000}, over the bench work limit"):
+    with pytest.raises(ValueError, match="over the budget"):
         BenchConfig.from_dict(cofactor)
-    # Undivided condensation at sizes 14..20: some 44 min.  Bareiss on
-    # the same corpus is charged n**3 and stays inside.
-    growth = {"sizes": list(range(14, 21)), "trials_per_size": 2791, "entry_bound": 9, "seed": 1}
-    with pytest.raises(ValueError, match="over the bench work limit"):
+    # Undivided condensation at sizes 14..22: its bits double a level,
+    # so it is refused where Bareiss on the same corpus is not.
+    growth = {"sizes": list(range(14, 23)), "trials_per_size": 1, "entry_bound": 9, "seed": 1}
+    with pytest.raises(ValueError, match="over the budget"):
         BenchConfig.from_dict({**growth, "methods": ["condensation"]})
-    assert config_work({**growth, "methods": ["bareiss"]}) <= 10**8
     assert BenchConfig.from_dict({**growth, "methods": ["bareiss"]})
     # Every listed method is charged, a repeated one each time.
-    assert config_work({**growth, "methods": ["bareiss", "bareiss"]}) > 10**8
-    with pytest.raises(ValueError, match="over the bench work limit"):
-        BenchConfig.from_dict({**growth, "methods": ["bareiss", "bareiss"]})
-    # Rational Gauss took 218 ms at n = 60 against Bareiss's 44 ms, so
-    # the roadmap perf config that Bareiss may run (8.7e7 units, some
-    # 17 s) is charged five times over for it (about 90 s) and refused.
+    most = int(10**8 // config_work({**growth, "methods": ["bareiss"]}))
+    assert BenchConfig.from_dict({**growth, "trials_per_size": most, "methods": ["bareiss"]})
+    with pytest.raises(ValueError, match="over the budget"):
+        BenchConfig.from_dict({**growth, "trials_per_size": most, "methods": ["bareiss", "bareiss"]})
+    # The roadmap perf config that Bareiss may run (4.6e7 units) is
+    # charged five times over for rational Gauss, and refused.
     perf = {"sizes": list(range(4, 65)), "trials_per_size": 20, "entry_bound": 9, "seed": 1}
     assert BenchConfig.from_dict({**perf, "methods": ["bareiss"]})
-    with pytest.raises(ValueError, match=f"= {5 * config_work({**perf, 'methods': ['bareiss']})}, over the bench"):
+    with pytest.raises(ValueError, match="over the budget"):
         BenchConfig.from_dict({**perf, "methods": ["gauss-rational"]})
 
 
@@ -193,8 +204,9 @@ def test_pinned_and_default_configs_stay_far_below_the_work_limit():
     configs.append(DEFAULT_CONFIG._asdict())
     assert max(map(config_work, configs)) < 10**6
     # the costliest config the bench-crosscheck workload writes
-    worst = {"sizes": [13, 14, 15], "trials_per_size": 1, "methods": ["condensation", "bareiss", "gauss-rational"]}
-    assert config_work(worst) == 219376
+    worst = {"sizes": [13, 14, 15], "trials_per_size": 1, "entry_bound": 9,
+             "methods": ["condensation", "bareiss", "gauss-rational"]}
+    assert config_work(worst) < 10**6
 
 
 def test_run_bench_shape_and_agreement():

@@ -29,6 +29,7 @@ from condet import (
     trace_from_document,
 )
 import condet.cli as cli
+import condet.bench as bench_module
 from condet.bench import METHODS
 from condet.cli import (
     EXIT_INTERNAL_ERROR,
@@ -293,29 +294,93 @@ def test_det_ragged_file_is_user_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_det_cofactor_size_cap_is_user_error(tmp_path, capsys):
-    n = 11
-    text = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
-    path = write(tmp_path, "big.txt", text + "\n")
-    assert main(["det", path, "--method", "cofactor"]) == EXIT_USER_ERROR
-    assert "cofactor is limited to 10x10, got 11x11 (--method bareiss has no size cap)" in capsys.readouterr().err
+def identity_text(n: int) -> str:
+    return "".join(" ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+
+
+def test_det_cofactor_size_cap_is_user_error(tmp_path, capsys, monkeypatch):
+    # 11! terms are past the work budget, so the estimate refuses them
+    # before det_cofactor, whose own cap would be an internal fault.
+    calls = []
+    monkeypatch.setattr(bench_module, "det_cofactor", lambda m, ops=None: calls.append(m.rows) or 1)
+    assert main(["det", write(tmp_path, "ten.txt", identity_text(10)), "--method", "cofactor"]) == EXIT_OK
+    assert capsys.readouterr().out == "1\n"
+    assert main(["det", write(tmp_path, "big.txt", identity_text(11)), "--method", "cofactor"]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cofactor of a 11x11 matrix of 1-bit integer rows needs an estimated 1.2e+08 work units,"
+        " over the budget of 1e+08 (use --method bareiss)\n"
+    )
+    assert calls == [10]
 
 
 def test_det_condense_size_cap_is_user_error(tmp_path, capsys):
-    # Only a traced det condenses undivided, so only it is capped.
-    n = 21
-    text = "\n".join(" ".join("1" if i == j else "0" for j in range(n)) for i in range(n))
-    path = write(tmp_path, "big.txt", text + "\n")
+    # A traced run is bounded by the bits each level holds, not by its
+    # size: a traced random 24x24 is refused at the first level past the
+    # budget, with nothing on stdout and no trace, while the identity,
+    # whose bits never grow, is traced at 21x21 and 64x64.
     trace = tmp_path / "trace.json"
-    for argv in (["det", path], ["det", path, "--method", "bareiss"]):
-        assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out == "1\n"
-    for scalar in ("rational", "integer"):
+    m = random_integer_matrix(24, 9, SplitMix64(24).split())
+    path = write(tmp_path, "m.txt", "".join(" ".join(map(str, row)) + "\n" for row in m.to_rows()))
+    for scalar in ("rational", "integer", "float"):
         assert main(["det", path, "--scalar", scalar, "--trace", str(trace)]) == EXIT_USER_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "condensation is limited to 20x20, got 21x21 (drop --trace, or use --method bareiss)" in captured.err
+        assert captured.err.startswith("error: traced condensation: level ")
+        assert captured.err.endswith(", past the budget of 2e+06 a level (drop --trace, or use --method bareiss)\n")
         assert not trace.exists()
+    assert main(["det", path]) == EXIT_OK
+    assert capsys.readouterr().out == f"{det_bareiss(m)}\n"
+    for n in (21, 64):
+        assert main(["det", write(tmp_path, "id.txt", identity_text(n)), "--trace", str(trace)]) == EXIT_OK
+        assert capsys.readouterr().out == "1\n"
+        assert len(json.loads(trace.read_text())["steps"]) == n - 2
+
+
+def test_det_traces_a_64x64_permutation_and_refuses_400x400_before_any_work(tmp_path, capsys, monkeypatch):
+    n = 64
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    m = Matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)], INTEGER)
+    path = write(tmp_path, "perm.txt", "".join(" ".join(map(str, row)) + "\n" for row in m.to_rows()))
+    trace = tmp_path / "trace.json"
+    assert main(["det", path, "--trace", str(trace)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{det_bareiss(m)}\n"
+    assert json.loads(trace.read_text())["value"] == str(det_bareiss(m))
+    # An untraced 400x400 is estimated past the work budget and refused
+    # before any determinant, condensation or conversion runs.
+    work = []
+    for module, name in ((cli, "det_condensation"), (bench_module, "det_bareiss"), (bench_module, "det_cofactor"),
+                         (bench_module, "det_gauss_rational"), (type(RATIONAL), "integer_row")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: work.append(name))
+    big = random_integer_matrix(400, 9, SplitMix64(400).split())
+    path = write(tmp_path, "big.txt", "".join(" ".join(map(str, row)) + "\n" for row in big.to_rows()))
+    for method, estimate in (("condense", "condensation ... 5.03e+08"), ("bareiss", "bareiss ... 5.03e+08"),
+                             ("cofactor", "cofactor ... 2.18e+307")):
+        assert main(["det", path, "--scalar", "integer", "--method", method]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        what, units = estimate.split(" ... ")
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {what} of a 400x400 matrix of 4-bit integer rows needs an estimated {units} work units,"
+            " over the budget of 1e+08"
+        )
+    assert work == []
+
+
+def test_untraced_det_converts_the_rows_once(tmp_path, capsys, monkeypatch):
+    # The estimate and the run share one conversion to integer rows.
+    m = random_rational_matrix(7, SplitMix64(7))
+    path = write(tmp_path, "m.txt", "".join(" ".join(map(RATIONAL.format, row)) + "\n" for row in m.as_tuples()))
+    want, convert = f"{RATIONAL.format(det_bareiss(m))}\n", type(RATIONAL).integer_row
+    calls = []
+    monkeypatch.setattr(type(RATIONAL), "integer_row", lambda self, row: calls.append(1) or convert(self, row))
+    for method in ("condense", "bareiss", "cofactor"):
+        calls.clear()
+        assert main(["det", path, "--method", method]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        assert len(calls) == 7, method
 
 
 @pytest.mark.parametrize("kind", [INTEGER, RATIONAL], ids=lambda k: k.name)
@@ -377,22 +442,22 @@ def test_det_leaves_no_row_tuples_behind(tmp_path, capsys):
 
 def test_det_float_default_runs_divided_unless_traced(tmp_path, capsys):
     # The matrix of test_det_float_trace_prints_the_exact_10x10_determinant:
-    # untraced, the float default divides, under either pivot strategy.
-    # The exact value is -346185508.
+    # untraced, the float default divides, under either pivot strategy
+    # (the default is first-nonzero), and prints the correctly rounded
+    # value of -346185508.
     gen = SplitMix64(11)
     gen.split()
     m = random_integer_matrix(10, 9, gen.split())
     path = write(tmp_path, "m.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
-    for argv in ([], ["--pivot", "first-nonzero"]):
+    for argv in ([], ["--pivot", "max-magnitude"]):
         assert main(["det", path, "--scalar", "float", *argv]) == EXIT_OK
-        assert abs(float(capsys.readouterr().out) + 346185508) <= 1e-9 * 346185508
-    # Nor is a float default run capped in size: divided levels are
-    # minors of the matrix, so a random 64x64 stays in range.
+        assert capsys.readouterr().out == "-346185508.0\n"
+    # Divided levels are minors of the matrix, so a random 64x64 stays
+    # in range, well inside the work budget.
     m = random_integer_matrix(64, 9, SplitMix64(1).split())
     path = write(tmp_path, "big.txt", "\n".join(" ".join(map(str, row)) for row in m.to_rows()) + "\n")
     assert main(["det", path, "--scalar", "float"]) == EXIT_OK
-    exact = det_bareiss(m)
-    assert abs(Fraction(capsys.readouterr().out.strip()) - exact) <= Fraction(1, 10**9) * abs(exact)
+    assert capsys.readouterr().out == f"{float(det_bareiss(m))!r}\n"
 
 
 def test_det_float_default_pivot_is_first_nonzero_and_cannot_change_the_value(tmp_path, capsys):
@@ -839,27 +904,32 @@ def test_verify_needs_size_three(tmp_path, capsys):
 
 
 def test_verify_refuses_sizes_past_its_cap_before_any_work(tmp_path, capsys, monkeypatch):
-    # verify costs O(n**5); an identity past the cap is refused before
-    # any determinant, condensation or conversion is computed.
-    limit = cli._VERIFY_SIZE_LIMIT
-    assert limit == 32
+    # verify costs about 1.5 n**2 Bareiss calls of size n - 1; a run
+    # estimated past the work budget is refused before any determinant,
+    # condensation or conversion is computed.  A 44x44 identity is just
+    # inside it, a 48x48 one past it.
     work = []
-    for name in ("det_bareiss", "_adjugate", "condense_at", "condense_at_11"):
-        monkeypatch.setattr(cli, name, lambda *args, name=name: work.append(name))
-    n = limit + 1
-    path = write(tmp_path, "m.txt", "".join(" ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
+    for module, name in ((cli, "det_bareiss"), (cli, "_adjugate"), (cli, "condense_at"), (cli, "condense_at_11"),
+                         (type(RATIONAL), "integer_row")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: work.append(name))
+    path = write(tmp_path, "m.txt", identity_text(48))
     assert main(["verify", path, "--scalar", "integer"]) == EXIT_USER_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: verify is limited to 32x32, got 33x33 (det --method bareiss has no size cap)\n"
+    assert captured.err == (
+        "error: verify of a 48x48 matrix of 1-bit integer rows needs an estimated 1.49e+08 work units,"
+        " over the budget of 1e+08\n"
+    )
     assert work == []
+    assert cli._work("verify", 44, 1) < 10**8 < cli._work("verify", 48, 1)
 
 
 def test_verify_runs_at_its_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_VERIFY_SIZE_LIMIT", 3)
+    monkeypatch.setattr(cli, "_WORK_BUDGET", cli._work("verify", 3, 4))
     assert main(["verify", write(tmp_path, "m.txt", "1 2 3\n4 5 6\n7 8 10\n")]) == EXIT_OK
+    capsys.readouterr()
     assert main(["verify", write(tmp_path, "m4.txt", "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")]) == EXIT_USER_ERROR
-    assert "verify is limited to 3x3, got 4x4" in capsys.readouterr().err
+    assert "error: verify of a 4x4 matrix of 1-bit integer rows needs an estimated 120 work units" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
@@ -989,12 +1059,23 @@ def test_write_failure_after_open_is_user_error(tmp_path, capsys):
 
 
 def test_bench_condensation_size_cap_is_user_error(tmp_path, capsys):
-    cfg = {**BENCH_CFG, "sizes": [3, 21], "methods": ["condensation"]}
+    # A condensation config is estimated from doubling bits and refused
+    # past the work budget; within it, each traced level of the corpus
+    # still answers to the level budget.
+    cfg = {**BENCH_CFG, "sizes": [3, 22], "methods": ["condensation"]}
     path = write(tmp_path, "cfg.json", json.dumps(cfg))
     assert main(["bench", path]) == EXIT_USER_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "condensation method is limited to size 20, config asks for [21]" in captured.err
+    assert captured.err.startswith(f"error: bench config {path}: config asks for 1 trials of an estimated")
+    path = write(tmp_path, "cfg20.json", json.dumps({**cfg, "sizes": [3, 20]}))
+    assert main(["bench", path]) == EXIT_USER_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bench: traced condensation: level 16 (4x4) holds about 2.5e+06 bit-entries,"
+        " past the budget of 2e+06 a level\n"
+    )
 
 
 BENCH_CFG = {"sizes": [3], "trials_per_size": 1, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}
@@ -1013,8 +1094,8 @@ def test_bench_config_over_the_work_limit_is_user_error(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: bench config {path}: config asks for trials_per_size * sum of method costs"
-        f" = {10**27}, over the bench work limit of {10**8}\n"
+        f"error: bench config {path}: config asks for {10**12} trials of an estimated inf work units each,"
+        " over the budget of 1e+08\n"
     )
 
 

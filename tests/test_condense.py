@@ -19,6 +19,7 @@ from condet import (
     OpCounts,
     PivotSpec,
     PivotStrategy,
+    SplitMix64,
     ZeroRowExit,
     bit_length,
     condense_at,
@@ -28,11 +29,14 @@ from condet import (
     det_condensation,
     dodgson_identity_residual,
     hadamard_bit_bound,
+    random_integer_matrix,
+    random_rational_matrix,
     select_pivot,
     trace_document,
     trace_from_document,
 )
 from condet.condense import _condense_rows, _divided_levels
+from condet.oracle import _LEVEL_BUDGET
 from conftest import GOLDEN_CONDENSED, GOLDEN_FACTOR, golden_matrix
 
 
@@ -428,14 +432,39 @@ def test_det_condensation_zero_row_surfacing_mid_recursion():
 
 
 def test_det_condensation_float_golden_first_step():
+    # A float trace records each entry of its exact levels rounded once,
+    # and its value is the correctly rounded determinant, as Bareiss's is.
     m = golden_matrix()
     result = det_condensation(m)
     step = result.trace[0]
+    exact = _condense_rows([[Fraction(v) for v in row] for row in m.as_tuples()], 0, step.pivot.l - 1)
     for i in range(1, 7):
         for j in range(1, 7):
+            assert step.condensed.get(i, j) == float(exact[i - 1][j - 1])
             assert abs(step.condensed.get(i, j) - GOLDEN_CONDENSED[i - 1][j - 1]) <= 1e-9
-    reference = det_bareiss(m)
-    assert abs(result.value - reference) <= 1e-9 * max(1.0, abs(reference))
+    assert result.value == det_bareiss(m)
+
+
+@pytest.mark.parametrize("kind, n", [(INTEGER, 18), (RATIONAL, 12), (FLOAT, 12)], ids=lambda v: getattr(v, "name", v))
+def test_seeded_traced_runs_stay_under_the_level_budget(kind, n):
+    # The library default traces undivided levels, whose bits double; the
+    # benchmark's probes trace integer 18x18s and rational and quarter
+    # 12x12s, which must stay under the per-level budget.  For integer
+    # rows a level's weight is size**2 times the bits of its row 1.
+    gen = SplitMix64(1000 + n)
+    for _ in range(20):
+        if kind is INTEGER:
+            m = random_integer_matrix(n, 9, gen.split())
+        elif kind is RATIONAL:
+            m = random_rational_matrix(n, gen.split())
+        else:
+            m = Matrix([[gen.int_in(-36, 36) / 4 for _ in range(n)] for _ in range(n)], FLOAT)
+        result = det_condensation(m)
+        assert result.value == det_bareiss(m)
+        if kind is INTEGER:
+            levels = [m] + [step.condensed for step in result.trace if isinstance(step, CondensationStep)]
+            weight = max(level.rows**2 * max(64, max(map(abs, level.as_tuples()[0])).bit_length()) for level in levels)
+            assert weight <= _LEVEL_BUDGET // 2
 
 
 def test_det_condensation_pivot_skips_leading_zero():
