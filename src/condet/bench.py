@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .condense import CondensationStep, DetResult, det_condensation
 from .matrix import Matrix, _field, _is_json, _json_object, _require_square
-from .oracle import _WORK_BUDGET, _work, det_bareiss, det_cofactor, det_gauss_rational
+from .oracle import _LEVEL_BUDGET, _WORK_BUDGET, _level_weight, _work, det_bareiss, det_cofactor, det_gauss_rational
 from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, ScalarKind, _echo, bit_length
 
 __all__ = [
@@ -207,10 +207,21 @@ class BenchConfig(_BenchConfigFields):
                 raise ValueError(f"unknown method {_echo(name)}; known: {', '.join(BENCH_METHODS)}")
         # A trial runs every method at every size, each run with some 64
         # units (about 8 us) of bookkeeping besides its determinant.
-        per_trial = sum(64 + _work(name, n, entry_bound.bit_length()) for name in methods for n in sizes)
+        bits = entry_bound.bit_length()
+        per_trial = sum(64 + _work(name, n, bits) for name in methods for n in sizes)
         if trials_per_size > _WORK_BUDGET / per_trial:
             raise ValueError(f"config asks for {trials_per_size} trials of an estimated {per_trial:.3g}"
                              f" work units each, over the budget of {_WORK_BUDGET:.0e}")
+        # The bench's condensation is traced, so each of its levels answers to the level budget.  An entry
+        # of level t is a 2x2 determinant of level t - 1: at most (bits + 1) * 2**t - 1 bits.  Level 64
+        # of size 3 or more is past the budget.
+        if "condensation" in methods:
+            for n in sizes:
+                levels = range(min(n - 2, 64))
+                weight = max([_level_weight(n - t, ((bits + 1) << t) - 1) for t in levels], default=0)
+                if weight > _LEVEL_BUDGET:
+                    raise ValueError(f"condensation at size {n} may trace a level of up to {weight:.3g}"
+                                     f" bit-entries, past the budget of {_LEVEL_BUDGET:.0e} a level")
         return super().__new__(cls, sizes, trials_per_size, entry_bound, seed, methods)
 
     @classmethod

@@ -29,12 +29,13 @@ Dodgson, Proc. R. Soc. 15, 1866): entry (r, c) of level t is then the
 minor of A on rows 1..t and t+1+r and on the columns of the t pivots
 so far plus the source column of c, in increasing order and with no
 sign, so entries stay below the Hadamard bound and the last 1x1 level
-is det(A) itself.  It goes down two levels per pass in
-``_condense_twice``: Bareiss's two-step method, which builds each entry
-from a bordered 3x3 minor with one exact division, by 1 on the first
-pass as in Bareiss's first stage.  So a float determinant, traced or
-not, is exact until one final, correctly rounded division, and a float
-trace records each scalar of its exact levels rounded once.
+is det(A) itself.  One loop, ``_divided_levels``, goes down two levels
+per pass by Bareiss's two-step method: it builds row 1 of the level
+between, then each entry of the level after from a bordered 3x3 minor,
+every entry with one exact division, by 1 on the first pass as in
+Bareiss's first stage.  So a float determinant, traced or not, is exact
+until one final, correctly rounded division, and a float trace records
+each scalar of its exact levels rounded once.
 
 ``dodgson_identity_residual`` evaluates the classical Dodgson
 (Desnanot-Jacobi) minor identity through the independent oracles,
@@ -53,7 +54,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 from .matrix import (
     Matrix, PivotSpec, _field, _is_json, _json_object, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
 )
-from .oracle import _LEVEL_BUDGET, _OverBudget, _integer_matrix, det_bareiss
+from .oracle import _LEVEL_BUDGET, _OverBudget, _integer_matrix, _level_weight, det_bareiss
 from .scalars import (
     FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo
 )
@@ -142,106 +143,6 @@ def _condense_rows(src: Sequence[Sequence], k: int, l: int) -> List[tuple]:
         right = [top_l * b - t * bottom_l for t, b in zip(top[l + 1 :], bottom[l + 1 :])]
         data.append(tuple(left + right))
     return data
-
-
-def _condense_twice(
-    src: Sequence[Sequence[int]],
-    l: int,
-    strategy: PivotStrategy,
-    divisor: int,
-    level: int,
-    column: Optional[int],
-) -> Tuple[List[int], Optional[int], Optional[List[tuple]]]:
-    """Two Sylvester-divided levels of the integer rows ``src`` (level
-    ``level``, size s) in one pass: Bareiss's two-step method (Math.
-    Comp. 22, 1968).  ``l`` is the 0-based pivot column in row 1 of
-    ``src`` and ``divisor`` D the pivot of level ``level - 1``, found at
-    column ``column`` of its row 1; level 0 has D = 1 and no column, as
-    Bareiss's first stage divides by a previous pivot of 1.
-
-    With X0, X1 the first two rows of ``src``, p = X0[l] and q = X1[l],
-    row 1 of level ``level + 1`` is the kernel's one-step row,
-    ``(X0[c]*q - p*X1[c]) / D`` left of l and ``(p*X1[c] - X0[c]*q) / D``
-    right of it.  Its pivot, picked by ``strategy`` at column m, is cc,
-    and u < v are the source columns of l and m.  Each later row R
-    gives two coefficients and an entry of level ``level + 2`` at every
-    other column c:
-
-        a = (X1[u]*R[v] - X1[v]*R[u]) / D
-        b = (X0[u]*R[v] - X0[v]*R[u]) / D
-        entry = +-(X0[c]*a - X1[c]*b + R[c]*cc) / D,  minus iff u < c < v
-
-    Why: by Sylvester's identity a 2x2 minor of ``src`` on columns in
-    increasing order is D times a minor of A, and a 3x3 one D**2 times
-    a minor of A.  cc, a and b are the 2x2 minors on columns u, v of
-    rows (1, 2), (2, R) and (1, R) over D, and expanding the 3x3 minor
-    on rows 1, 2, R and the sorted columns {u, v, c} along column c
-    gives D times the bracket, with the minus of c's middle place.  So
-    the entry is that 3x3 minor over D**2, the same minor of A that two
-    one-step levels reach; their division by p cancels.  An entry costs
-    3 multiplications, 2 additions and 1 division, where two one-step
-    levels cost 4, 2 and 2.
-
-    Each division, level 0's by 1 included, is exact and tested inline;
-    a nonzero remainder raises ``ExactDivisionError`` naming the level
-    the numerator belongs to (``level + 1`` for row 1 and the
-    coefficients), its bit length and the pivot divided by.  Returns
-    ``(row, m, rows)``: row 1 of level ``level + 1``, its 1-based pivot
-    column and the rows of level ``level + 2``; m and rows are None
-    where the pass stops at row 1, for s = 2 (row 1 is then the 1x1
-    level) or an all-zero row 1.
-    """
-    x0, x1 = src[0], src[1]
-    p, q = x0[l], x1[l]
-    divide = _divmod_for(divisor)  # the divisor is fixed for the pass
-    row = []
-    for t, b in zip(x0[:l], x1[:l]):
-        e, rem = divide(t * q - p * b, divisor)
-        if rem:
-            raise _not_a_multiple(t * q - p * b, divisor, level + 1, column, level - 1)
-        row.append(e)
-    for t, b in zip(x0[l + 1 :], x1[l + 1 :]):
-        e, rem = divide(p * b - t * q, divisor)
-        if rem:
-            raise _not_a_multiple(p * b - t * q, divisor, level + 1, column, level - 1)
-        row.append(e)
-    m = select_pivot(row, strategy) if len(src) > 2 else None
-    if m is None:
-        return row, None, None
-    cc = row[m - 1]
-    j = m - (m <= l)  # column m - 1 of row 1 is column m - 1 or m of src
-    u, v = (l, j) if l < j else (j, l)
-    x0u, x0v, x1u, x1v = x0[u], x0[v], x1[u], x1[v]
-    # Every column but u and v, with the sign of its place folded in.
-    middle = slice(u + 1, v)
-    y0 = [*x0[:u], *map(operator.neg, x0[middle]), *x0[v + 1 :]]
-    y1 = [*x1[:u], *map(operator.neg, x1[middle]), *x1[v + 1 :]]
-    ks = [cc] * u + [-cc] * (v - u - 1) + [cc] * (len(x0) - v - 1)
-    rows = []
-    for r in src[2:]:
-        ru, rv = r[u], r[v]
-        a, rem = divide(x1u * rv - x1v * ru, divisor)
-        if rem:
-            raise _not_a_multiple(x1u * rv - x1v * ru, divisor, level + 1, column, level - 1)
-        b, rem = divide(x0u * rv - x0v * ru, divisor)
-        if rem:
-            raise _not_a_multiple(x0u * rv - x0v * ru, divisor, level + 1, column, level - 1)
-        others = r[:u] + r[middle] + r[v + 1 :]
-        out = []
-        for s, t, k, w in zip(y0, y1, ks, others):
-            e, rem = divide(s * a - t * b + w * k, divisor)
-            if rem:
-                raise _not_a_multiple(s * a - t * b + w * k, divisor, level + 2, column, level - 1)
-            out.append(e)
-        rows.append(tuple(out))
-    return row, m, rows
-
-
-def _not_a_multiple(entry: int, divisor: int, level: int, column: int, source: int) -> ExactDivisionError:
-    return ExactDivisionError(
-        f"divided level {level}: a {entry.bit_length()}-bit entry is not a multiple of the "
-        f"{divisor.bit_length()}-bit pivot (1, {column}) of level {source}"
-    )
 
 
 def condense_at_11(m: Matrix) -> CondensationStep:
@@ -372,11 +273,19 @@ def _reduce_rows(rows: List[tuple], scales: Sequence[int]) -> Tuple[List[tuple],
     return out_rows, out_scales, product
 
 
+def _not_a_multiple(entry: int, divisor: int, level: int, column: int, source: int) -> ExactDivisionError:
+    return ExactDivisionError(
+        f"divided level {level}: a {entry.bit_length()}-bit entry is not a multiple of the "
+        f"{divisor.bit_length()}-bit pivot (1, {column}) of level {source}"
+    )
+
+
 def _divided_levels(
     rows: Sequence[Sequence[int]], strategy: PivotStrategy, ops: OpCounts
 ) -> Iterator[Tuple[Tuple[int, ...], Optional[List[int]], List[tuple]]]:
     """Sylvester-divided condensation of the square integer ``rows``,
-    two levels per pass.
+    two levels per pass: Bareiss's two-step method (Math. Comp. 22,
+    1968), with pivots picked along row 1.
 
     Level t (level 0 being ``rows``) is condensed at the pivot (1, l)
     picked in its first row by ``strategy``; entry (r, c) of level t is
@@ -389,40 +298,95 @@ def _divided_levels(
     1x1 and its entry is det(rows), unless a first row is all zero:
     then det(rows) = 0 and nothing more is yielded.
 
-    Each pass runs ``_condense_twice``, dividing exactly by the pivot
-    of the level before its source, or by 1 on level 0, as Bareiss's
-    first stage does; a size-2 level ends with its one 2x2 minor over
-    that pivot.  Every division is counted, and a nonzero remainder
-    raises ``ExactDivisionError`` naming the level and the pivot
-    divided by.
+    A pass on level t divides by D, the pivot of level t - 1, or by 1
+    on level 0, as Bareiss's first stage does.  With X0, X1 the first
+    two rows of level t and p, q their entries in the pivot column, row
+    1 of level t + 1 is ``(X0[c]*q - p*X1[c]) / D`` at each column c
+    left of the pivot and ``(p*X1[c] - X0[c]*q) / D`` right of it; a
+    size-2 level ends there.  The pivot cc of that row lies over
+    another column of level t, and u < v are the two pivot columns.
+    Each later row R gives two coefficients and an entry of level t + 2
+    at every other column c:
+
+        a = (X1[u]*R[v] - X1[v]*R[u]) / D
+        b = (X0[u]*R[v] - X0[v]*R[u]) / D
+        entry = +-(X0[c]*a - X1[c]*b + R[c]*cc) / D,  minus iff u < c < v
+
+    Why: by Sylvester's identity a 2x2 minor of level t on columns in
+    increasing order is D times a minor of A, and a 3x3 one D**2 times
+    a minor of A.  cc, a and b are the 2x2 minors on columns u, v of
+    rows (1, 2), (2, R) and (1, R) over D, and expanding the 3x3 minor
+    on rows 1, 2, R and the sorted columns {u, v, c} along column c
+    gives D times the bracket, with the minus of c's middle place.  So
+    the entry is that 3x3 minor over D**2, the same minor of A that two
+    one-step levels reach; their division by p cancels.  An entry costs
+    3 multiplications, 2 additions (counted as subtractions) and 1
+    division, where two one-step levels cost 4, 2 and 2.
+
+    Every division is exact, tested inline and counted; a nonzero
+    remainder raises ``ExactDivisionError`` naming the level the
+    numerator belongs to (t + 1 for row 1 and the coefficients), its
+    bit length and the pivot divided by.
     """
-    prev, prev_l = 1, None
-    level = 0
+    divisor, column, level = 1, None, 0
     while len(rows) > 1:
-        l = select_pivot(rows[0], strategy)
+        x0, x1, size = rows[0], rows[1], len(rows)
+        l = select_pivot(x0, strategy)
         if l is None:
             return
-        s = len(rows)
-        row, m, rows = _condense_twice(rows, l - 1, strategy, prev, level, prev_l)
-        # Row 1 of the level between: s - 1 entries of 2 products,
-        # 1 subtraction and 1 division each.
-        ops.multiplications += 2 * (s - 1)
-        ops.subtractions += s - 1
-        ops.divisions += s - 1
-        if s == 2:
+        p, q = x0[l - 1], x1[l - 1]
+        divide = _divmod_for(divisor)  # the divisor is fixed for the pass
+        row = []
+        for t, b in zip(x0[: l - 1], x1[: l - 1]):
+            e, rem = divide(t * q - p * b, divisor)
+            if rem:
+                raise _not_a_multiple(t * q - p * b, divisor, level + 1, column, level - 1)
+            row.append(e)
+        for t, b in zip(x0[l:], x1[l:]):
+            e, rem = divide(p * b - t * q, divisor)
+            if rem:
+                raise _not_a_multiple(p * b - t * q, divisor, level + 1, column, level - 1)
+            row.append(e)
+        ops.multiplications += 2 * (size - 1)
+        ops.subtractions += size - 1
+        ops.divisions += size - 1
+        if size == 2:
             yield (l,), None, [tuple(row)]
             return
+        m = select_pivot(row, strategy)
         if m is None:
             return
-        # Per later row, 2 coefficients like the entries of row 1;
-        # then (s-2)**2 entries of 3 products, 2 additions (counted
-        # as subtractions) and 1 division each.
-        t = s - 2
-        ops.multiplications += 4 * t + 3 * t * t
-        ops.subtractions += 2 * t + 2 * t * t
-        ops.divisions += 2 * t + t * t
-        prev, prev_l = row[m - 1], m
-        level += 2
+        cc = row[m - 1]
+        j = m - (m < l)  # the 0-based column of level t that column m of row 1 lies over
+        u, v = (l - 1, j) if l - 1 < j else (j, l - 1)
+        x0u, x0v, x1u, x1v = x0[u], x0[v], x1[u], x1[v]
+        # Every column but u and v, with the sign of its place folded in.
+        middle = slice(u + 1, v)
+        y0 = [*x0[:u], *map(operator.neg, x0[middle]), *x0[v + 1 :]]
+        y1 = [*x1[:u], *map(operator.neg, x1[middle]), *x1[v + 1 :]]
+        ks = [cc] * u + [-cc] * (v - u - 1) + [cc] * (size - v - 1)
+        built = []
+        for r in rows[2:]:
+            ru, rv = r[u], r[v]
+            a, rem = divide(x1u * rv - x1v * ru, divisor)
+            if rem:
+                raise _not_a_multiple(x1u * rv - x1v * ru, divisor, level + 1, column, level - 1)
+            b, rem = divide(x0u * rv - x0v * ru, divisor)
+            if rem:
+                raise _not_a_multiple(x0u * rv - x0v * ru, divisor, level + 1, column, level - 1)
+            out = []
+            for f0, f1, k, w in zip(y0, y1, ks, r[:u] + r[middle] + r[v + 1 :]):
+                e, rem = divide(f0 * a - f1 * b + w * k, divisor)
+                if rem:
+                    raise _not_a_multiple(f0 * a - f1 * b + w * k, divisor, level + 2, column, level - 1)
+                out.append(e)
+            built.append(tuple(out))
+        # Per later row, 2 coefficients like the entries of row 1, then
+        # size - 2 entries of 3 products, 2 additions and 1 division.
+        ops.multiplications += (size - 2) * (3 * size - 2)
+        ops.subtractions += 2 * (size - 2) * (size - 1)
+        ops.divisions += (size - 2) * size
+        divisor, column, level, rows = cc, m, level + 2, built
         yield (l, m), row, rows
 
 
@@ -468,10 +432,11 @@ def det_condensation(
     case and the pivot-power build-up; the scale and gcd bookkeeping of
     integer rows is representation, not counted.
 
-    ``record_trace=False`` runs ``_divided_levels`` instead, down to the
-    1x1 level that is det(A): no divide-back, no sign, no per-level gcd,
-    and entries that are minors of A; the additions of its passes count
-    as subtractions, and the first pass's divisions by 1 count too.
+    ``record_trace=False`` runs the one loop ``_divided_levels``
+    instead, two levels a pass, down to the 1x1 level that is det(A):
+    no divide-back, no sign, no per-level gcd, and entries that are
+    minors of A; the additions of its passes count as subtractions, and
+    the first pass's divisions by 1 count too.
     Divided levels are not the condensed matrices of the identity above,
     so the trace is empty.
     """
@@ -507,7 +472,7 @@ def det_condensation(
             trace.append(ZeroRowExit(size))
             value = 0
             break
-        weight = size * size * max(64, max(map(abs, row1)).bit_length())
+        weight = _level_weight(size, max(map(abs, row1)).bit_length())
         if weight > _LEVEL_BUDGET:
             raise _OverBudget(f"traced condensation: level {len(trace)} ({size}x{size}) holds about"
                               f" {weight:.3g} bit-entries, past the budget of {_LEVEL_BUDGET:.0e} a level")

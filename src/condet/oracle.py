@@ -89,6 +89,11 @@ class _OverBudget(ValueError):
     """A traced level past ``_LEVEL_BUDGET``: bad input, not a fault."""
 
 
+def _level_weight(size: int, bits: int) -> int:
+    """Weight of a traced level, held to ``_LEVEL_BUDGET``: size**2 times the bits of its row 1, at least 64."""
+    return size * size * max(64, bits)
+
+
 def _level_cost(size: int, bits: float) -> float:
     """Work units of a condensation level or elimination stage: size**2 products."""
     return size * size * (1 + (bits / 128) ** 1.6)

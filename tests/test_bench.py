@@ -30,7 +30,8 @@ from condet import (
     run_bench,
 )
 import condet.bench as bench_module
-from condet.oracle import COFACTOR_SIZE_LIMIT, _level_cost, _work
+import condet.condense as condense_module
+from condet.oracle import COFACTOR_SIZE_LIMIT, _LEVEL_BUDGET, _level_cost, _level_weight, _work
 from condet.cli import EXIT_OK, main, parse_matrix_text
 from conftest import FIXTURES, REPO_ROOT
 
@@ -196,6 +197,64 @@ def test_config_work_charges_each_method_its_own_cost():
     assert BenchConfig.from_dict({**perf, "methods": ["bareiss"]})
     with pytest.raises(ValueError, match="over the budget"):
         BenchConfig.from_dict({**perf, "methods": ["gauss-rational"]})
+
+
+# A traced condensation level t of a corpus matrix holds 2x2
+# determinants of level t - 1, so entries of at most (b + 1) * 2**t - 1
+# bits for entries of b bits.  Per entry bound: the largest size whose
+# levels stay within the level budget, the exact text refusing the next
+# size, and the first size the work estimate refuses.
+TRACED_SIZES = {
+    9: (18, "2.95e+06", 22),
+    1: (19, "2.36e+06", 24),
+    2**31: (15, "2.43e+06", 19),
+}
+
+
+def level_bound(n, bound):
+    bits = bound.bit_length()
+    return max(_level_weight(n - t, ((bits + 1) << t) - 1) for t in range(n - 2))
+
+
+@pytest.mark.parametrize("bound", TRACED_SIZES)
+def test_config_refuses_condensation_sizes_past_the_level_budget(bound):
+    largest, weight, over_work = TRACED_SIZES[bound]
+
+    def config(n, methods=("condensation",)):
+        return BenchConfig(sizes=(3, n), trials_per_size=1, entry_bound=bound, seed=1, methods=methods)
+
+    assert config(largest)
+    message = (f"condensation at size {largest + 1} may trace a level of up to {weight} bit-entries,"
+               " past the budget of 2e+06 a level")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config(largest + 1)
+    for n in range(largest + 1, over_work):
+        with pytest.raises(ValueError, match=f"^condensation at size {n} may trace a level"):
+            config(n)
+        with pytest.raises(ValueError, match=f"^condensation at size {n} may trace a level"):
+            config(n, ("bareiss", "condensation"))
+        assert config(n, ("bareiss",))  # untraced
+    # The work budget is checked first, so its refusals keep their text.
+    with pytest.raises(ValueError, match="^config asks for 1 trials .* over the budget of 1e[+]08$"):
+        config(over_work)
+    assert level_bound(18, 9) == 9 * ((5 << 15) - 1)  # 1.47e6, at the last level of size 3
+
+
+@pytest.mark.parametrize("bound", TRACED_SIZES)
+def test_corpus_at_the_largest_accepted_size_stays_under_its_level_bound(monkeypatch, bound):
+    # Ten corpus matrices at each bound's largest size run traced, and
+    # no level they condense weighs more than the bound the config used.
+    n = TRACED_SIZES[bound][0]
+    weights = []
+
+    def spy(size, bits):
+        weights.append(_level_weight(size, bits))
+        return weights[-1]
+
+    monkeypatch.setattr(condense_module, "_level_weight", spy)
+    records = run_bench(BenchConfig(sizes=(n,), trials_per_size=10, entry_bound=bound, seed=1, methods=("condensation",)))
+    assert len(records) == 10 and weights
+    assert max(weights) <= level_bound(n, bound) <= _LEVEL_BUDGET
 
 
 def test_pinned_and_default_configs_stay_far_below_the_work_limit():

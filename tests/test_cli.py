@@ -1060,8 +1060,9 @@ def test_write_failure_after_open_is_user_error(tmp_path, capsys):
 
 def test_bench_condensation_size_cap_is_user_error(tmp_path, capsys):
     # A condensation config is estimated from doubling bits and refused
-    # past the work budget; within it, each traced level of the corpus
-    # still answers to the level budget.
+    # past the work budget; within it, a size whose traced levels may
+    # pass the level budget is refused too, before any run, so a report
+    # already at --out stays as it was.
     cfg = {**BENCH_CFG, "sizes": [3, 22], "methods": ["condensation"]}
     path = write(tmp_path, "cfg.json", json.dumps(cfg))
     assert main(["bench", path]) == EXIT_USER_ERROR
@@ -1069,13 +1070,15 @@ def test_bench_condensation_size_cap_is_user_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: bench config {path}: config asks for 1 trials of an estimated")
     path = write(tmp_path, "cfg20.json", json.dumps({**cfg, "sizes": [3, 20]}))
-    assert main(["bench", path]) == EXIT_USER_ERROR
+    out = write(tmp_path, "report.csv", "an old report\n")
+    assert main(["bench", path, "--out", out]) == EXIT_USER_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: bench: traced condensation: level 16 (4x4) holds about 2.5e+06 bit-entries,"
+        f"error: bench config {path}: condensation at size 20 may trace a level of up to 5.9e+06 bit-entries,"
         " past the budget of 2e+06 a level\n"
     )
+    assert Path(out).read_text() == "an old report\n"
 
 
 BENCH_CFG = {"sizes": [3], "trials_per_size": 1, "entry_bound": 9, "seed": 1, "methods": ["bareiss"]}

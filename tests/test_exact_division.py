@@ -3,6 +3,7 @@ that uses it: ``IntegerKind.exact_div`` sends divisors longer than
 ``scalars._RECURSIVE_DIV_BITS`` through Burnikel-Ziegler recursive
 division, which must agree with the builtin ``divmod`` everywhere."""
 
+import itertools
 import random
 import sys
 
@@ -170,25 +171,30 @@ def test_condensation_past_the_cutoff_matches_bareiss_and_closed_form_counts(str
 
 # --- divide-back errors carry their level ------------------------------------
 
+# Seed 3 reaches a pivot at column 2 on its first level.
+FAULT_MATRIX = random_integer_matrix(6, 9, SplitMix64(3))
+
+
 def _off_by_one_at(monkeypatch, size, division=0):
-    """Make the condensation of the size-``size`` level come out one off;
-    returns the list the faulty rows land in, as an integer matrix (the
-    driver condenses integer rows for the integer and the rational kind
-    alike).
+    """Make the condensation of the size-``size`` level of
+    ``FAULT_MATRIX`` come out one off; returns the list the faulty rows
+    land in, as an integer matrix (``det_condensation`` condenses
+    integer rows for the integer and the rational kind alike).
 
     An undivided level, which a traced run condenses, gets entry (1, 1)
     of its condensed matrix plus 1.  A divided pass divides each
-    numerator as the kernel computes it, so there numerator number
-    ``division`` (0-based, in the order the kernel divides them) of the
-    pass on the size-``size`` level is made one too large before it is
-    divided, and the list holds the source rows of that pass instead.
-    The first pass divides by 1, which cannot fail, so a numerator
-    corrupted there surfaces in a later pass."""
+    numerator as it computes it, and calls ``_divmod_for`` once, when it
+    starts: call i (0-based) is the pass on level 2i.  So there
+    numerator number ``division`` (0-based, in the order the pass
+    divides them) of the pass on the size-``size`` level is made one too
+    large before it is divided, and the list stays empty.  The first
+    pass divides by 1, which cannot fail, so a numerator corrupted there
+    surfaces in a later pass."""
     inner = condense_module._condense_rows
-    inner_twice = condense_module._condense_twice
     divmod_for = condense_module._divmod_for
     faulty = []
-    countdown = []  # while the pass runs: divisions left before the faulty one
+    passes = itertools.count()
+    faulty_pass = (FAULT_MATRIX.rows - size) // 2
 
     def condense_rows(src, k, l):
         if len(src) != size or faulty:
@@ -198,37 +204,21 @@ def _off_by_one_at(monkeypatch, size, division=0):
         faulty.append(Matrix(rows, INTEGER))
         return [tuple(row) for row in rows]
 
-    def condense_twice(src, *args):
-        if len(src) != size or faulty:
-            return inner_twice(src, *args)
-        faulty.append(Matrix(src, INTEGER))
-        countdown.append(division)
-        try:
-            return inner_twice(src, *args)
-        finally:
-            countdown.clear()
-
     def off_by_one_divmod_for(b):
         divide = divmod_for(b)
+        if next(passes) != faulty_pass:
+            return divide
+        countdown = [division]  # divisions left before the faulty one
 
         def bumped(a, b):
-            if countdown:
-                countdown[0] -= 1
-                if countdown[0] < 0:
-                    countdown.clear()
-                    a += 1
-            return divide(a, b)
+            countdown[0] -= 1
+            return divide(a + (countdown[0] == -1), b)
 
         return bumped
 
     monkeypatch.setattr(condense_module, "_condense_rows", condense_rows)
-    monkeypatch.setattr(condense_module, "_condense_twice", condense_twice)
     monkeypatch.setattr(condense_module, "_divmod_for", off_by_one_divmod_for)
     return faulty
-
-
-# Seed 3 reaches a pivot at column 2 on its first level.
-FAULT_MATRIX = random_integer_matrix(6, 9, SplitMix64(3))
 
 
 def _check_divide_back_error(monkeypatch, size, kind):
@@ -361,15 +351,15 @@ def test_divided_condensation_divides_recursively_past_the_cutoff(monkeypatch, n
     # _RECURSIVE_DIV_BITS.  A pass on a size-s level divides s - 1
     # entries of row 1 of the level below, two coefficients per later
     # row and (s - 2)**2 entries: s**2 - s - 1 numerators, each through
-    # the recursive division, called from the kernel itself.
+    # the recursive division, called from the pass itself.
     rng = random.Random(7000 + n)
     m = Matrix([[rng.choice((-1, 1)) * rng.randrange(2**6999, 2**7000) for _ in range(n)] for _ in range(n)], INTEGER)
     divisors = []
     inner = scalars_module._divmod_recursive
-    kernel = condense_module._condense_twice.__code__
+    loop = condense_module._divided_levels.__code__
 
     def spy(a, b):
-        if sys._getframe(1).f_code is kernel:  # not the recursion's own calls
+        if sys._getframe(1).f_code is loop:  # not the recursion's own calls
             divisors.append(b.bit_length())
         return inner(a, b)
 
