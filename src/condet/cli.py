@@ -52,13 +52,13 @@ from .condense import (
     dodgson_identity_residual,
     trace_document,
 )
-from .matrix import Matrix, PivotSpec, matrix_from_doc, remove_rows_cols
+from .matrix import Matrix, PivotSpec, _read_row, matrix_from_doc, remove_rows_cols
 # det_cofactor and det_gauss_rational run through METHODS; they stay
 # importable from this module alongside det_bareiss and det_condensation.
 from .oracle import (
     _WORK_BUDGET, _OverBudget, _adjugate, _integer_matrix, _work, det_bareiss, det_cofactor, det_gauss_rational
 )
-from .scalars import FLOAT, INTEGER, KINDS, RATIONAL, ScalarKind, ScalarParseError
+from .scalars import FLOAT, INTEGER, KINDS, ScalarKind
 
 __all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "UsageError", "MatrixFileError"]
 
@@ -79,79 +79,38 @@ class MatrixFileError(UsageError):
     """A matrix file that cannot be parsed; the message locates the problem."""
 
 
-def _rational_cell(cell: str) -> Fraction:
-    num, slash, den = cell.partition("/")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-
-
-# The reader of one cell of a kind, called on every cell of a row.
-# On a cell with no "_" (which int() and float() accept and no kind
-# does), int() accepts exactly the integer kind's text: an optional sign
-# and Unicode decimal digits, raising past the int/str digit limit
-# where the kind still reads the value.  _rational_cell reads the
-# rational kind's p/q and integer text with int() on each side of the
-# slash, and raises ZeroDivisionError on a zero denominator; decimal
-# text such as 0.5 it refuses.  float() accepts the float kind's
-# decimal text and also nan, inf and infinity, and it turns text past
-# the double range into inf: only a row of finite floats is kept.  A
-# row its reader refuses is parsed cell by cell with kind.parse, which
-# also locates a bad entry.
-_ROW_READERS = {INTEGER: int, FLOAT: float, RATIONAL: _rational_cell}
-
-
 def parse_matrix_text(text: str, kind: ScalarKind) -> Matrix:
-    """Parse matrix text (plain rows or the JSON object form)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse matrix text (plain rows or the JSON object form) of at least one row."""
+    if text.lstrip().startswith("{"):
         try:
-            return matrix_from_doc(json.loads(text), kind)
+            m = matrix_from_doc(json.loads(text), kind)
         except ValueError as exc:  # json.JSONDecodeError is one
             raise MatrixFileError(f"JSON matrix file: {exc}") from exc
         except RecursionError:
             raise MatrixFileError("JSON matrix file: nested too deeply to read") from None
-    read = _ROW_READERS.get(kind)
-    rows: List[tuple] = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "," in line:
-            cells = []
-            for field in line.split(","):
-                entries = field.split()
-                if not entries:
-                    raise MatrixFileError(f"line {lineno}, entry {len(cells) + 1}: empty entry")
-                cells += entries
-        else:
-            cells = line.split()
-            if not cells:
-                continue
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MatrixFileError(
-                f"line {lineno}: row has {len(cells)} entries, previous rows have {width}"
-            )
-        row = None
-        if read is not None and "_" not in line:
-            try:
-                row = [*map(read, cells)]
-            except (ValueError, ZeroDivisionError):
-                pass
+    else:
+        rows: List[tuple] = []
+        width = None
+        bad_cell = lambda col, exc: MatrixFileError(f"line {lineno}, entry {col}: {exc}")  # of the line being read
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "," in line:
+                cells = []
+                for field in line.split(","):
+                    entries = field.split()
+                    if not entries:
+                        raise MatrixFileError(f"line {lineno}, entry {len(cells) + 1}: empty entry")
+                    cells += entries
             else:
-                if read is float and not all(map(math.isfinite, row)):
-                    row = None
-        if row is None:
-            row = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    row.append(kind.parse(cell))
-                except ScalarParseError as exc:
-                    raise MatrixFileError(f"line {lineno}, entry {col}: {exc}") from exc
-        # Built from a list, as in Matrix.__init__.
-        rows.append(tuple(row))
-    if not rows:
+                cells = line.split()
+                if not cells:
+                    continue
+            if len(cells) != (width := width or len(cells)):
+                raise MatrixFileError(f"line {lineno}: row has {len(cells)} entries, previous rows have {width}")
+            rows.append(_read_row(cells, kind, bad_cell, "_" not in line))
+        m = Matrix._trusted(rows, kind, width or 0)
+    if not m.rows:
         raise MatrixFileError("matrix file has no rows")
-    # kind.parse and the row readers return what kind.check would.
-    return Matrix._trusted(rows, kind, width)
+    return m
 
 
 def _read_text(path: str) -> str:

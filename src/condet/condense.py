@@ -52,11 +52,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .matrix import (
-    Matrix, PivotSpec, _field, _is_json, _json_object, _require_square, matrix_from_doc, matrix_to_doc, remove_rows_cols
+    Matrix, PivotSpec, _field, _is_json, _json_object, _read_row, _require_square, matrix_from_doc, matrix_to_doc,
+    remove_rows_cols,
 )
 from .oracle import _LEVEL_BUDGET, _OverBudget, _integer_matrix, _level_weight, det_bareiss
 from .scalars import (
-    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, ScalarParseError, _divmod_for, _echo
+    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, _divmod_for, _echo
 )
 
 __all__ = [
@@ -541,15 +542,13 @@ def _is_pivot(value) -> bool:
 
 def _read_scalar(obj: dict, name: str, kind: ScalarKind, where: str) -> Scalar:
     text = _field(obj, name, where, lambda v: isinstance(v, str), "a string")
-    try:
-        return kind.parse(text)
-    except ScalarParseError as exc:
-        raise ValueError(f"{where}'{name}': {exc}") from exc
+    return _read_row([text], kind, lambda col, exc: ValueError(f"{where}'{name}': {exc}"), "_" not in text)[0]
 
 
 def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ...]]:
     """Rebuild (source matrix, value, steps) from a trace document; a
-    ValueError names the field, unknown key, step or matrix entry at fault.
+    ValueError names the field, unknown key, matrix entry or step at
+    fault; each step must condense the level the step before it built.
     The document's format and each step's kind are read before their
     keys are judged, since the keys a document may hold depend on them."""
     where = "trace document: "
@@ -561,24 +560,32 @@ def trace_from_document(doc: dict) -> Tuple[Matrix, Scalar, Tuple[TraceEntry, ..
     if kind is None:
         raise ValueError(f"unknown scalar kind {_echo(kind_name)}")
     m = matrix_from_doc(_field(doc, "matrix", where), kind, "trace matrix: ")
+    size = m.rows  # of the level the next step condenses
     steps: List[TraceEntry] = []
     step_docs = _field(doc, "steps", where, lambda v: isinstance(v, list), "a list")
     for number, step in enumerate(step_docs, start=1):
         at = f"trace step {number}: "
+        if size <= 2 or steps and isinstance(steps[-1], ZeroRowExit):
+            raise ValueError(f"{at}follows the end of the run at {f'size {size}' if size <= 2 else 'a zero-row exit'}")
         tag = _json_object(step, None, at).get("kind")
         if tag == "zero-row":
             _json_object(step, ("kind", "size"), at)
-            steps.append(ZeroRowExit(_field(step, "size", at, lambda v: _is_json(v, int) and v >= 3, "an integer >= 3")))
+            if _field(step, "size", at, lambda v: _is_json(v, int) and v >= 3, "an integer >= 3") != size:
+                raise ValueError(f"{at}'size' must be {size}, the size of its level, got {_echo(step['size'])}")
+            steps.append(ZeroRowExit(size))
         elif tag == "condense":
             _json_object(step, ("kind", "pivot", "pivot_value", "sign", "condensed"), at)
             k, l = _field(step, "pivot", at, _is_pivot, "a pair of integers >= 1")
             pivot_value = _read_scalar(step, "pivot_value", kind, at)
             _field(step, "sign", at, lambda v: _is_json(v, int) and v == 1, "1")
             condensed = matrix_from_doc(_field(step, "condensed", at), kind, f"trace step {number} condensed matrix: ")
-            size = condensed.rows + 1
+            if not condensed.rows == condensed.cols == size - 1:
+                raise ValueError(f"{at}'condensed' must be {size - 1}x{size - 1}, one size below its size-{size}"
+                                 f" level, got {condensed.rows}x{_echo(condensed.cols)}")
             if max(k, l) > size:
-                raise ValueError(f"{at}'pivot' must lie within its size-{size} level, got {[k, l]!r}")
+                raise ValueError(f"{at}'pivot' must lie within its size-{size} level, got {_echo([k, l])}")
             steps.append(CondensationStep(PivotSpec(k, l), pivot_value, condensed))
+            size -= 1
         else:
             raise ValueError(f"unknown trace step kind {_echo(tag)}")
     value = _read_scalar(doc, "value", kind, where)

@@ -6,19 +6,21 @@ off-by-one in a single place (this module).  A :class:`Matrix` is
 immutable: helpers return new instances.
 
 Besides the container this module holds minor extraction
-(`remove_rows_cols`) and the one JSON form of a matrix, the object
-``{"rows": R, "cols": C, "entries": [...]}`` with entry texts in
-row-major order, that matrix files and trace documents share
-(`matrix_to_doc` / `matrix_from_doc`), and the two checks every JSON
-object condet reads goes through, matrix, bench config and trace
-document alike (`_json_object` / `_field`).
+(`remove_rows_cols`), the reader of a row of cell texts that every
+matrix file and trace document goes through (`_read_row`), the JSON
+form of a matrix ``{"rows": R, "cols": C, "entries": [...]}`` with entry
+texts in row-major order (`matrix_to_doc` / `matrix_from_doc`), and the
+two checks every JSON object condet reads goes through, matrix, bench
+config and trace document alike (`_json_object` / `_field`).
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .scalars import Scalar, ScalarKind, ScalarParseError, _echo
+from .scalars import FLOAT, INTEGER, RATIONAL, Scalar, ScalarKind, ScalarParseError, _echo
 
 __all__ = [
     "PivotSpec",
@@ -66,12 +68,10 @@ class Matrix:
 
     @classmethod
     def _trusted(cls, data: list, kind: ScalarKind, cols: int) -> "Matrix":
-        """Wrap rectangular rows of values already valid for ``kind``.
-
-        Skips the per-entry ``kind.check``, which is the identity on
-        differences of products of checked entries; the condensation
-        kernel builds its results that way.
-        """
+        """Wrap rectangular rows of values already valid for ``kind``,
+        skipping the per-entry ``kind.check``: it is the identity on what
+        `_read_row` returns and on differences of products of checked
+        entries, which the condensation kernel builds."""
         m = object.__new__(cls)
         m._data = tuple(data)
         m._cols = cols
@@ -116,8 +116,7 @@ class Matrix:
         return [list(row) for row in self._data]
 
     def transpose(self) -> "Matrix":
-        flipped = tuple(zip(*self._data)) if self._data else ()
-        return Matrix(flipped, self._kind, cols=self.rows)
+        return Matrix._trusted(list(zip(*self._data)), self._kind, self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -213,25 +212,58 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
+def _rational_cell(cell: str) -> Fraction:
+    num, slash, den = cell.partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+
+
+# The reader of one cell of a kind.  On text with no "_" (which int()
+# and float() take and no kind does), int() takes exactly the integer
+# kind's text, signed Unicode decimal digits, but raises past the int/str
+# digit limit; _rational_cell reads p/q and integers by int() on each side
+# of the slash and refuses decimals such as 0.5; float() also takes nan
+# and inf and turns text past the double range into inf, which is refused.
+_ROW_READERS = {INTEGER: int, FLOAT: float, RATIONAL: _rational_cell}
+
+
+def _read_row(cells: Sequence[str], kind: ScalarKind, error: Callable[[int, Exception], Exception], plain: bool) -> tuple:
+    """What ``kind.parse`` gives each of a row of cell texts (or of a JSON
+    matrix's entries, row-major): by a ``_ROW_READERS`` call per cell if
+    no cell holds a ``_`` (``plain``) and the calls take them all, else
+    cell by cell; a bad cell raises ``error(col, exc)``, col from 1."""
+    read = _ROW_READERS.get(kind)
+    if read is not None and plain:
+        try:
+            row = [*map(read, cells)]
+            if read is not float or all(map(math.isfinite, row)):
+                return tuple(row)  # built from a list, as in Matrix.__init__
+        except (ValueError, ZeroDivisionError):
+            pass
+    row = []
+    for col, cell in enumerate(cells, start=1):
+        try:
+            row.append(kind.parse(cell))
+        except ScalarParseError as exc:
+            raise error(col, exc) from exc
+    return tuple(row)
+
+
 def matrix_from_doc(doc, kind: ScalarKind, where: str = "") -> Matrix:
     """Read the JSON object written by :func:`matrix_to_doc`; anything
     else, an unknown key included, raises a ValueError that starts with
     ``where`` and names the key, or the entry by its 1-based row-major
-    position, at fault."""
+    position, at fault.  The shape is checked before any entry is read."""
     _json_object(doc, ("rows", "cols", "entries"), where)
     rows, cols = (_field(doc, name, where, lambda v: _is_json(v, int), "an integer") for name in ("rows", "cols"))
     entries = _field(doc, "entries", where, lambda v: isinstance(v, list), "a list")
-    for name, size in (("rows", rows), ("cols", cols)):
-        if size < 0:
-            raise ValueError(f"{where}claims {name} = {size}, must be >= 0")
-    parsed = []
+    for name, size, least in (("rows", rows, 0), ("cols", cols, 1 if rows else 0)):
+        if size < least:
+            raise ValueError(f"{where}claims {name} = {_echo(size)}, must be >= {least}")
+    if len(entries) != rows * cols:
+        raise ValueError(f"{where}claims {_echo(rows)}x{_echo(cols)} = {_echo(rows * cols)} entries, got {len(entries)}")
     for idx, cell in enumerate(entries, start=1):
         if not isinstance(cell, str):
             raise ValueError(f"{where}entry {idx} (row-major): must be a string, got {_echo(cell)}")
-        try:
-            parsed.append(kind.parse(cell))
-        except ScalarParseError as exc:
-            raise ValueError(f"{where}entry {idx} (row-major): {exc}") from exc
-    if len(parsed) != rows * cols:
-        raise ValueError(f"{where}claims {rows}x{cols} = {rows * cols} entries, got {len(parsed)}")
-    return Matrix([parsed[r * cols : (r + 1) * cols] for r in range(rows)], kind, cols=cols)
+    bad_entry = lambda idx, exc: ValueError(f"{where}entry {idx} (row-major): {exc}")
+    values = _read_row(entries, kind, bad_entry, "_" not in "".join(entries))
+    return Matrix._trusted([values[start : start + cols] for start in range(0, len(values), cols or 1)], kind, cols)

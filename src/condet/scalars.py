@@ -57,8 +57,9 @@ _ECHO_LIMIT = 100
 
 def _echo(value) -> str:
     """``repr(value)`` for an error message, cut to its first
-    ``_ECHO_LIMIT`` characters plus ``… (N characters)`` when longer."""
-    text = repr(value)
+    ``_ECHO_LIMIT`` characters plus ``… (N characters)`` when longer;
+    an int past the int/str digit limit is written out in full first."""
+    text = _int_text(value) if isinstance(value, int) else repr(value)
     if len(text) <= _ECHO_LIMIT:
         return text
     return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"

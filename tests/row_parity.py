@@ -1,14 +1,17 @@
 """Row parsing against cell-by-cell parsing, on edge cells.
 
-``parse_matrix_text`` reads a row of integer or float cells with one
-``int()`` or ``float()`` call per cell, and a row of rational cells
-with ``int()`` on each side of a cell's ``/`` (``cli._rational_cell``),
-and parses the row cell by cell with ``kind.parse`` only where that
-fails.  Each cell here is read both
-ways, alone and next to a plain cell, and must give equal values
-(floats compared by ``repr``) or the same located message.  The
-builtins' grammar is the interpreter's, so this runs on every supported
-Python, test tools or not:
+Matrix files of both shapes and trace documents read their cells
+through one row reader, ``condet.matrix._read_row``: a row of integer
+or float cells with one ``int()`` or ``float()`` call per cell, a row
+of rational cells with ``int()`` on each side of a cell's ``/``
+(``matrix._rational_cell``), and the row cell by cell with
+``kind.parse`` only where that fails.  Each cell here is read both
+ways, alone and next to a plain cell, as a plain-text row through
+``parse_matrix_text`` and as a one-row JSON matrix through
+``matrix_from_doc``, and must give equal values (floats compared by
+``repr``) or the same located message.  The builtins' grammar is the
+interpreter's, so this runs on every supported Python, test tools or
+not:
 
     PYTHONPATH=src:tests python -c 'import row_parity; row_parity.main()'
 """
@@ -19,6 +22,7 @@ from fractions import Fraction
 
 from condet import FLOAT, INTEGER, RATIONAL, ScalarParseError
 from condet.cli import MatrixFileError, parse_matrix_text
+from condet.matrix import matrix_from_doc
 
 EDGE_CELLS = [
     # signs and plain forms
@@ -52,14 +56,15 @@ def numeric_characters():
     return [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isnumeric()]
 
 
-def _cellwise(kind, cells):
-    # What parsing the row cell by cell gives: values or a located message.
+def _cellwise(kind, cells, where):
+    # What parsing the row cell by cell gives: values or the message
+    # locating the first bad cell, ``where`` being its location format.
     values = []
     for col, cell in enumerate(cells, start=1):
         try:
             values.append(kind.parse(cell))
         except ScalarParseError as exc:
-            return f"line 1, entry {col}: {exc}"
+            return f"{where.format(col)}: {exc}"
     return values
 
 
@@ -73,7 +78,7 @@ def _key(values):
 
 def differences(kinds=(INTEGER, FLOAT, RATIONAL), cells=None):
     """``(kind, row, by row, cell by cell)`` for every row on which the
-    two ways disagree."""
+    two ways disagree, the row read as plain text or as JSON."""
     if cells is None:
         cells = EDGE_CELLS + numeric_characters()
     found = []
@@ -84,9 +89,16 @@ def differences(kinds=(INTEGER, FLOAT, RATIONAL), cells=None):
                     got = list(parse_matrix_text(" ".join(row) + "\n", kind).row(1))
                 except MatrixFileError as exc:
                     got = str(exc)
-                want = _cellwise(kind, row)
+                want = _cellwise(kind, row, "line 1, entry {}")
                 if _key(got) != _key(want):
                     found.append((kind.name, row, got, want))
+                try:
+                    got = list(matrix_from_doc({"rows": 1, "cols": len(row), "entries": row}, kind).row(1))
+                except ValueError as exc:
+                    got = str(exc)
+                want = _cellwise(kind, row, "entry {} (row-major)")
+                if _key(got) != _key(want):
+                    found.append((f"{kind.name} JSON", row, got, want))
     return found
 
 

@@ -139,9 +139,24 @@ def test_deeply_nested_json_matrix_file_is_user_error(tmp_path, capsys):
     assert captured.err == "error: JSON matrix file: nested too deeply to read\n"
 
 
-def test_parse_empty_file():
+def test_parse_empty_file(tmp_path, capsys):
     with pytest.raises(MatrixFileError, match="no rows"):
         parse_matrix_text("   \n", INTEGER)
+    # One emptiness rule for both shapes: a JSON matrix of no rows too.
+    for text in ("   \n", '{"rows": 0, "cols": 0, "entries": []}', '{"rows": 0, "cols": 3, "entries": []}'):
+        assert main(["det", write(tmp_path, "m.txt", text)]) == EXIT_USER_ERROR
+        assert capsys.readouterr() == ("", "error: matrix file has no rows\n")
+
+
+def test_json_shape_is_checked_before_anything_is_built(tmp_path, capsys):
+    # 44 bytes that claim 30,000,000 rows of no columns: refused at once,
+    # naming the field, as is a 2x2 claim that holds 10**6 entries.
+    for doc, message in (
+        ('{"rows": 30000000, "cols": 0, "entries": []}', "claims cols = 0, must be >= 1"),
+        (json.dumps({"rows": 2, "cols": 2, "entries": ["x"] * 10**6}), "claims 2x2 = 4 entries, got 1000000"),
+    ):
+        assert main(["det", write(tmp_path, "m.json", doc)]) == EXIT_USER_ERROR
+        assert capsys.readouterr() == ("", f"error: JSON matrix file: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -1029,11 +1029,12 @@ def test_trace_document_rejects_malformed_zero_row_size(value, message):
 @pytest.mark.parametrize(
     "where, field, value, message",
     [
-        ("matrix", "entries", ["1", 2, "3", "4"], r"trace matrix: entry 2 \(row-major\): must be a string, got 2"),
+        # Shaped as claimed: a count that does not match is refused before any entry is read.
+        ("matrix", "entries", ["1", 2] + ["3"] * 7, r"trace matrix: entry 2 \(row-major\): must be a string, got 2"),
         ("matrix", "rows", None, "trace matrix: missing 'rows'"),
         ("matrix", "entries", "1234", "trace matrix: 'entries' must be a list, got '1234'"),
         ("matrix", "cols", "2", "trace matrix: 'cols' must be an integer, got '2'"),
-        ("step", "entries", ["x"], r"trace step 1 condensed matrix: entry 1 \(row-major\): not an integer"),
+        ("step", "entries", ["x", "1", "1", "1"], r"trace step 1 condensed matrix: entry 1 \(row-major\): not an integer"),
         ("step", "rows", None, "trace step 1 condensed matrix: missing 'rows'"),
     ],
 )
@@ -1047,3 +1048,46 @@ def test_trace_document_rejects_malformed_matrices(where, field, value, message)
         target[field] = value
     with pytest.raises(ValueError, match=message):
         trace_from_document(doc)
+
+
+def _chain_cases():
+    # (source rows, edit of the trace document, message); each edit
+    # breaks the rule that step i condenses the level step i - 1 built.
+    square = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    zero_row = [[0, 0, 0], [1, 2, 3], [4, 5, 6]]
+
+    def condensed(rows, cols):
+        return lambda doc: doc["steps"][0].update(condensed={"rows": rows, "cols": cols, "entries": ["1"] * (rows * cols)})
+
+    return [
+        (square, condensed(1, 3), "trace step 1: 'condensed' must be 2x2, one size below its size-3 level, got 1x3"),
+        (square, condensed(3, 3), "trace step 1: 'condensed' must be 2x2, one size below its size-3 level, got 3x3"),
+        (square, condensed(0, 5), "trace step 1: 'condensed' must be 2x2, one size below its size-3 level, got 0x5"),
+        (square, lambda doc: doc["steps"].append(doc["steps"][0]), "trace step 2: follows the end of the run at size 2"),
+        (zero_row, lambda doc: doc["steps"].append(doc["steps"][0]),
+         "trace step 2: follows the end of the run at a zero-row exit"),
+        (zero_row, lambda doc: doc["steps"][0].update(size=4), "trace step 1: 'size' must be 3, the size of its level, got 4"),
+        ([[1, 2], [3, 4]], lambda doc: doc["steps"].append({"kind": "zero-row", "size": 3}),
+         "trace step 1: follows the end of the run at size 2"),
+    ]
+
+
+@pytest.mark.parametrize("rows, edit, message", _chain_cases())
+def test_trace_document_refuses_levels_that_do_not_chain(rows, edit, message):
+    m = Matrix(rows, INTEGER)
+    doc = trace_document(m, det_condensation(m))
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_from_document(doc)
+
+
+def test_trace_document_chains_through_every_level():
+    # Each level one size below the last, down to size 2, and the
+    # 0x0 and 1x1 traces with no step at all, all load.
+    rng = random.Random(31)
+    for n in range(0, 9):
+        m = random_int_matrix(rng, n) if n else Matrix([], INTEGER)
+        result = det_condensation(m)
+        m2, value, steps = trace_from_document(trace_document(m, result))
+        assert (m2, value, steps) == (m, result.value, result.trace)
+        assert [s.condensed.rows for s in steps if isinstance(s, CondensationStep)] == list(range(n - 1, 1, -1))[: len(steps)]

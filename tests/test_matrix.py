@@ -214,6 +214,20 @@ def test_matrix_from_doc_reshapes_and_rejects_bad_dimensions():
         matrix_from_doc({"rows": 2, "cols": 2, "entries": ["1", "2", "3"]}, INTEGER)
     with pytest.raises(ValueError, match="must be a JSON object, got list"):
         matrix_from_doc([1, 2, 3, 4], INTEGER)
+    # The shape is checked first: no row is built for a claim the
+    # entries cannot fill, and no entry is read.
+    with pytest.raises(ValueError, match=r"^claims cols = 0, must be >= 1$"):
+        matrix_from_doc({"rows": 30_000_000, "cols": 0, "entries": []}, INTEGER)
+    with pytest.raises(ValueError, match=r"^claims 2x2 = 4 entries, got 5$"):
+        matrix_from_doc({"rows": 2, "cols": 2, "entries": ["x", 1, "3", "4", "5"]}, INTEGER)
+    assert matrix_from_doc({"rows": 0, "cols": 0, "entries": []}, INTEGER) == Matrix([], INTEGER)
+    # Dimensions are echoed capped, their product too, however long.
+    huge = int("9" * 4000)
+    for doc in ({"rows": 1, "cols": huge, "entries": []}, {"rows": huge, "cols": huge, "entries": []},
+                {"rows": -huge, "cols": 1, "entries": []}):
+        with pytest.raises(ValueError, match="^claims ") as info:
+            matrix_from_doc(doc, INTEGER)
+        assert len(str(info.value)) < 400 and " characters)" in str(info.value)
 
 
 def test_equality_spans_kind_and_data():
