@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .condense import CondensationStep, DetResult, det_condensation
 from .matrix import Matrix, _field, _is_json, _json_object, _require_square
 from .oracle import _LEVEL_BUDGET, _WORK_BUDGET, _level_weight, _work, det_bareiss, det_cofactor, det_gauss_rational
-from .scalars import FLOAT, INTEGER, RATIONAL, OpCounts, Scalar, ScalarKind, _echo, bit_length
+from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _echo, bit_length
 
 __all__ = [
     "SplitMix64",
@@ -138,13 +138,12 @@ def random_rational_matrix(
 
 
 class Method(NamedTuple):
-    """One determinant method: its ``condet det --method`` spelling,
-    how to run it and the scalar kinds it accepts.  What a run may cost
+    """One determinant method: its ``condet det --method`` spelling and
+    how to run it, on a matrix of any scalar kind.  What a run may cost
     is estimated by its key in ``METHODS`` (``oracle._work``)."""
 
     cli_name: str
     run: Callable[[Matrix], DetResult]
-    kinds: Tuple[ScalarKind, ...] = (RATIONAL, INTEGER, FLOAT)
 
 
 def _oracle_result(det: Callable[[Matrix, OpCounts], Scalar], m: Matrix) -> DetResult:
@@ -165,7 +164,7 @@ METHODS: Dict[str, Method] = {
     "condensation": Method("condense", lambda m: det_condensation(m)),
     "cofactor": Method("cofactor", lambda m: _oracle_result(det_cofactor, m)),
     "bareiss": Method("bareiss", lambda m: _oracle_result(det_bareiss, m)),
-    "gauss-rational": Method("gauss", lambda m: _oracle_result(det_gauss_rational, m), kinds=(RATIONAL,)),
+    "gauss-rational": Method("gauss", lambda m: _oracle_result(det_gauss_rational, m)),
 }
 
 BENCH_METHODS = tuple(METHODS)
@@ -187,19 +186,18 @@ class BenchConfig(_BenchConfigFields):
     __slots__ = ()
 
     def __new__(cls, sizes, trials_per_size, entry_bound, seed, methods):
-        sizes = tuple(int(n) for n in sizes)
+        sizes = tuple(sizes)
         methods = tuple(methods)
         if not sizes:
             raise ValueError("config needs at least one size")
-        for n in sizes:
-            if n < 1:
-                raise ValueError(f"matrix size must be >= 1, got {n}")
-        if trials_per_size < 0:
-            raise ValueError(f"trials_per_size must be >= 0, got {trials_per_size}")
-        if entry_bound < 1:
-            raise ValueError(f"entry_bound must be >= 1, got {entry_bound}")
+        for name, value, least in (*(("matrix size", n, 1) for n in sizes), ("trials_per_size", trials_per_size, 0),
+                                   ("entry_bound", entry_bound, 1), ("seed", seed, -math.inf)):
+            if not _is_json(value, int):
+                raise ValueError(f"{name} must be an int, got {_echo(value)}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {_echo(value)}")
         if entry_bound > _ENTRY_BOUND_LIMIT:
-            raise ValueError(f"entry_bound must be <= {_ENTRY_BOUND_LIMIT}, got {entry_bound}")
+            raise ValueError(f"entry_bound must be <= {_ENTRY_BOUND_LIMIT}, got {_echo(entry_bound)}")
         if not methods:
             raise ValueError("config needs at least one method")
         for name in methods:
@@ -210,7 +208,7 @@ class BenchConfig(_BenchConfigFields):
         bits = entry_bound.bit_length()
         per_trial = sum(64 + _work(name, n, bits) for name in methods for n in sizes)
         if trials_per_size > _WORK_BUDGET / per_trial:
-            raise ValueError(f"config asks for {trials_per_size} trials of an estimated {per_trial:.3g}"
+            raise ValueError(f"config asks for {_echo(trials_per_size)} trials of an estimated {per_trial:.3g}"
                              f" work units each, over the budget of {_WORK_BUDGET:.0e}")
         # The bench's condensation is traced, so each of its levels answers to the level budget.  An entry
         # of level t is a 2x2 determinant of level t - 1: at most (bits + 1) * 2**t - 1 bits.  Level 64
@@ -335,25 +333,21 @@ def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
             m = random_integer_matrix(n, cfg.entry_bound, master.split())
             first: Optional[BenchRecord] = None
             for name in cfg.methods:
-                method = METHODS[name]
-                # The corpus is integer; a method without integer
-                # support runs on the same values in its first kind.
-                kind = INTEGER if INTEGER in method.kinds else method.kinds[0]
                 t0 = time.perf_counter_ns()
-                result = method.run(m if kind is INTEGER else Matrix(m.to_rows(), kind))
+                result = METHODS[name].run(m)
                 elapsed = time.perf_counter_ns() - t0
                 ops = result.op_counts
                 record = BenchRecord(
                     method=name,
                     n=n,
                     trial=trial,
-                    scalar_kind=kind.name,
+                    scalar_kind=INTEGER.name,
                     wall_time_ns=elapsed,
                     multiplications=ops.multiplications,
                     subtractions=ops.subtractions,
                     divisions=ops.divisions,
                     max_bit_length_per_level=_condensation_bits(result.trace),
-                    result_digest=kind.format(result.value),
+                    result_digest=INTEGER.format(result.value),
                 )
                 if first is None:
                     first = record

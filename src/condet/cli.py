@@ -33,7 +33,6 @@ import json
 import math
 import operator
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .bench import (
@@ -58,7 +57,7 @@ from .matrix import Matrix, PivotSpec, _read_row, matrix_from_doc, remove_rows_c
 from .oracle import (
     _WORK_BUDGET, _OverBudget, _adjugate, _integer_matrix, _work, det_bareiss, det_cofactor, det_gauss_rational
 )
-from .scalars import FLOAT, INTEGER, KINDS, ScalarKind
+from .scalars import KINDS, ScalarKind, _as_kind
 
 __all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "UsageError", "MatrixFileError"]
 
@@ -153,9 +152,6 @@ def cmd_det(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} is only available with --method condense")
     name = _CLI_METHODS[args.method]
     method = METHODS[name]
-    if kind not in method.kinds:
-        needed = " or ".join(k.name for k in method.kinds)
-        raise UsageError(f"--method {args.method} needs --scalar {needed}")
     strategy = PivotStrategy(args.pivot or PivotStrategy.FIRST_NONZERO.value)
     trace = None
     try:
@@ -202,9 +198,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the condensation identity at (k,l) divides by s_k**(n-2) * S.
     # Both Dodgson products leave rows k and l out once each, so the
     # pair (k,l) divides by S*S / (s_k*s_l).  Residuals turn back into
-    # ``Fraction``s only in ``report``, and every kind passes on an
-    # exact zero residual.  An integer matrix is checked as it is,
-    # every scale being 1.
+    # the matrix's kind only in ``report`` (a float one rounded once),
+    # and every kind passes on an exact zero residual.  An integer
+    # matrix is checked as it is, every scale being 1.
     m, scales, _ = _integer_matrix(m)
     scale = math.prod(scales)
     _check_work("verify", "verify", m)
@@ -255,10 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = residual == 0
         if not ok:
             failures += 1
-        if kind is not INTEGER:
-            residual = Fraction(residual, factor)
-        # A float residual prints as its double, rounded once.
-        text = kind.format(float(residual) if kind is FLOAT else residual)
+        text = kind.format(_as_kind(kind, residual, factor))
         print(f"{'PASS' if ok else 'FAIL'} {label} residual={text}")
 
     def report_condensation(step) -> None:

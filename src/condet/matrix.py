@@ -44,6 +44,8 @@ class Matrix:
     __slots__ = ("_data", "_cols", "_kind")
 
     def __init__(self, rows: Iterable[Sequence], kind: ScalarKind, *, cols: Optional[int] = None):
+        if cols is not None and cols < 0:
+            raise ValueError(f"matrix cols must be >= 0, got {_echo(cols)}")
         data = []
         width = cols
         for lineno, row in enumerate(rows, start=1):

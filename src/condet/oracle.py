@@ -8,7 +8,7 @@ used as ground truth when checking it:
 * ``det_bareiss``    - fraction-free single-pass elimination with row
   pivoting; every division is exact by construction.
 * ``det_gauss_rational`` - plain Gaussian elimination with partial
-  pivoting over rationals.
+  pivoting over rationals, for every kind.
 
 Each routine accepts an optional ``OpCounts`` tally and counts the
 scalar multiplications, subtractions and divisions it actually
@@ -28,11 +28,11 @@ or float matrix (a finite double is m * 2**e) becomes integer rows
 once: each row is scaled by the lcm of its denominators
 (``RationalKind.integer_row``), and the integer determinant over the
 product of the scales is a ``Fraction``, or for floats the double
-nearest it, rounded once (``_nearest_double``).  So float results are
+nearest it, rounded once (``scalars._as_kind``).  So float results are
 the correctly rounded determinants of the doubles, with no float
 arithmetic on the way.  Gaussian elimination runs on
-canonical numerator/denominator pairs of plain ints, each entry
-reduced on its own with the same gcd splits as ``Fraction``, so it
+canonical numerator/denominator pairs of plain ints (any entry's
+``as_integer_ratio()``), each reduced with the gcd splits of ``Fraction``, so it
 holds every entry as its own rational in lowest terms and shares
 nothing with the row-scaling representation on purpose: a fault in
 the row scaling would show as a disagreement with it, not be repeated
@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .matrix import Matrix, _require_square
-from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _divmod_for, _nearest_double, bit_length
+from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _as_kind, _divmod_for, bit_length
 
 __all__ = [
     "det_cofactor",
@@ -119,12 +118,12 @@ def _work(method: str, n: int, bits: int) -> float:
 
 def _integer_matrix(m: Matrix) -> Tuple[Matrix, Sequence[int], Callable[[int], Scalar]]:
     # m as integer rows I, row i being I[i] / scales[i] (unpacked from a list, as Matrix.__init__
-    # does), and the map from det(I) to det(m): a Fraction or the nearest double over the scales.
+    # does), and the map from det(I) to det(m): det(I) over the scales' product, in m's kind.
     if m.kind is INTEGER or not m.rows:
         return m, (1,) * m.rows, lambda value: value
     rows, scales = zip(*[RATIONAL.integer_row(row) for row in m.as_tuples()])
-    scale, back = math.prod(scales), Fraction if m.kind is RATIONAL else _nearest_double
-    return Matrix._trusted([*map(tuple, rows)], INTEGER, len(rows)), scales, lambda value: back(value, scale)
+    scale = math.prod(scales)
+    return Matrix._trusted([*map(tuple, rows)], INTEGER, len(rows)), scales, lambda value: _as_kind(m.kind, value, scale)
 
 
 def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
@@ -337,23 +336,23 @@ def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     denominators in lowest terms, and updated with the gcd splits of
     ``Fraction`` division, multiplication and subtraction (Knuth,
     TAOCP vol. 2, 4.5.1), so the grid holds exactly the rationals a
-    ``Fraction`` loop holds.  The pivot is the largest magnitude in the
-    column, earliest row on ties; each swap flips the sign.
+    ``Fraction`` loop holds, whatever the kind: each entry is read by
+    ``as_integer_ratio()``, and the result comes back in the matrix's
+    kind (``scalars._as_kind``).  The pivot is the largest magnitude in
+    the column, earliest row on ties; each swap flips the sign.
     """
     n = _require_square(m, "det_gauss_rational")
-    if m.kind is not RATIONAL:
-        raise ValueError("det_gauss_rational needs rational entries")
     if ops is None:
         ops = OpCounts()
-    rows = m.as_tuples()
-    nums = [[v.numerator for v in row] for row in rows]
-    dens = [[v.denominator for v in row] for row in rows]
+    pairs = [[v.as_integer_ratio() for v in row] for row in m.as_tuples()]
+    nums = [[p for p, _ in row] for row in pairs]
+    dens = [[q for _, q in row] for row in pairs]
     gcd = math.gcd
     sign = 1
     for k in range(n - 1):
         r = _pivot_pair_row(nums, dens, k, k, n)
         if r is None:
-            return RATIONAL.zero
+            return m.kind.zero
         if r != k:
             nums[k], nums[r] = nums[r], nums[k]
             dens[k], dens[r] = dens[r], dens[k]
@@ -404,4 +403,4 @@ def det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
         ops.multiplications += updated * size
         ops.subtractions += updated * size
     ops.multiplications += n
-    return Fraction(sign * math.prod(nums[k][k] for k in range(n)), math.prod(dens[k][k] for k in range(n)))
+    return _as_kind(m.kind, sign * math.prod(nums[k][k] for k in range(n)), math.prod(dens[k][k] for k in range(n)))

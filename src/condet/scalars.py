@@ -9,8 +9,9 @@ the values' native operators.  The remainder-checked division of
 condensation and Bareiss runs on integers, rational and float
 matrices included: those run as integer rows
 (``RationalKind.integer_row``), so it is ``IntegerKind.exact_div``.
-Every float result is exact until one division, ``_nearest_double``,
-which rounds it once.
+Every determinant is an exact ratio of two ints until ``_as_kind``
+turns it into the caller's kind: an int, a ``Fraction``, or a float
+rounded once.
 
 Integers of any length format and parse, including those past
 Python's int/str conversion limit (``sys.get_int_max_str_digits()``),
@@ -59,7 +60,10 @@ def _echo(value) -> str:
     """``repr(value)`` for an error message, cut to its first
     ``_ECHO_LIMIT`` characters plus ``… (N characters)`` when longer;
     an int past the int/str digit limit is written out in full first."""
-    text = _int_text(value) if isinstance(value, int) else repr(value)
+    try:
+        text = _int_text(value) if isinstance(value, int) else repr(value)
+    except ValueError:  # repr of a container that holds such an int
+        return f"a {type(value).__name__} holding an int past the int/str digit limit"
     if len(text) <= _ECHO_LIMIT:
         return text
     return f"{text[:_ECHO_LIMIT]}… ({len(text)} characters)"
@@ -398,11 +402,14 @@ FLOAT = FloatKind()
 KINDS = {kind.name: kind for kind in (RATIONAL, INTEGER, FLOAT)}
 
 
-def _nearest_double(numerator: int, denominator: int) -> float:
-    """The float determinant numerator / denominator of integer rows,
-    rounded once: CPython's int / int is correctly rounded, underflow
-    included.  Past the double range it raises ``OverflowError`` naming
-    that range."""
+def _as_kind(kind: ScalarKind, numerator: int, denominator: int) -> Scalar:
+    """numerator / denominator (> 0) in ``kind``: an int by ``exact_div``, a
+    ``Fraction``, or the nearest double (CPython's int / int rounds once,
+    underflow included; ``OverflowError`` naming the double range past it)."""
+    if kind is INTEGER:
+        return INTEGER.exact_div(numerator, denominator)
+    if kind is RATIONAL:
+        return Fraction(numerator, denominator)
     try:
         return numerator / denominator
     except OverflowError:

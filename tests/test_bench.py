@@ -113,6 +113,40 @@ def test_config_validation():
         BenchConfig(sizes=(20, 22), trials_per_size=1, entry_bound=9, seed=1, methods=("condensation",))
 
 
+def test_config_refuses_non_int_fields_and_caps_its_echoes():
+    base = dict(sizes=(3,), trials_per_size=1, entry_bound=9, seed=1, methods=("bareiss",))
+    for field, value, message in (
+        ("sizes", (3.7,), "matrix size must be an int, got 3.7"),
+        ("sizes", (3, True), "matrix size must be an int, got True"),
+        ("trials_per_size", 1.5, "trials_per_size must be an int, got 1.5"),
+        ("entry_bound", 9.5, "entry_bound must be an int, got 9.5"),
+        ("entry_bound", True, "entry_bound must be an int, got True"),
+        ("seed", "1", "seed must be an int, got '1'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            BenchConfig(**{**base, field: value})
+        assert str(info.value) == message
+    huge = int("9" * 4000)
+    for field, value, message in (
+        ("sizes", (-huge,), "matrix size must be >= 1, got -9999"),
+        ("trials_per_size", -huge, "trials_per_size must be >= 0, got -9999"),
+        ("entry_bound", huge, "entry_bound must be <= 2147483648, got 9999"),
+        ("entry_bound", -huge, "entry_bound must be >= 1, got -9999"),
+    ):
+        with pytest.raises(ValueError) as info:
+            BenchConfig(**{**base, field: value})
+        assert str(info.value).startswith(message) and len(str(info.value)) < 200
+
+
+def test_bench_config_with_a_huge_entry_bound_exits_2_with_a_short_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"sizes": [3], "trials_per_size": 1, "entry_bound": ' + "9" * 4000 + ', "seed": 1, "methods": ["bareiss"]}')
+    assert main(["bench", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bench config {path}: entry_bound must be <= 2147483648, got 9999")
+    assert len(err) < 300 + len(str(path))
+
+
 def test_config_replace_validates():
     cfg = DEFAULT_CONFIG._replace(seed=7)
     assert isinstance(cfg, BenchConfig)

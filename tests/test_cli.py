@@ -546,10 +546,16 @@ def test_cli_methods_pair_each_method_flag_with_one_bench_method():
         assert cli.build_parser().parse_args(["det", "m.txt", "--method", flag]).method == flag
 
 
-def test_det_gauss_needs_rational_scalar(tmp_path, capsys):
-    path = write(tmp_path, "m.txt", SMALL)
-    assert main(["det", path, "--method", "gauss", "--scalar", "integer"]) == EXIT_USER_ERROR
-    assert "rational" in capsys.readouterr().err
+def test_det_gauss_takes_every_scalar(tmp_path, capsys):
+    # Gauss answers in the kind asked for, as Bareiss does: an int for
+    # --scalar integer, the nearest double for --scalar float
+    cases = (("2 5\n0 1\n", "integer", "2"), ("0.1 0.2\n0.3 0.4\n", "float", "-0.019999999999999997"),
+             ("1/3 2\n5 7/2\n", "rational", "-53/6"))
+    for text, scalar, want in cases:
+        path = write(tmp_path, "m.txt", text)
+        for method in ("gauss", "bareiss"):
+            assert main(["det", path, "--method", method, "--scalar", scalar]) == EXIT_OK
+            assert capsys.readouterr().out == want + "\n"
 
 
 def test_det_integer_scalar_rejects_fraction_entries(tmp_path, capsys):

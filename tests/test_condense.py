@@ -966,6 +966,11 @@ MISSING = object()
         (0, "condensed", MISSING, "trace step 1: missing 'condensed'"),
         (0, "kind", ["condense"], "unknown trace step kind ['condense']"),
         (None, "format", ["condensation-trace/1"], "not a condensation-trace/1 document: format=['condensation-trace/1']"),
+        # repr of a pair holding an int past the int/str digit limit raises
+        (0, "pivot", [1, 10**5000], "trace step 1: 'pivot' must lie within its size-3 level,"
+                                    " got a list holding an int past the int/str digit limit"),
+        (0, "pivot", [0, 10**5000], "trace step 1: 'pivot' must be a pair of integers >= 1,"
+                                    " got a list holding an int past the int/str digit limit"),
     ],
 )
 def test_trace_document_rejects_malformed_fields(step, field, value, message):

@@ -14,9 +14,12 @@ from condet import (
     RATIONAL,
     Matrix,
     PivotSpec,
+    SplitMix64,
     condense_at,
     condense_at_11,
     det_cofactor,
+    random_integer_matrix,
+    random_rational_matrix,
     remove_rows_cols,
 )
 from condet.matrix import matrix_from_doc, matrix_to_doc
@@ -81,6 +84,17 @@ def test_construction_rejects_empty_rows():
 def test_construction_rejects_wrong_kind():
     with pytest.raises(TypeError):
         Matrix([[1, 0.5]], INTEGER)
+
+
+def test_construction_rejects_negative_sizes():
+    with pytest.raises(ValueError, match=r"^matrix cols must be >= 0, got -1$"):
+        Matrix([], INTEGER, cols=-1)
+    with pytest.raises(ValueError, match=r"^matrix cols must be >= 0, got -2$"):
+        random_integer_matrix(-2, 9, SplitMix64(1))
+    with pytest.raises(ValueError, match=r"^matrix cols must be >= 0, got -1$"):
+        random_rational_matrix(-1, SplitMix64(1))
+    assert Matrix([], INTEGER, cols=0) == random_integer_matrix(0, 9, SplitMix64(1)) == Matrix([], INTEGER)
+    assert random_rational_matrix(0, SplitMix64(1)) == Matrix([], RATIONAL)
 
 
 def test_row_and_transpose():

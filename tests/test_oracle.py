@@ -128,9 +128,21 @@ def test_gauss_known_values():
     assert det_gauss_rational(diag) == 1
 
 
-def test_gauss_requires_rational():
-    with pytest.raises(ValueError):
-        det_gauss_rational(identity(3, INTEGER))
+def test_gauss_answers_in_the_kind_of_its_input():
+    # integer and float entries are read as exact ratios, like rational
+    # ones, and the determinant comes back as an int or a double rounded
+    # once, equal to Bareiss's
+    rng = random.Random(131)
+    for _ in range(30):
+        m = random_int_matrix(rng, rng.randint(0, 7))
+        value = det_gauss_rational(m)
+        assert type(value) is int and value == det_bareiss(m)
+        doubles = Matrix([[v / 2 ** rng.randint(-40, 40) for v in row] for row in m.as_tuples()], FLOAT, cols=m.cols)
+        value = det_gauss_rational(doubles)
+        assert type(value) is float and value == det_bareiss(doubles)
+    assert repr(det_gauss_rational(Matrix([[1, 2], [2, 4]], INTEGER))) == "0"
+    assert repr(det_gauss_rational(Matrix([[0.5, 1.0], [1.0, 2.0]], FLOAT))) == "0.0"
+    assert repr(det_gauss_rational(Matrix([[0.1, 0.2], [0.3, 0.4]], FLOAT))) == repr(det_bareiss(Matrix([[0.1, 0.2], [0.3, 0.4]], FLOAT)))
 
 
 def test_three_way_agreement():
@@ -422,10 +434,20 @@ def test_cofactor_matches_the_minor_copying_expansion(m):
     assert ops == ref_ops
 
 
+def reference_gauss_in_kind(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
+    # the Fraction loop on the Fraction of each entry, its value turned
+    # into the matrix's kind
+    if m.kind is RATIONAL:
+        return reference_det_gauss_rational(m, ops)
+    exact = Matrix([[Fraction(v) for v in row] for row in m.as_tuples()], RATIONAL, cols=m.cols)
+    value = reference_det_gauss_rational(exact, ops)
+    return float(value) if m.kind is FLOAT else int(value)
+
+
 @settings(max_examples=300, deadline=None)
-@given(shaped_matrices(kinds=(RATIONAL,)))
+@given(shaped_matrices())
 def test_gauss_matches_the_fraction_loop(m):
-    (value, ops), (ref_value, ref_ops) = with_counts(det_gauss_rational, m), with_counts(reference_det_gauss_rational, m)
+    (value, ops), (ref_value, ref_ops) = with_counts(det_gauss_rational, m), with_counts(reference_gauss_in_kind, m)
     assert same_value(value, ref_value)
     assert ops == ref_ops
 

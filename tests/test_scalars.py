@@ -46,6 +46,17 @@ def test_parse_errors_echo_long_text_cut_to_its_head(kind, prefix):
     assert str(info.value) == f"{prefix} scalar: '{'x' * 99}… (1000002 characters)"
 
 
+def test_echo_of_a_container_past_the_digit_limit_is_short():
+    # repr raises on a container holding an int past the int/str digit
+    # limit; the echo says what it is instead.
+    from condet.scalars import _echo
+
+    assert _echo(10**5000) == f"1{'0' * 99}… (5001 characters)"
+    assert _echo([1, 10**5000]) == "a list holding an int past the int/str digit limit"
+    assert _echo({"k": (10**5000,)}) == "a dict holding an int past the int/str digit limit"
+    assert _echo([1, -2]) == "[1, -2]"
+
+
 def test_rational_zero_denominator():
     with pytest.raises(ScalarParseError):
         RATIONAL.parse("3/0")
