@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .condense import CondensationStep, DetResult, det_condensation
 from .matrix import Matrix, _field, _is_json, _json_object, _require_square
 from .oracle import _LEVEL_BUDGET, _WORK_BUDGET, _level_weight, _work, det_bareiss, det_cofactor, det_gauss_rational
-from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _echo, bit_length
+from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _echo, _max_bits
 
 __all__ = [
     "SplitMix64",
@@ -257,14 +257,13 @@ class BenchRecord(NamedTuple):
 
     ``max_bit_length_per_level`` is condensation-specific: the largest
     entry bit length of each condensed matrix, one value per level, in
-    level order; empty for other methods and for non-integer runs.
+    level order; empty for other methods.
     ``result_digest`` is the canonical text of the determinant.
     """
 
     method: str
     n: int
     trial: int
-    scalar_kind: str
     wall_time_ns: int
     multiplications: int
     subtractions: int
@@ -310,15 +309,6 @@ class MethodDisagreement(RuntimeError):
         )
 
 
-def _condensation_bits(trace) -> Tuple[int, ...]:
-    bits = []
-    for step in trace:
-        if isinstance(step, CondensationStep):
-            grid = step.condensed.as_tuples()
-            bits.append(max(bit_length(v) for row in grid for v in row))
-    return tuple(bits)
-
-
 def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
     """Run every configured method over the seeded corpus.
 
@@ -341,12 +331,14 @@ def run_bench(cfg: BenchConfig) -> List[BenchRecord]:
                     method=name,
                     n=n,
                     trial=trial,
-                    scalar_kind=INTEGER.name,
                     wall_time_ns=elapsed,
                     multiplications=ops.multiplications,
                     subtractions=ops.subtractions,
                     divisions=ops.divisions,
-                    max_bit_length_per_level=_condensation_bits(result.trace),
+                    max_bit_length_per_level=tuple(
+                        _max_bits(step.condensed.as_tuples()) for step in result.trace
+                        if isinstance(step, CondensationStep)
+                    ),
                     result_digest=INTEGER.format(result.value),
                 )
                 if first is None:
@@ -434,14 +426,15 @@ def parse_report(text: str) -> List[dict]:
 def growth_report(records: List[BenchRecord]) -> str:
     """Median condensation entry growth per level, as ``n,level,median_bits``.
 
-    Uses integer condensation records only; raises ValueError when the
-    record list has none.  Rows are ordered by size then level, the
-    median at each level taken over the trials that reached it.
+    Uses the condensation records (every bench corpus is integer);
+    raises ValueError when the record list has none.  Rows are ordered
+    by size then level, the median at each level taken over the trials
+    that reached it.
     """
     per_size: Dict[int, List[Tuple[int, ...]]] = {}
     order: List[int] = []
     for r in records:
-        if r.method != "condensation" or r.scalar_kind != "integer":
+        if r.method != "condensation":
             continue
         if r.n not in per_size:
             per_size[r.n] = []

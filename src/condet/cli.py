@@ -57,7 +57,7 @@ from .matrix import Matrix, PivotSpec, _read_row, matrix_from_doc, remove_rows_c
 from .oracle import (
     _WORK_BUDGET, _OverBudget, _adjugate, _integer_matrix, _work, det_bareiss, det_cofactor, det_gauss_rational
 )
-from .scalars import KINDS, ScalarKind, _as_kind
+from .scalars import KINDS, ScalarKind, _as_kind, _max_bits
 
 __all__ = ["main", "cmd_det", "cmd_verify", "cmd_bench", "load_matrix", "parse_matrix_text", "UsageError", "MatrixFileError"]
 
@@ -133,8 +133,7 @@ def load_matrix(path: str, kind: ScalarKind) -> Matrix:
 
 
 def _check_work(what: str, method: str, m: Matrix) -> None:
-    rows, n = m.as_tuples(), m.rows
-    bits = max(max(map(max, rows), default=0), -min(map(min, rows), default=0)).bit_length()
+    n, bits = m.rows, _max_bits(m.as_tuples())
     work = _work(method, n, bits)
     if work > _WORK_BUDGET:
         hint = " (use --method bareiss)" if method in ("cofactor", "gauss-rational") else ""

@@ -57,7 +57,7 @@ from .matrix import (
 )
 from .oracle import _LEVEL_BUDGET, _OverBudget, _integer_matrix, _level_weight, det_bareiss
 from .scalars import (
-    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, _divmod_for, _echo
+    FLOAT, INTEGER, KINDS, RATIONAL, ExactDivisionError, OpCounts, Scalar, ScalarKind, _divmod_for, _echo, _max_bits
 )
 
 __all__ = [
@@ -473,7 +473,7 @@ def det_condensation(
             trace.append(ZeroRowExit(size))
             value = 0
             break
-        weight = _level_weight(size, max(map(abs, row1)).bit_length())
+        weight = _level_weight(size, _max_bits((row1,)))
         if weight > _LEVEL_BUDGET:
             raise _OverBudget(f"traced condensation: level {len(trace)} ({size}x{size}) holds about"
                               f" {weight:.3g} bit-entries, past the budget of {_LEVEL_BUDGET:.0e} a level")

@@ -5,8 +5,9 @@ used as ground truth when checking it:
 
 * ``det_cofactor``   - Laplace expansion along row 1, recursive, capped
   at 10x10 (factorial cost).
-* ``det_bareiss``    - fraction-free single-pass elimination with row
-  pivoting; every division is exact by construction.
+* ``det_bareiss``    - fraction-free single-pass elimination, pivoting
+  on the first nonzero entry of each column; every division is exact
+  by construction.
 * ``det_gauss_rational`` - plain Gaussian elimination with partial
   pivoting over rationals, for every kind.
 
@@ -57,7 +58,7 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .matrix import Matrix, _require_square
-from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _as_kind, _divmod_for, bit_length
+from .scalars import INTEGER, RATIONAL, OpCounts, Scalar, _as_kind, _divmod_for, _max_bits
 
 __all__ = [
     "det_cofactor",
@@ -196,17 +197,13 @@ def det_cofactor(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
 
 
 def _pivot_row(grid, col: int, start: int, n: int) -> Optional[int]:
-    # Partial pivoting: pick the largest magnitude, earliest row on ties.
-    best = None
-    best_mag = None
+    # The first row from start on with a nonzero entry in col.  Exact
+    # integer stages need no magnitude search: whichever nonzero pivot
+    # is picked, every entry is a minor of A (Bareiss, 1968).
     for r in range(start, n):
-        v = grid[r][col]
-        if v == 0:
-            continue
-        mag = abs(v)
-        if best is None or mag > best_mag:
-            best, best_mag = r, mag
-    return best
+        if grid[r][col]:
+            return r
+    return None
 
 
 def _exact_stage(grid, k: int, rows, stop: int, prev: int) -> None:
@@ -240,8 +237,8 @@ def det_bareiss(
     double (``OverflowError`` past the double range).  Each division
     by the previous pivot is exact, and a nonzero remainder raises
     ``ExactDivisionError`` through ``IntegerKind.exact_div`` (a stage
-    that raises adds none of its counts).  Row pivoting picks the
-    largest magnitude in the column, flipping the sign per swap.
+    that raises adds none of its counts).  The pivot is the first
+    nonzero entry in the column, and each row swap flips the sign.
 
     When ``stage_bits`` is given (integer matrices only) the maximum
     entry bit length of the working grid is appended after each
@@ -276,9 +273,7 @@ def det_bareiss(
         ops.divisions += size * size
         prev = piv
         if stage_bits is not None:
-            stage_bits.append(
-                max(bit_length(grid[i][j]) for i in range(n) for j in range(n))
-            )
+            stage_bits.append(_max_bits(grid))
     value = grid[n - 1][n - 1]
     return -value if sign == -1 else value
 
@@ -288,7 +283,7 @@ def _adjugate(m: Matrix) -> Optional[List[List[int]]]:
 
     Fraction-free Gauss-Jordan elimination on ``[m | I]`` (Bareiss,
     Math. Comp. 22, 1968), with the stage and the pivot rule of
-    ``det_bareiss``: the largest magnitude in the column is its pivot,
+    ``det_bareiss``: the first nonzero entry in the column is its pivot,
     each row swap flips the sign, and stage k sets every row but the
     pivot row to ``(row * piv - lead * pivot row) / prev``, each
     division exact (a nonzero remainder raises ``ExactDivisionError``).
@@ -319,8 +314,8 @@ def _adjugate(m: Matrix) -> Optional[List[List[int]]]:
 
 
 def _pivot_pair_row(nums, dens, col: int, start: int, n: int) -> Optional[int]:
-    # _pivot_row on (numerator, positive denominator) pairs: the largest
-    # |a/b|, earliest row on ties, compared as |a|*d > |c|*b.
+    # Partial pivoting on (numerator, positive denominator) pairs: the
+    # largest |a/b|, earliest row on ties, compared as |a|*d > |c|*b.
     best = None
     for r in range(start, n):
         a = nums[r][col]

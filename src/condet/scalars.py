@@ -419,6 +419,13 @@ def _as_kind(kind: ScalarKind, numerator: int, denominator: int) -> Scalar:
         ) from None
 
 
+def _max_bits(rows: Sequence[Sequence[int]]) -> int:
+    """The largest bit length of any entry of the nonempty integer
+    ``rows`` (0 for no rows): one ``max`` and one ``min`` a row, then
+    one ``bit_length``."""
+    return max(max(map(max, rows), default=0), -min(map(min, rows), default=0)).bit_length()
+
+
 def bit_length(value: int) -> int:
     """Bit length of ``abs(value)``; 0 has bit length 0."""
     if not isinstance(value, int) or isinstance(value, bool):

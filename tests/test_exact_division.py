@@ -322,6 +322,8 @@ DIVIDED_FAULTS = [
     (MAX, 6, 20, "divided level 4: a 25-bit entry is not a multiple of the 7-bit pivot (1, 5) of level 1"),
     (FIRST, 4, 0, FIRST_DIVISION),
     (FIRST, 4, 3, "divided level 3: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
+    # the coefficient b of the first later row: its numerator belongs to level 3 too
+    (FIRST, 4, 4, "divided level 3: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
     (FIRST, 4, 10, "divided level 4: a 17-bit entry is not a multiple of the 5-bit pivot (1, 1) of level 1"),
     (FIRST, 2, 0, "divided level 5: a 29-bit entry is not a multiple of the 11-bit pivot (1, 1) of level 3"),
     (MAX, 4, 0, "divided level 3: a 21-bit entry is not a multiple of the 7-bit pivot (1, 5) of level 1"),

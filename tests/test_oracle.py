@@ -24,6 +24,7 @@ from condet import (
     det_bareiss,
     det_cofactor,
     det_gauss_rational,
+    hadamard_bit_bound,
     random_integer_matrix,
     remove_rows_cols,
 )
@@ -332,6 +333,17 @@ def reference_det_bareiss(
     return Fraction(value, scale) if kind is RATIONAL else value
 
 
+def largest_pivot_row(grid, col, start, n):
+    # Partial pivoting: the largest magnitude, earliest row on ties.
+    # Gauss's counts skip zero leads, so they depend on this rule.
+    best = None
+    for r in range(start, n):
+        v = grid[r][col]
+        if v and (best is None or abs(v) > abs(grid[best][col])):
+            best = r
+    return best
+
+
 def reference_det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> Scalar:
     """Determinant by rational Gaussian elimination with partial pivoting."""
     n = _require_square(m, "det_gauss_rational")
@@ -342,7 +354,7 @@ def reference_det_gauss_rational(m: Matrix, ops: Optional[OpCounts] = None) -> S
     grid = [list(row) for row in m.as_tuples()]
     sign = 1
     for k in range(n - 1):
-        r = _pivot_row(grid, k, k, n)
+        r = largest_pivot_row(grid, k, k, n)
         if r is None:
             return RATIONAL.zero
         if r != k:
@@ -648,11 +660,11 @@ def test_adjugate_is_the_signed_cofactor_matrix(m):
 @pytest.mark.parametrize(
     "rows, swapped",
     [
-        # the largest first-column entry is in the last row
+        # the first-column entry of the first row is zero
         ([[0, 2, 1], [3, 1, 4], [5, 9, 2]], [0]),
-        # the first stage leaves 2 and 13 in the second column: the
+        # the first stage leaves 0 and -1 in the second column: the
         # second one swaps
-        ([[3, 1, 2], [1, 1, 1], [2, 5, 1]], [1]),
+        ([[1, 2, 3], [2, 4, 1], [1, 1, 1]], [1]),
     ],
     ids=["zero-corner", "later-swap"],
 )
@@ -671,6 +683,32 @@ def test_adjugate_signs_each_row_swap(monkeypatch, rows, swapped):
     monkeypatch.setattr(oracle_module, "_pivot_row", spy)
     assert _adjugate(m) == expected
     assert [stage for stage, step in enumerate(steps) if step] == swapped
+
+
+def bareiss_with_bits(m):
+    ops, bits = OpCounts(), []
+    return det_bareiss(m, ops, stage_bits=bits), ops, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices(kinds=(INTEGER,), max_size=12))
+def test_bareiss_and_adjugate_do_not_depend_on_the_pivot_rule(m):
+    # Every entry of a fraction-free stage is a minor of m, whichever
+    # nonzero pivot was picked, and stage k finds none exactly when the
+    # first k + 1 columns have rank k: the first-nonzero rule and
+    # Gauss's largest-magnitude rule give one value, one count and one
+    # adjugate.  Entries stay below the Hadamard bound under both,
+    # unless a zero row collapses that bound to 1.
+    value, ops, bits = bareiss_with_bits(m)
+    adj = _adjugate(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_module, "_pivot_row", largest_pivot_row)
+        largest_value, largest_ops, largest_bits = bareiss_with_bits(m)
+        largest_adj = _adjugate(m)
+    assert (value, ops, adj) == (largest_value, largest_ops, largest_adj)
+    if bits and all(any(row) for row in m.as_tuples()):
+        bound = hadamard_bit_bound(m)
+        assert max(bits) < 2 * bound and max(largest_bits) < 2 * bound
 
 
 def test_adjugate_divides_recursively_past_the_cutoff(monkeypatch):

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condet import (
     FLOAT,
@@ -17,6 +19,7 @@ from condet import (
     ScalarParseError,
     bit_length,
 )
+from condet.scalars import _max_bits
 
 
 def test_rational_parse_canonicalizes():
@@ -249,6 +252,42 @@ def test_bit_length():
     assert bit_length(256) == 9
     with pytest.raises(TypeError):
         bit_length(1.5)
+
+
+ROW_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-(2**70), 2**70),
+    # past the int/str digit limit (4300 digits by default)
+    st.builds(lambda sign, low: sign * (10**5000 + low), st.sampled_from((-1, 1)), st.integers(0, 2**64)),
+)
+
+
+@st.composite
+def int_rows(draw):
+    # One to five rows of one width, some of them all zero, some all negative.
+    cols = draw(st.integers(1, 6))
+    row = st.one_of(
+        st.lists(ROW_ENTRIES, min_size=cols, max_size=cols),
+        st.lists(ROW_ENTRIES.map(lambda v: -abs(v) or -1), min_size=cols, max_size=cols),
+        st.just([0] * cols),
+    )
+    return draw(st.lists(row, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+def test_max_bits_is_the_largest_entry_bit_length(rows):
+    assert _max_bits(rows) == max(bit_length(v) for row in rows for v in row)
+
+
+def test_max_bits_cases():
+    huge = -(10**5000)
+    assert huge.bit_length() == 16610
+    assert _max_bits([(huge, 1)]) == 16610
+    assert _max_bits([(-8, -1), (7, 0)]) == 4  # |-8| has 4 bits, 7 has 3
+    assert _max_bits([(-7, -1)]) == 3
+    assert _max_bits([(0, 0), (0, 0)]) == 0
+    assert _max_bits([]) == 0
 
 
 def test_kind_registry():
