@@ -35,8 +35,6 @@ __all__ = [
     "BenchConfig",
     "BenchRecord",
     "MethodDisagreement",
-    "Method",
-    "METHODS",
     "BENCH_METHODS",
     "DEFAULT_CONFIG",
     "run_bench",
@@ -112,17 +110,11 @@ def random_integer_matrix(n: int, bound: int, gen: SplitMix64) -> Matrix:
     return Matrix(data, INTEGER, cols=n)
 
 
-def random_rational_matrix(
-    n: int,
-    gen: SplitMix64,
-    num_bound: int = 9,
-    den_bound: int = 9,
-) -> Matrix:
+def random_rational_matrix(n: int, gen: SplitMix64) -> Matrix:
     """n x n rational matrix with nonzero entries.
 
-    Per entry, row-major: draw the numerator from [-num_bound,
-    num_bound] excluding 0 (redraw on 0), then the denominator from
-    [1, den_bound].
+    Per entry, row-major: draw the numerator from [-9, 9] excluding 0
+    (redraw on 0), then the denominator from [1, 9].
     """
     data = []
     for _ in range(n):
@@ -130,8 +122,8 @@ def random_rational_matrix(
         for _ in range(n):
             num = 0
             while num == 0:
-                num = gen.int_in(-num_bound, num_bound)
-            den = gen.int_in(1, den_bound)
+                num = gen.int_in(-9, 9)
+            den = gen.int_in(1, 9)
             row.append(Fraction(num, den))
         data.append(row)
     return Matrix(data, RATIONAL, cols=n)

@@ -72,7 +72,6 @@ __all__ = [
     "det_condensation",
     "trace_document",
     "trace_from_document",
-    "TRACE_FORMAT",
 ]
 
 
@@ -446,11 +445,11 @@ def det_condensation(
     ops = OpCounts()
     if n == 0:
         return DetResult(kind.one, (), ops)
-    if n == 1:
-        return DetResult(m.get(1, 1), (), ops)
 
     im, scales, back = _integer_matrix(m)
     rows = level = im.as_tuples()
+    if n == 1:
+        return DetResult(back(rows[0][0]), (), ops)
     # A recorded scalar int / int: exact, or a double rounded once.
     scalar = Fraction if kind is RATIONAL else _double
     if not record_trace:

@@ -17,6 +17,7 @@ config and trace document alike (`_json_object` / `_field`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -26,8 +27,6 @@ __all__ = [
     "PivotSpec",
     "Matrix",
     "remove_rows_cols",
-    "matrix_to_doc",
-    "matrix_from_doc",
 ]
 
 
@@ -144,7 +143,7 @@ def _require_square(m: Matrix, who: str) -> int:
 
 
 def _check_removed(indices: Iterable[int], limit: int, what: str) -> list:
-    out = sorted(set(int(i) for i in indices))
+    out = sorted(set(map(operator.index, indices)))
     given = list(indices)
     if len(given) != len(out):
         raise ValueError(f"duplicate {what} indices in {given!r}")

@@ -34,9 +34,6 @@ __all__ = [
     "ExactDivisionError",
     "OpCounts",
     "ScalarKind",
-    "RationalKind",
-    "IntegerKind",
-    "FloatKind",
     "RATIONAL",
     "INTEGER",
     "FLOAT",

@@ -281,6 +281,17 @@ def test_det_pivot_strategy_flag(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == reference
 
 
+@pytest.mark.parametrize("scalar, cell, want", [("integer", "-7", "-7"), ("rational", "-3/6", "-1/2"),
+                                                 ("float", "-0.0", "0.0")])
+def test_det_of_a_1x1_prints_the_same_under_every_method_and_run(tmp_path, capsys, scalar, cell, want):
+    path = write(tmp_path, "m.txt", cell + "\n")
+    runs = [["--method", method] for method in ("condense", "cofactor", "bareiss", "gauss")]
+    runs.append(["--trace", str(tmp_path / "trace.json")])
+    for run in runs:
+        assert main(["det", path, "--scalar", scalar, *run]) == EXIT_OK
+        assert capsys.readouterr().out == want + "\n", run
+
+
 def test_det_non_square_is_user_error(tmp_path, capsys):
     path = write(tmp_path, "m.txt", "1 2 3\n4 5 6\n")
     assert main(["det", path]) == EXIT_USER_ERROR

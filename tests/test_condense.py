@@ -375,6 +375,26 @@ def test_det_condensation_trivial_sizes():
     assert result.op_counts == OpCounts(multiplications=2, subtractions=1, divisions=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_det_condensation_of_a_non_finite_1x1_raises_as_bareiss_does(value):
+    # A 1x1 goes through the integer rows as every larger size does, so
+    # it is refused, not returned as a determinant.
+    m = Matrix([[value]], FLOAT)
+    with pytest.raises((ValueError, OverflowError)) as bareiss:
+        det_bareiss(m)
+    for record_trace in (True, False):
+        with pytest.raises(type(bareiss.value), match=f"^{re.escape(str(bareiss.value))}$"):
+            det_condensation(m, record_trace=record_trace)
+
+
+@pytest.mark.parametrize("kind, value", [(INTEGER, -7), (RATIONAL, Fraction(-3, 6)), (FLOAT, -0.0)],
+                         ids=["integer", "rational", "float"])
+def test_det_condensation_of_a_1x1_is_what_bareiss_returns(kind, value):
+    m = Matrix([[value]], kind)
+    for record_trace in (True, False):
+        assert repr(det_condensation(m, record_trace=record_trace).value) == repr(det_bareiss(m))
+
+
 def test_det_condensation_worked_example():
     result = det_condensation(Matrix([[2, 1, 3], [4, 5, 6], [7, 8, 10]], INTEGER))
     assert result.value == -3

@@ -150,6 +150,11 @@ def test_remove_rows_cols_rejects_bad_indices():
     # rows left with no entries are no matrix, as for a checked build
     with pytest.raises(ValueError, match=r"^matrix rows must not be empty$"):
         remove_rows_cols(m, (1,), (1, 2))
+    # indices are read as list indexing reads them: a float or a string is none
+    with pytest.raises(TypeError):
+        remove_rows_cols(m, [1.9], [True])
+    with pytest.raises(TypeError):
+        remove_rows_cols(m, ["2"], [])
 
 
 @pytest.mark.parametrize("kind", [INTEGER, RATIONAL, FLOAT], ids=lambda k: k.name)

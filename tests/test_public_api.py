@@ -84,3 +84,30 @@ def test_det_condensation_takes_one_switch_per_run():
     # record_trace alone picks the traced undivided run or the divided
     # one; a further parameter is a deliberate change.
     assert tuple(inspect.signature(condet.det_condensation).parameters) == ("m", "strategy", "record_trace")
+
+
+def test_package_names_are_its_modules_names():
+    # Each public name is declared once, in the __all__ of its module.
+    modules = (condet.matrix, condet.scalars, condet.condense, condet.oracle, condet.bench)
+    declared = [name for module in modules for name in module.__all__]
+    assert condet.__all__ == [*declared, "__version__"]
+    assert len(set(condet.__all__)) == len(condet.__all__)
+    assert all(getattr(condet, name) is getattr(module, name) for module in modules for name in module.__all__)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from condet import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(condet.__all__)
+
+
+def test_random_rational_matrix_takes_a_size_and_a_generator():
+    # Its entry bounds are constants: a parameter for them is a
+    # deliberate change, and the seeded corpus must not move.
+    assert tuple(inspect.signature(condet.random_rational_matrix).parameters) == ("n", "gen")
+    m = condet.random_rational_matrix(3, condet.SplitMix64(1))
+    assert [[str(v) for v in row] for row in m.as_tuples()] == [
+        ["-1/4", "1", "4"],
+        ["-9", "6/7", "-5/3"],
+        ["-9/5", "4", "-8/3"],
+    ]
